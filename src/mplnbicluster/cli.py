@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .colgroup import LINKAGES
 from .data import compute_offsets, load_counts, load_offsets, save_counts, save_offsets
 from .errors import MplnError
 from .evaluate import (
@@ -146,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--elbo-rel-tol", type=float, default=None, dest="elbo_rel_tol")
     p.add_argument("--inner-iter", type=int, default=None, dest="inner_iter")
     p.add_argument("--inner-tol", type=float, default=None, dest="inner_tol")
-    p.add_argument("--linkage", default=None, choices=("single", "complete", "average"))
+    p.add_argument("--linkage", default=None, choices=LINKAGES)
     common(p)
 
     p = sub.add_parser("evaluate", help="score fits against the generating truth")

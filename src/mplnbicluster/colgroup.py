@@ -24,7 +24,7 @@ import numpy as np
 from .errors import LengthMismatch
 from .linalg import corr_from_cov
 
-_LINKAGES = ("single", "complete", "average")
+LINKAGES = ("single", "complete", "average")
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,8 @@ def agglomerate(dist: np.ndarray, linkage: str = "average") -> Dendrogram:
         d-1 merges; ties are broken toward the lexicographically smallest
         (i, j) pair of cluster ids, making the result deterministic.
     """
-    if linkage not in _LINKAGES:
-        raise ValueError(f"unknown linkage {linkage!r}; expected one of {_LINKAGES}")
+    if linkage not in LINKAGES:
+        raise ValueError(f"unknown linkage {linkage!r}; expected one of {LINKAGES}")
     dist = _check_distance(dist)
     d = dist.shape[0]
     total = 2 * d - 1

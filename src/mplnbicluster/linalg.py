@@ -29,25 +29,10 @@ def cholesky(a: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite(f"matrix of shape {a.shape} is not positive definite") from exc
 
 
-def solve_pd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b for symmetric positive definite a.
-
-    b may be a vector or a matrix of right-hand sides.
-    """
-    lower = cholesky(a)
-    return scipy.linalg.cho_solve((lower, True), np.asarray(b, dtype=float))
-
-
-def logdet_pd(a: np.ndarray) -> float:
-    """log(det(a)) for symmetric positive definite a, via Cholesky."""
-    lower = cholesky(a)
-    return 2.0 * float(np.sum(np.log(np.diag(lower))))
-
-
-def inv_pd(a: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix (symmetrized)."""
-    inv = solve_pd(a, np.eye(a.shape[0]))
-    return 0.5 * (inv + inv.T)
+def inv_logdet_from_cholesky(lower: np.ndarray) -> tuple[np.ndarray, float]:
+    """Symmetrized inverse and log-determinant of a = L L' from its factor L."""
+    inv = scipy.linalg.cho_solve((lower, True), np.eye(lower.shape[0]))
+    return 0.5 * (inv + inv.T), 2.0 * float(np.sum(np.log(np.diag(lower))))
 
 
 def corr_from_cov(cov: np.ndarray) -> np.ndarray:

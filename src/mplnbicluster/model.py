@@ -18,7 +18,7 @@ from scipy.special import gammaln
 
 from .colgroup import ColumnPartition
 from .errors import LengthMismatch, NotPositiveDefinite
-from .linalg import cholesky, inv_pd, logdet_pd
+from .linalg import cholesky, inv_logdet_from_cholesky
 
 # Cap on exponents fed to np.exp: keeps the ELBO and its updates finite
 # (-inf ELBO instead of NaN) if an iterate ever runs away.
@@ -181,7 +181,7 @@ def elbo_observation(
     sigma: np.ndarray,
 ) -> float:
     """Single-observation ELBO F(q, y) under one component."""
-    sigma = np.asarray(sigma, dtype=float)
+    sigma_inv, logdet_sigma = inv_logdet_from_cholesky(cholesky(sigma))
     return float(
         elbo_batch(
             np.asarray(y, dtype=float)[None, :],
@@ -189,8 +189,8 @@ def elbo_observation(
             np.asarray(m, dtype=float)[None, :],
             np.asarray(s, dtype=float)[None, :, :],
             np.asarray(mu, dtype=float),
-            inv_pd(sigma),
-            logdet_pd(sigma),
+            sigma_inv,
+            logdet_sigma,
         )[0]
     )
 
@@ -246,6 +246,15 @@ def count_free_parameters(
             raise LengthMismatch(f"component {g} blocks sum to {sum(sizes)}, expected {d}")
         total += sum(b * (b + 1) // 2 for b in sizes)
     return total
+
+
+def bic(lower_bound: float, p: int, n: int) -> float:
+    """Bayesian information criterion on the bound scale; larger is better."""
+    if p < 1:
+        raise ValueError(f"p must be at least 1, got {p}")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    return float(2.0 * lower_bound - p * np.log(n))
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,9 @@ from pathlib import Path
 from time import perf_counter
 from typing import Optional
 
-import numpy as np
-
 from .data import CountMatrix, OffsetVector
 from .errors import AllCellsFailed, MplnError
+from .model import bic
 from .seeding import TAG_CELL, derive_seed
 from .vem import EqualK, FitConfig, FitResult, SilhouetteK, fit
 
@@ -49,15 +48,6 @@ GRID_COLUMNS = (
 
 _MODE_EQUAL = 0
 _MODE_VARYING = 1
-
-
-def bic(lower_bound: float, p: int, n: int) -> float:
-    """Bayesian information criterion on the bound scale; larger is better."""
-    if p < 1:
-        raise ValueError(f"p must be at least 1, got {p}")
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    return 2.0 * float(lower_bound) - p * np.log(n)
 
 
 @dataclass
@@ -96,49 +86,35 @@ def _strip_state(result: FitResult) -> FitResult:
     return result
 
 
-def _run_equal_cell(args):
-    counts, offsets, g, k, config = args
+def _run_cell(args):
+    counts, offsets, g, k_spec, config = args
+    # an equal-K cell is labelled by its request, a silhouette cell by the
+    # block counts its fit chose (none when the fit failed)
+    ks = (k_spec.k,) if isinstance(k_spec, EqualK) else ()
     start = perf_counter()
     try:
-        result = fit(counts, offsets, g, EqualK(k), config)
+        result = fit(counts, offsets, g, k_spec, config)
     except MplnError as exc:
         elapsed = 1000.0 * (perf_counter() - start)
-        cell = GridCell(g, str(k), None, None, None, None, None, elapsed,
-                        error=f"{type(exc).__name__}: {exc}", k_sort=(k,))
+        cell = GridCell(g, ";".join(map(str, ks)), None, None, None, None, None,
+                        elapsed, error=f"{type(exc).__name__}: {exc}", k_sort=ks)
         return cell, None
     elapsed = 1000.0 * (perf_counter() - start)
+    if not ks:
+        ks = tuple(part.k for part in result.model.groupings)
     cell = GridCell(
-        g, str(k), result.lower_bound, result.model.n_free_parameters,
-        result.bic, result.converged, result.iterations, elapsed, k_sort=(k,),
-    )
-    return cell, _strip_state(result)
-
-
-def _run_varying_cell(args):
-    counts, offsets, g, k_max, config = args
-    start = perf_counter()
-    try:
-        result = fit(counts, offsets, g, SilhouetteK(k_max), config)
-    except MplnError as exc:
-        elapsed = 1000.0 * (perf_counter() - start)
-        cell = GridCell(g, "", None, None, None, None, None, elapsed,
-                        error=f"{type(exc).__name__}: {exc}")
-        return cell, None
-    elapsed = 1000.0 * (perf_counter() - start)
-    ks = tuple(part.k for part in result.model.groupings)
-    cell = GridCell(
-        g, ";".join(str(k) for k in ks), result.lower_bound,
+        g, ";".join(map(str, ks)), result.lower_bound,
         result.model.n_free_parameters, result.bic, result.converged,
         result.iterations, elapsed, k_sort=ks,
     )
     return cell, _strip_state(result)
 
 
-def _run_cells(worker, tasks, jobs):
+def _run_cells(tasks, jobs):
     if jobs <= 1:
-        return [worker(task) for task in tasks]
+        return [_run_cell(task) for task in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks))
+        return list(pool.map(_run_cell, tasks))
 
 
 def _select_best(pairs):
@@ -158,8 +134,31 @@ def _select_best(pairs):
     return max(pool, key=lambda pair: (pair[0].bic, -pair[0].g, tuple(-k for k in pair[0].k_sort)))
 
 
-def _cell_config(config: FitConfig, mode: int, g: int, k: int) -> FitConfig:
-    return replace(config, seed=derive_seed(config.seed, TAG_CELL, mode, g, k))
+def _cell_config(config: FitConfig, g: int, k_spec) -> FitConfig:
+    if isinstance(k_spec, EqualK):
+        seed = derive_seed(config.seed, TAG_CELL, _MODE_EQUAL, g, k_spec.k)
+    else:
+        seed = derive_seed(config.seed, TAG_CELL, _MODE_VARYING, g, 0)
+    return replace(config, seed=seed)
+
+
+def _search(counts, offsets, specs, config, jobs):
+    """Fit every (G, k_spec) pair in ``specs`` and pick the BIC-best fit.
+
+    Returns (best cell, best FitResult, all cells in ``specs`` order).
+    """
+    if config is None:
+        config = FitConfig()
+    g_max = max(g for g, _ in specs)
+    if g_max > counts.n:
+        raise ValueError(f"g_max={g_max} exceeds the number of observations {counts.n}")
+    tasks = [
+        (counts, offsets, g, k_spec, _cell_config(config, g, k_spec))
+        for g, k_spec in specs
+    ]
+    pairs = _run_cells(tasks, jobs)
+    best_cell, best_result = _select_best(pairs)
+    return best_cell, best_result, [cell for cell, _ in pairs]
 
 
 def grid_search_equal_k(
@@ -175,29 +174,19 @@ def grid_search_equal_k(
     Returns (best FitResult, SelectionGrid).  Failed cells stay in the grid
     marked with their error but are excluded from selection.
     """
-    if config is None:
-        config = FitConfig()
     if counts.n < 2:
         raise ValueError("grid search needs at least 2 observations")
     if g_max < 1 or k_max < 1:
         raise ValueError("g_max and k_max must be at least 1")
     if k_max > counts.d:
         raise ValueError(f"k_max={k_max} exceeds the number of variables {counts.d}")
-    tasks = [
-        (counts, offsets, g, k, _cell_config(config, _MODE_EQUAL, g, k))
-        for g in range(1, g_max + 1)
-        for k in range(1, k_max + 1)
-    ]
-    pairs = _run_cells(_run_equal_cell, tasks, jobs)
-    best_cell, best_result = _select_best(pairs)
+    g_values = list(range(1, g_max + 1))
+    k_values = list(range(1, k_max + 1))
+    specs = [(g, EqualK(k)) for g in g_values for k in k_values]
+    best_cell, best_result, cells = _search(counts, offsets, specs, config, jobs)
     grid = SelectionGrid(
-        mode="equal",
-        g_values=list(range(1, g_max + 1)),
-        k_values=list(range(1, k_max + 1)),
-        k_max=None,
-        cells=[cell for cell, _ in pairs],
-        best_g=best_cell.g,
-        best_k_label=best_cell.k_label,
+        mode="equal", g_values=g_values, k_values=k_values, k_max=None,
+        cells=cells, best_g=best_cell.g, best_k_label=best_cell.k_label,
     )
     return best_result, grid
 
@@ -211,8 +200,6 @@ def fit_varying_k(
     jobs: int = 1,
 ):
     """One silhouette-guided fit per G in 1..g_max; BIC compares across G."""
-    if config is None:
-        config = FitConfig()
     if counts.n < 2:
         raise ValueError("model selection needs at least 2 observations")
     if g_max < 1:
@@ -221,20 +208,12 @@ def fit_varying_k(
         raise ValueError(
             f"k_max must be between 2 and d={counts.d}, got {k_max}"
         )
-    tasks = [
-        (counts, offsets, g, k_max, _cell_config(config, _MODE_VARYING, g, 0))
-        for g in range(1, g_max + 1)
-    ]
-    pairs = _run_cells(_run_varying_cell, tasks, jobs)
-    best_cell, best_result = _select_best(pairs)
+    g_values = list(range(1, g_max + 1))
+    specs = [(g, SilhouetteK(k_max)) for g in g_values]
+    best_cell, best_result, cells = _search(counts, offsets, specs, config, jobs)
     grid = SelectionGrid(
-        mode="varying",
-        g_values=list(range(1, g_max + 1)),
-        k_values=None,
-        k_max=k_max,
-        cells=[cell for cell, _ in pairs],
-        best_g=best_cell.g,
-        best_k_label=best_cell.k_label,
+        mode="varying", g_values=g_values, k_values=None, k_max=k_max,
+        cells=cells, best_g=best_cell.g, best_k_label=best_cell.k_label,
     )
     return best_result, grid
 

@@ -28,6 +28,7 @@ from scipy.linalg import cho_solve
 from scipy.special import gammaln
 
 from .colgroup import (
+    LINKAGES,
     agglomerate,
     block_project,
     cut,
@@ -36,11 +37,12 @@ from .colgroup import (
 )
 from .data import CountMatrix, OffsetVector
 from .errors import AllRestartsFailed, EmptyComponent, MplnError
-from .linalg import cholesky_with_jitter
+from .linalg import cholesky_with_jitter, inv_logdet_from_cholesky
 from .model import (
     EXP_CAP,
     MixtureModel,
     VariationalState,
+    bic,
     elbo_batch,
     lower_bound,
     model_from_dict,
@@ -72,9 +74,6 @@ __all__ = [
     "save_labels",
 ]
 
-_LINKAGES = ("single", "complete", "average")
-
-
 @dataclass(frozen=True)
 class FitConfig:
     """Knobs for a single fit.  Defaults are the package-wide defaults."""
@@ -96,9 +95,9 @@ class FitConfig:
             raise ValueError("inner_iter must be at least 1")
         if self.n_starts < 1:
             raise ValueError("n_starts must be at least 1")
-        if self.linkage not in _LINKAGES:
+        if self.linkage not in LINKAGES:
             raise ValueError(
-                f"linkage must be one of {_LINKAGES}, got {self.linkage!r}"
+                f"linkage must be one of {LINKAGES}, got {self.linkage!r}"
             )
 
 
@@ -284,52 +283,40 @@ def newton_m_step(y, log_c, m, s_new, mu, sigma_inv):
     return m - step, step
 
 
-def _partial_elbo(y, log_c, m, s, mu, sigma_inv, logdet_s=None):
-    """Per-observation bound without the terms constant in (m, S)."""
-    dm = m - mu
-    quad = np.einsum("ni,ij,nj->n", dm, sigma_inv, dm)
-    tr = np.einsum("ij,nji->n", sigma_inv, s)
-    if logdet_s is None:
-        logdet_s = np.linalg.slogdet(s)[1]
-    diag_s = np.einsum("njj->nj", s)
-    rate = np.exp(np.minimum(log_c[:, None] + m + 0.5 * diag_s, EXP_CAP))
-    return (
-        -0.5 * (quad + tr)
-        + 0.5 * logdet_s
-        + np.einsum("nj,nj->n", m, y)
-        - rate.sum(axis=1)
-    )
-
-
-def _sweep_batch(y, log_c, m, s, mu, sigma_inv, inner_iter, inner_tol):
+def _sweep_batch(y, log_c, m, s, mu, sigma_inv, logdet_sigma, log_fact, f_start,
+                 inner_iter, inner_tol):
     """Guarded coordinate sweeps for every observation of one component.
 
-    Each sweep refreshes S by its fixed-point map and then takes a Newton
-    step on m.  If an observation's bound would drop, the m-step is halved
-    once; if it still drops, that observation keeps its pre-sweep pair and
-    stops.  Observations whose update falls below ``inner_tol`` in the sup
-    norm also stop.  Mutates and returns copies; inputs are untouched.
+    ``f_start`` is each observation's bound at the starting (m, S); every
+    trial step is scored with the same ``elbo_batch``.  Each sweep refreshes
+    S by its fixed-point map and then takes a Newton step on m.  If an
+    observation's bound would drop, the m-step is halved once; if it still
+    drops, that observation keeps its pre-sweep pair and stops.
+    Observations whose update falls below ``inner_tol`` in the sup norm also
+    stop.  Mutates and returns copies; inputs are untouched.
     """
     y = np.asarray(y, dtype=float)
     m = m.copy()
     s = s.copy()
-    n = m.shape[0]
-    active = np.arange(n)
-    f_cur = _partial_elbo(y, log_c, m, s, mu, sigma_inv)
+    f_cur = np.array(f_start, dtype=float)
+    active = np.arange(m.shape[0])
     for _ in range(inner_iter):
         if active.size == 0:
             break
         ya, la, ma, sa = y[active], log_c[active], m[active], s[active]
+        fa = log_fact[active]
         s_new, logdet_s_new = s_fixed_point_step(la, ma, sa, sigma_inv)
         m_full, step = newton_m_step(ya, la, ma, s_new, mu, sigma_inv)
-        f_new = _partial_elbo(ya, la, m_full, s_new, mu, sigma_inv, logdet_s_new)
+        f_new = elbo_batch(ya, la, m_full, s_new, mu, sigma_inv, logdet_sigma,
+                           log_fact=fa, logdet_s=logdet_s_new)
         m_new = m_full
         rejected = np.zeros(active.size, dtype=bool)
         bad = np.flatnonzero(f_new < f_cur[active])
         if bad.size:
             m_half = ma[bad] - 0.5 * step[bad]
-            f_half = _partial_elbo(
-                ya[bad], la[bad], m_half, s_new[bad], mu, sigma_inv, logdet_s_new[bad]
+            f_half = elbo_batch(
+                ya[bad], la[bad], m_half, s_new[bad], mu, sigma_inv, logdet_sigma,
+                log_fact=fa[bad], logdet_s=logdet_s_new[bad],
             )
             ok = f_half >= f_cur[active[bad]]
             m_new[bad[ok]] = m_half[ok]
@@ -352,22 +339,21 @@ def update_variational(y, log_c, m, s, mu, sigma, inner_iter=10, inner_tol=1e-6)
     """Refresh one observation's Gaussian approximation under one component.
 
     ``y``, ``m`` are length-d vectors, ``s`` is (d, d); returns the updated
-    (m, s) pair after at most ``inner_iter`` guarded sweeps.
+    (m, s) pair after at most ``inner_iter`` guarded sweeps.  Raises
+    NotPositiveDefinite if ``s`` is not positive definite.
     """
-    sigma = np.asarray(sigma, dtype=float)
     _, lower = cholesky_with_jitter(sigma)
-    sigma_inv = cho_solve((lower, True), np.eye(sigma.shape[0]))
-    sigma_inv = 0.5 * (sigma_inv + sigma_inv.T)
-    log_c_arr = np.atleast_1d(np.asarray(log_c, dtype=float))
+    sigma_inv, logdet_sigma = inv_logdet_from_cholesky(lower)
+    y = np.asarray(y, dtype=float)[None, :]
+    log_c = np.atleast_1d(np.asarray(log_c, dtype=float))
+    m = np.asarray(m, dtype=float)[None, :]
+    s = np.asarray(s, dtype=float)[None, :, :]
+    mu = np.asarray(mu, dtype=float)
+    log_fact = gammaln(y + 1.0).sum(axis=1)
+    f_start = elbo_batch(y, log_c, m, s, mu, sigma_inv, logdet_sigma, log_fact=log_fact)
     m_out, s_out = _sweep_batch(
-        np.asarray(y, dtype=float)[None, :],
-        log_c_arr,
-        np.asarray(m, dtype=float)[None, :],
-        np.asarray(s, dtype=float)[None, :, :],
-        np.asarray(mu, dtype=float),
-        sigma_inv,
-        inner_iter,
-        inner_tol,
+        y, log_c, m, s, mu, sigma_inv, logdet_sigma, log_fact, f_start,
+        inner_iter, inner_tol,
     )
     return m_out[0], s_out[0]
 
@@ -477,26 +463,21 @@ def fit_from_state(
         lowers.append(low_g)
         partitions.append(part_g)
 
-    eye = np.eye(d)
     trace = []
     prev_bound = -np.inf
     converged = False
 
     def component_bounds():
         f = np.empty((n, G))
-        invs = []
-        for g in range(G):
-            inv = cho_solve((lowers[g], True), eye)
-            inv = 0.5 * (inv + inv.T)
-            invs.append(inv)
-            logdet = 2.0 * np.log(np.diag(lowers[g])).sum()
+        factors = [inv_logdet_from_cholesky(lower) for lower in lowers]
+        for g, (inv, logdet) in enumerate(factors):
             f[:, g] = elbo_batch(
                 y, log_c, m[:, g], s[:, g], mu[g], inv, logdet, log_fact=log_fact
             )
-        return f, invs
+        return f, factors
 
     for _ in range(config.max_em_iter):
-        f, sigma_invs = component_bounds()
+        f, factors = component_bounds()
         bound = observed_bound(f, pi)
         trace.append(bound)
         z = responsibilities(f, pi)
@@ -506,9 +487,10 @@ def fit_from_state(
         prev_bound = bound
 
         for g in range(G):
+            # f[:, g] is the bound at this same (m, S, mu, Sigma)
             m[:, g], s[:, g] = _sweep_batch(
-                y, log_c, m[:, g], s[:, g], mu[g], sigma_invs[g],
-                config.inner_iter, config.inner_tol,
+                y, log_c, m[:, g], s[:, g], mu[g], *factors[g], log_fact,
+                f[:, g], config.inner_iter, config.inner_tol,
             )
         pi = m_step_pi(z)
         mu = m_step_mu(z, m)
@@ -538,15 +520,13 @@ def fit_from_state(
     )
     labels = np.argmax(z, axis=1) + 1
     lb = lower_bound(f, z, pi)
-    p = model.n_free_parameters
-    bic = 2.0 * lb - p * np.log(n)
     return FitResult(
         model=model,
         state=final_state,
         labels=labels,
         elbo_trace=np.asarray(trace),
         lower_bound=float(lb),
-        bic=float(bic),
+        bic=bic(lb, model.n_free_parameters, n),
         converged=converged,
         iterations=len(trace) - 1,
         restart=restart,

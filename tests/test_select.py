@@ -203,7 +203,16 @@ def test_grid_validation():
         grid_search_equal_k(tiny, unit_offsets(1), 1, 1)
 
 
-def test_grid_failed_cells_recorded(monkeypatch):
+# each search with the k_max its tests use and the labels of its G=2 cells
+SEARCHES = pytest.mark.parametrize(
+    "search, k_max, g2_labels",
+    [(grid_search_equal_k, 2, ["1", "2"]), (fit_varying_k, 2, [""])],
+    ids=["equal", "varying"],
+)
+
+
+@SEARCHES
+def test_grid_failed_cells_recorded(monkeypatch, search, k_max, g2_labels):
     counts, offsets, _ = two_component_block_data(seed=13, n=80, d=4, sizes=(2, 2))
     real_fit = select.fit
 
@@ -213,16 +222,17 @@ def test_grid_failed_cells_recorded(monkeypatch):
         return real_fit(counts_, offsets_, g, k_spec, config)
 
     monkeypatch.setattr(select, "fit", flaky)
-    best, grid = grid_search_equal_k(
-        counts, offsets, 2, 2, config=FitConfig(n_starts=1, max_em_iter=40, seed=1)
+    best, grid = search(
+        counts, offsets, 2, k_max, config=FitConfig(n_starts=1, max_em_iter=40, seed=1)
     )
     assert best.model.G == 1
     failed = [c for c in grid.cells if c.failed]
-    assert [(c.g, c.k_label) for c in failed] == [(2, "1"), (2, "2")]
+    assert [(c.g, c.k_label) for c in failed] == [(2, label) for label in g2_labels]
     assert all("EmptyComponent" in c.error for c in failed)
 
 
-def test_grid_all_cells_failed(monkeypatch):
+@SEARCHES
+def test_grid_all_cells_failed(monkeypatch, search, k_max, g2_labels):
     counts, offsets, _ = two_component_block_data(seed=17, n=40, d=4, sizes=(2, 2))
 
     def always_fail(*args, **kwargs):
@@ -230,9 +240,68 @@ def test_grid_all_cells_failed(monkeypatch):
 
     monkeypatch.setattr(select, "fit", always_fail)
     with pytest.raises(AllCellsFailed) as err:
-        grid_search_equal_k(counts, offsets, 2, 2,
-                            config=FitConfig(n_starts=1, seed=0))
-    assert len(err.value.failures) == 4
+        search(counts, offsets, 2, k_max, config=FitConfig(n_starts=1, seed=0))
+    assert len(err.value.failures) == 2 * len(g2_labels)
+
+
+@pytest.mark.parametrize("search", [grid_search_equal_k, fit_varying_k],
+                         ids=["equal", "varying"])
+def test_search_rejects_g_max_above_n_before_fitting(monkeypatch, search):
+    rng = np.random.default_rng(3)
+    counts = make_counts(rng.poisson(5.0, size=(3, 4)))
+    real_fit = select.fit
+    calls = []
+
+    def counting_fit(*args, **kwargs):
+        calls.append(args[2])
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(select, "fit", counting_fit)
+    with pytest.raises(ValueError, match="g_max"):
+        search(counts, unit_offsets(3), 4, 2,
+               config=FitConfig(n_starts=1, max_em_iter=5, seed=0))
+    assert calls == []
+
+
+def test_searches_reproduce_recorded_fits():
+    # Values recorded from the searches before the sweep's guard was moved
+    # onto the full per-observation bound.  The guard now compares full
+    # bounds rather than bounds with the (m, S)-constant terms dropped, so
+    # comparisons that tie at rounding level can go the other way: the
+    # discrete outcomes must match exactly, the bounds to rel=1e-9.
+    counts, offsets, _ = two_component_block_data(seed=9, n=120, d=4, sizes=(2, 2))
+    config = FitConfig(n_starts=2, max_em_iter=80, seed=3)
+    labels = (
+        "1211111122222111212121111112122121222122211211222222111212221212"
+        "12122221111211222212121121121122112212222222222221112121"
+    )
+    recorded = {
+        "equal": (grid_search_equal_k, 2, (2, "2"), labels, [
+            (1, "1", 8, -1853.6947270557548, -3774.414338510458),
+            (1, "2", 5, -1881.7932506683196, -3811.4614187644597),
+            (2, "1", 13, -1794.5226034037776, -3727.8824673482345),
+            (2, "2", 51, -1798.5722485452907, -3697.6818236890044),
+        ]),
+        # the varying-K winner's components come out in the other order
+        "varying": (fit_varying_k, 3, (2, "2;2"), labels.translate(str.maketrans("12", "21")), [
+            (1, "2", 5, -1881.7932506683196, -3811.4614187644597),
+            (2, "2;2", 66, -1798.5703936304005, -3697.678113859224),
+        ]),
+    }
+    for mode, (search, k_max, selected, row_labels, cells) in recorded.items():
+        best, grid = search(counts, offsets, 2, k_max, config=config)
+        assert (grid.best_g, grid.best_k_label) == selected, mode
+        assert "".join(str(v) for v in best.labels) == row_labels, mode
+        assert [part.assign.tolist() for part in best.model.groupings] == [
+            [1, 1, 2, 2], [1, 1, 2, 2]
+        ], mode
+        assert [(c.g, c.k_label, c.iterations) for c in grid.cells] == [
+            cell_[:3] for cell_ in cells
+        ], mode
+        assert all(c.converged for c in grid.cells), mode
+        for c, (_, _, _, lower, bic_value) in zip(grid.cells, cells):
+            assert c.lower_bound == pytest.approx(lower, rel=1e-9), mode
+            assert c.bic == pytest.approx(bic_value, rel=1e-9), mode
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize
 
 from mplnbicluster.data import CountMatrix, OffsetVector
-from mplnbicluster.errors import AllRestartsFailed, EmptyComponent
+from mplnbicluster.errors import AllRestartsFailed, EmptyComponent, NotPositiveDefinite
 from mplnbicluster.model import elbo_observation, observed_bound
 from mplnbicluster import vem
 from mplnbicluster.vem import (
@@ -167,6 +167,16 @@ def test_update_variational_guard_survives_bad_start():
         before = after
     # and it still lands near the right place: posterior mode close to log y
     assert abs(m[0] - np.log(10000.0)) < 0.1
+
+
+def test_update_variational_rejects_indefinite_s():
+    # the single-observation bound is undefined for an indefinite S, so the
+    # sweep must refuse the start instead of handing it back unchanged
+    with pytest.raises(NotPositiveDefinite):
+        update_variational(
+            np.array([3.0]), 0.0, np.array([1.0]), np.array([[-1.0]]),
+            np.zeros(1), np.eye(1),
+        )
 
 
 def test_update_variational_stationarity_1d():
@@ -421,7 +431,7 @@ def test_fit_trace_final_consistency():
         counts, offsets, G=2, k_spec=EqualK(2),
         config=FitConfig(n_starts=1, max_em_iter=30, seed=8),
     )
-    from mplnbicluster.linalg import inv_pd, logdet_pd
+    from mplnbicluster.linalg import cholesky, inv_logdet_from_cholesky
     from mplnbicluster.model import elbo_batch
     from scipy.special import gammaln
 
@@ -429,12 +439,11 @@ def test_fit_trace_final_consistency():
     log_fact = gammaln(y + 1.0).sum(axis=1)
     f = np.empty((50, 2))
     for g in range(2):
+        inv, logdet = inv_logdet_from_cholesky(cholesky(result.model.sigma[g]))
         f[:, g] = elbo_batch(
             y, offsets.log,
             result.state.m[:, g], result.state.s[:, g],
-            result.model.mu[g],
-            inv_pd(result.model.sigma[g]),
-            logdet_pd(result.model.sigma[g]),
+            result.model.mu[g], inv, logdet,
             log_fact=log_fact,
         )
     assert observed_bound(f, result.model.pi) == pytest.approx(
