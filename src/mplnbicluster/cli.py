@@ -34,6 +34,7 @@ from .errors import MplnError
 from .evaluate import (
     aggregate_reports,
     evaluate_fit,
+    replicate_sds,
     report_to_dict,
     save_support_csv,
     save_support_pgm,
@@ -395,33 +396,6 @@ def _null(value):
     return None if value is None or np.isnan(value) else float(value)
 
 
-def _sd_block(reports) -> dict:
-    """Sample standard deviations across replicates, NaN-aware."""
-
-    def sd(values):
-        arr = np.asarray(values, dtype=float)
-        arr = arr[~np.isnan(arr)]
-        if arr.size < 2:
-            return None
-        return float(np.std(arr, ddof=1))
-
-    g = len(reports[0].col_misclass)
-    with np.errstate(invalid="ignore"):
-        mu_means = [float(np.nanmean(r.mu_mse)) for r in reports]
-        pi_means = [float(np.nanmean(r.pi_mse)) for r in reports]
-    return {
-        "row_ari": sd([r.row_ari for r in reports]),
-        "col_misclass": [
-            sd([r.col_misclass[t] for r in reports]) for t in range(g)
-        ],
-        "col_misclass_mean": sd([r.col_misclass_mean for r in reports]),
-        "mu_mse": [sd([r.mu_mse[t] for r in reports]) for t in range(g)],
-        "pi_mse": [sd([r.pi_mse[t] for r in reports]) for t in range(g)],
-        "mu_mse_mean": sd(mu_means),
-        "pi_mse_mean": sd(pi_means),
-    }
-
-
 def _cmd_evaluate(effective) -> int:
     truth_arg = _require(effective, "truth", "--truth")
     result_arg = _require(effective, "result", "--result")
@@ -469,7 +443,7 @@ def _cmd_evaluate(effective) -> int:
             ) from None
     payload = report_to_dict(final)
     if len(reports) > 1:
-        payload["sd"] = _sd_block(reports)
+        payload["sd"] = replicate_sds(reports)
     with open(out / "report.json", "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

@@ -29,6 +29,7 @@ __all__ = [
     "EvalReport",
     "evaluate_fit",
     "aggregate_reports",
+    "replicate_sds",
     "report_to_dict",
     "save_report",
     "load_report",
@@ -239,6 +240,36 @@ def aggregate_reports(reports) -> EvalReport:
         support_counts=support,
         n_replicates=sum(r.n_replicates for r in reports),
     )
+
+
+def replicate_sds(reports) -> dict:
+    """Sample standard deviations of the metrics across replicate reports.
+
+    NaN-aware: a metric with fewer than two defined values gets None.
+    """
+
+    def sd(values):
+        arr = np.asarray(values, dtype=float)
+        arr = arr[~np.isnan(arr)]
+        if arr.size < 2:
+            return None
+        return float(np.std(arr, ddof=1))
+
+    g = len(reports[0].col_misclass)
+    with np.errstate(invalid="ignore"):
+        mu_means = [float(np.nanmean(r.mu_mse)) for r in reports]
+        pi_means = [float(np.nanmean(r.pi_mse)) for r in reports]
+    return {
+        "row_ari": sd([r.row_ari for r in reports]),
+        "col_misclass": [
+            sd([r.col_misclass[t] for r in reports]) for t in range(g)
+        ],
+        "col_misclass_mean": sd([r.col_misclass_mean for r in reports]),
+        "mu_mse": [sd([r.mu_mse[t] for r in reports]) for t in range(g)],
+        "pi_mse": [sd([r.pi_mse[t] for r in reports]) for t in range(g)],
+        "mu_mse_mean": sd(mu_means),
+        "pi_mse_mean": sd(pi_means),
+    }
 
 
 def _none_if_nan(value: float):

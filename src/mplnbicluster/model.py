@@ -97,6 +97,12 @@ class VariationalState:
 
     m : (n, G, d) variational means; s : (n, G, d, d) variational
     covariances; z : (n, G) responsibilities, rows on the simplex.
+
+    This is the dense form used at the API boundary (starting states and
+    ``FitResult.state``).  Inside the fit, component g's covariances are
+    stored per column block of its partition (see ``blocks_from_dense``),
+    so a fitted ``s[:, g]`` is zero outside those blocks unless the
+    partition changed after the last sweep.
     """
 
     m: np.ndarray
@@ -129,35 +135,65 @@ class VariationalState:
         return self.m.shape[1]
 
 
+def blocks_from_dense(s: np.ndarray, groups) -> list[np.ndarray]:
+    """The diagonal blocks s[..., idx, idx] of a (..., d, d) stack, one per
+    index array in ``groups``; entries outside the blocks are dropped."""
+    return [s[..., idx[:, None], idx] for idx in groups]
+
+
+def dense_from_blocks(blocks, groups, d: int) -> np.ndarray:
+    """The (..., d, d) stack holding ``blocks`` on their columns, zero elsewhere."""
+    out = np.zeros(blocks[0].shape[:-2] + (d, d))
+    for idx, block in zip(groups, blocks):
+        out[..., idx[:, None], idx] = block
+    return out
+
+
 def elbo_batch(
     y: np.ndarray,
     log_c: np.ndarray,
     m: np.ndarray,
-    s: np.ndarray,
+    s,
     mu: np.ndarray,
-    sigma_inv: np.ndarray,
+    sigma_inv,
     logdet_sigma: float,
     log_fact: np.ndarray | None = None,
     logdet_s: np.ndarray | None = None,
+    groups=None,
 ) -> np.ndarray:
     """F(q_ig, y_i) for all observations under one component, vectorized.
 
-    y, m: (n, d); s: (n, d, d); mu: (d,); sigma_inv: (d, d).
-    log_fact is sum_j log(y_ij!) per row (computed if omitted); logdet_s
-    may be passed when the caller already has it from a factorization.
+    y, m: (n, d); mu: (d,).  S and Sigma^-1 are block-diagonal over the
+    column blocks ``groups`` (a sequence of index arrays): s holds one
+    (n, b, b) array and sigma_inv one (b, b) array per block, and the
+    quadratic, trace and log-det terms are summed over blocks.  With
+    ``groups`` omitted, s (n, d, d) and sigma_inv (d, d) are dense: the
+    one-block case.  log_fact is sum_j log(y_ij!) per row (computed if
+    omitted); logdet_s may be passed when the caller already has it from a
+    factorization.
     """
     y = np.asarray(y, dtype=float)
+    if groups is None:
+        groups, s, sigma_inv = (np.arange(m.shape[1]),), (s,), (sigma_inv,)
     if log_fact is None:
         log_fact = gammaln(y + 1.0).sum(axis=1)
     if logdet_s is None:
-        sign, logdet_s = np.linalg.slogdet(s)
-        if np.any(sign <= 0):
-            raise NotPositiveDefinite("variational covariance is not positive definite")
+        logdet_s = 0.0
+        for block in s:
+            sign, logdet = np.linalg.slogdet(block)
+            if np.any(sign <= 0):
+                raise NotPositiveDefinite("variational covariance is not positive definite")
+            logdet_s = logdet_s + logdet
     d = m.shape[1]
     dm = m - mu
-    quad = np.einsum("ni,ij,nj->n", dm, sigma_inv, dm)
-    trace = np.einsum("ij,nji->n", sigma_inv, s)
-    s_diag = np.einsum("njj->nj", s)
+    quad = 0.0
+    trace = 0.0
+    s_diag = np.empty_like(dm)
+    for idx, s_b, inv_b in zip(groups, s, sigma_inv):
+        dm_b = dm[:, idx]
+        quad = quad + np.einsum("ni,ij,nj->n", dm_b, inv_b, dm_b)
+        trace = trace + np.einsum("ij,nji->n", inv_b, s_b)
+        s_diag[:, idx] = np.einsum("njj->nj", s_b)
     rate = np.exp(np.minimum(log_c[:, None] + m + 0.5 * s_diag, EXP_CAP))
     return (
         -0.5 * quad

@@ -5,9 +5,14 @@ stabilises:
 
 1. responsibilities from the current per-component evidence bounds,
 2. coordinate sweeps on the per-observation Gaussian approximations,
+   whose covariances S are stored, like Sigma^-1, per column block of the
+   component's partition (Sigma is block-diagonal, so the fixed point for
+   S is too),
 3. closed-form mixture weights and means, then a covariance refresh in
    which each component's scatter is grouped into variable blocks and
-   projected onto the implied block-diagonal pattern.
+   projected onto the implied block-diagonal pattern.  When a component's
+   partition changes, its S is stored on the merged old and new blocks
+   until the next sweep has refreshed it under the new Sigma.
 
 Every substep is guarded so the quantity traced in ``elbo_trace`` — the
 log-sum-exp bound ``sum_i log sum_g pi_g exp(F_ig)`` — never decreases:
@@ -43,6 +48,8 @@ from .model import (
     MixtureModel,
     VariationalState,
     bic,
+    blocks_from_dense,
+    dense_from_blocks,
     elbo_batch,
     lower_bound,
     model_from_dict,
@@ -65,6 +72,7 @@ __all__ = [
     "m_step_pi",
     "m_step_mu",
     "compute_scatter",
+    "reblock",
     "fit",
     "fit_from_state",
     "result_to_dict",
@@ -253,7 +261,9 @@ def s_fixed_point_step(log_c, m, s, sigma_inv):
     """One fixed-point refresh of the approximation covariances.
 
     S' = (Sigma^-1 + diag(exp(log C + m + diag(S)/2)))^-1, batched over
-    leading axes.  Returns (s_new, logdet_s_new).
+    leading axes.  Returns (s_new, logdet_s_new).  The fit calls it once per
+    column block, with that block's columns of m and its blocks of S and
+    Sigma^-1.
     """
     m = np.asarray(m, dtype=float)
     d = m.shape[-1]
@@ -273,7 +283,8 @@ def newton_m_step(y, log_c, m, s_new, mu, sigma_inv):
     """Full Newton update of the approximation means at fixed S'.
 
     m' = m - S' (exp(log C + m + diag(S')/2) + Sigma^-1 (m - mu) - y);
-    the returned step can be damped by the caller.
+    the returned step can be damped by the caller.  Called once per column
+    block, like ``s_fixed_point_step``.
     """
     m = np.asarray(m, dtype=float)
     diag_s = np.einsum("...jj->...j", np.asarray(s_new, dtype=float))
@@ -283,53 +294,67 @@ def newton_m_step(y, log_c, m, s_new, mu, sigma_inv):
     return m - step, step
 
 
-def _sweep_batch(y, log_c, m, s, mu, sigma_inv, logdet_sigma, log_fact, f_start,
-                 inner_iter, inner_tol):
+def _sweep_batch(y, log_c, m, s, mu, sigma_inv, logdet_sigma, groups, log_fact,
+                 f_start, inner_iter, inner_tol):
     """Guarded coordinate sweeps for every observation of one component.
 
+    S and Sigma^-1 are stored per column block: ``s`` holds one (n, b, b)
+    array and ``sigma_inv`` one (b, b) array per index array in ``groups``.
     ``f_start`` is each observation's bound at the starting (m, S); every
     trial step is scored with the same ``elbo_batch``.  Each sweep refreshes
-    S by its fixed-point map and then takes a Newton step on m.  If an
-    observation's bound would drop, the m-step is halved once; if it still
-    drops, that observation keeps its pre-sweep pair and stops.
+    every block of S by its fixed-point map and takes the Newton step on
+    that block's columns of m; the blocks are independent b x b problems.
+    If an observation's bound would drop, the m-step is halved once; if it
+    still drops, that observation keeps its pre-sweep pair and stops.
     Observations whose update falls below ``inner_tol`` in the sup norm also
-    stop.  Mutates and returns copies; inputs are untouched.
+    stop.  Returns (m, s) as copies; inputs are untouched.
     """
     y = np.asarray(y, dtype=float)
     m = m.copy()
-    s = s.copy()
+    s = [block.copy() for block in s]
     f_cur = np.array(f_start, dtype=float)
     active = np.arange(m.shape[0])
     for _ in range(inner_iter):
         if active.size == 0:
             break
-        ya, la, ma, sa = y[active], log_c[active], m[active], s[active]
+        ya, la, ma = y[active], log_c[active], m[active]
+        sa = [block[active] for block in s]
         fa = log_fact[active]
-        s_new, logdet_s_new = s_fixed_point_step(la, ma, sa, sigma_inv)
-        m_full, step = newton_m_step(ya, la, ma, s_new, mu, sigma_inv)
+        m_full = np.empty_like(ma)
+        step = np.empty_like(ma)
+        s_new = []
+        logdet_s_new = 0.0
+        for idx, s_b, inv_b in zip(groups, sa, sigma_inv):
+            s_b_new, logdet_b = s_fixed_point_step(la, ma[:, idx], s_b, inv_b)
+            m_full[:, idx], step[:, idx] = newton_m_step(
+                ya[:, idx], la, ma[:, idx], s_b_new, mu[idx], inv_b
+            )
+            s_new.append(s_b_new)
+            logdet_s_new = logdet_s_new + logdet_b
         f_new = elbo_batch(ya, la, m_full, s_new, mu, sigma_inv, logdet_sigma,
-                           log_fact=fa, logdet_s=logdet_s_new)
+                           log_fact=fa, logdet_s=logdet_s_new, groups=groups)
         m_new = m_full
         rejected = np.zeros(active.size, dtype=bool)
         bad = np.flatnonzero(f_new < f_cur[active])
         if bad.size:
             m_half = ma[bad] - 0.5 * step[bad]
             f_half = elbo_batch(
-                ya[bad], la[bad], m_half, s_new[bad], mu, sigma_inv, logdet_sigma,
-                log_fact=fa[bad], logdet_s=logdet_s_new[bad],
+                ya[bad], la[bad], m_half, [s_b[bad] for s_b in s_new], mu,
+                sigma_inv, logdet_sigma, log_fact=fa[bad],
+                logdet_s=logdet_s_new[bad], groups=groups,
             )
             ok = f_half >= f_cur[active[bad]]
             m_new[bad[ok]] = m_half[ok]
             f_new[bad[ok]] = f_half[ok]
             rejected[bad[~ok]] = True
-        delta = np.maximum(
-            np.abs(m_new - ma).max(axis=1),
-            np.abs(s_new - sa).max(axis=(1, 2)),
-        )
+        delta = np.abs(m_new - ma).max(axis=1)
+        for s_b_new, s_b in zip(s_new, sa):
+            delta = np.maximum(delta, np.abs(s_b_new - s_b).max(axis=(1, 2)))
         accepted = ~rejected
         rows = active[accepted]
         m[rows] = m_new[accepted]
-        s[rows] = s_new[accepted]
+        for block, s_b_new in zip(s, s_new):
+            block[rows] = s_b_new[accepted]
         f_cur[rows] = f_new[accepted]
         active = active[accepted & (delta >= inner_tol)]
     return m, s
@@ -339,8 +364,9 @@ def update_variational(y, log_c, m, s, mu, sigma, inner_iter=10, inner_tol=1e-6)
     """Refresh one observation's Gaussian approximation under one component.
 
     ``y``, ``m`` are length-d vectors, ``s`` is (d, d); returns the updated
-    (m, s) pair after at most ``inner_iter`` guarded sweeps.  Raises
-    NotPositiveDefinite if ``s`` is not positive definite.
+    (m, s) pair after at most ``inner_iter`` guarded sweeps, with S and
+    Sigma treated as one dense block.  Raises NotPositiveDefinite if ``s``
+    is not positive definite.
     """
     _, lower = cholesky_with_jitter(sigma)
     sigma_inv, logdet_sigma = inv_logdet_from_cholesky(lower)
@@ -352,10 +378,24 @@ def update_variational(y, log_c, m, s, mu, sigma, inner_iter=10, inner_tol=1e-6)
     log_fact = gammaln(y + 1.0).sum(axis=1)
     f_start = elbo_batch(y, log_c, m, s, mu, sigma_inv, logdet_sigma, log_fact=log_fact)
     m_out, s_out = _sweep_batch(
-        y, log_c, m, s, mu, sigma_inv, logdet_sigma, log_fact, f_start,
-        inner_iter, inner_tol,
+        y, log_c, m, [s], mu, [sigma_inv], logdet_sigma, (np.arange(m.shape[1]),),
+        log_fact, f_start, inner_iter, inner_tol,
     )
-    return m_out[0], s_out[0]
+    return m_out[0], s_out[0][0]
+
+
+def reblock(s, old_groups, new_groups):
+    """Move per-block covariances onto a new column partition.
+
+    Entries that fall inside a new block are carried over; entries that
+    cross the new blocks are dropped.  The ELBO's trace and rate terms see
+    only in-block entries under a Sigma that is block-diagonal on the new
+    partition, and log det S <= sum_b log det S_bb (Fischer's inequality),
+    so no observation's bound goes down, and every new block is a principal
+    submatrix of a positive-definite S.
+    """
+    d = sum(len(idx) for idx in old_groups)
+    return blocks_from_dense(dense_from_blocks(s, old_groups, d), new_groups)
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +422,66 @@ def m_step_mu(z: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.einsum("ng,ngd->gd", z, m) / mass[:, None]
 
 
-def compute_scatter(z_g, m_g, s_g, mu_g):
-    """Weighted second-moment matrix W_g around the component mean."""
+def compute_scatter(z_g, m_g, s_g, mu_g, groups=None):
+    """Weighted second-moment matrix W_g around the component mean.
+
+    ``s_g`` is dense (n, d, d), or with ``groups`` one (n, b, b) array per
+    column block, whose weighted mean lands on that block of W.
+    """
     mass = z_g.sum()
     dm = m_g - mu_g
-    w = np.einsum("n,ni,nj->ij", z_g, dm, dm) + np.einsum("n,nij->ij", z_g, s_g)
+    if groups is None:
+        groups, s_g = (np.arange(dm.shape[1]),), (s_g,)
+    w = np.einsum("n,ni,nj->ij", z_g, dm, dm)
+    for idx, s_b in zip(groups, s_g):
+        w[np.ix_(idx, idx)] += np.einsum("n,nij->ij", z_g, s_b)
     w = w / mass
     return 0.5 * (w + w.T)
+
+
+def _merge_blocks(d, index_sets):
+    """Blocks of the finest partition of range(d) that keeps each of the
+    (non-empty) ``index_sets`` inside one block, ordered by first column."""
+    root = np.arange(d)
+    changed = True
+    while changed:
+        changed = False
+        for idx in index_sets:
+            low = root[idx].min()
+            if np.any(root[idx] != low):
+                root[idx] = low
+                changed = True
+    return tuple(np.flatnonzero(root == r) for r in np.unique(root))
+
+
+def _store_blocks(partition, groups, s):
+    """Move S (blocks on ``groups``) onto the finest column blocks that are
+    unions of ``partition``'s blocks and hold every nonzero entry of S.
+
+    Only exact zeros are dropped, so no bound moves.  Right after a
+    partition change S keeps the entries it had across the new blocks; the
+    next sweep refreshes it under the new, block-diagonal Sigma (the entries
+    across Sigma's blocks come out exactly zero) and S shrinks back onto
+    the partition.  Returns (groups, s).
+    """
+    sets = list(partition.groups())
+    for idx, block in zip(groups, s):
+        sets.extend(idx[row] for row in np.any(block != 0.0, axis=0) if row.any())
+    new = _merge_blocks(partition.d, sets)
+    if len(new) == len(groups) and all(np.array_equal(a, b) for a, b in zip(new, groups)):
+        return groups, s
+    return new, reblock(s, groups, new)
+
+
+def _block_inverses(lower, groups):
+    """Inverses of the blocks of Sigma = L L' on ``groups``, and log det Sigma.
+
+    Each group is a union of Sigma's diagonal blocks, where L is zero
+    across blocks, so L's block on sorted indices is the Cholesky factor of
+    Sigma's block.
+    """
+    pairs = [inv_logdet_from_cholesky(lower[np.ix_(idx, idx)]) for idx in groups]
+    return [inv for inv, _ in pairs], sum(logdet for _, logdet in pairs)
 
 
 def _gaussian_fit_objective(w, mass, lower):
@@ -446,22 +539,32 @@ def fit_from_state(
     k_spec = _normalize_k_spec(k_spec, G, d)
 
     m = state.m.copy()
-    s = state.s.copy()
     z = state.z.copy()
     log_fact = gammaln(y + 1.0).sum(axis=1)
 
-    # bootstrap the mixture parameters from the initial responsibilities
+    # bootstrap the mixture parameters from the initial responsibilities,
+    # then store S and Sigma^-1 per block of each component's partition
     pi = m_step_pi(z)
     mu = m_step_mu(z, m)
     sigma = np.empty((G, d, d))
     lowers = []
     partitions = []
+    groups = []
+    s = []
+    sigma_inv = []
+    logdet_sigma = []
     for g in range(G):
-        w = compute_scatter(z[:, g], m[:, g], s[:, g], mu[g])
+        w = compute_scatter(z[:, g], m[:, g], state.s[:, g], mu[g])
         sig_g, low_g, part_g = _covariance_candidate(w, k_spec, g, config.linkage)
         sigma[g] = sig_g
         lowers.append(low_g)
         partitions.append(part_g)
+        groups_g, s_g = _store_blocks(part_g, (np.arange(d),), [state.s[:, g]])
+        groups.append(groups_g)
+        s.append(s_g)
+        inv_g, logdet_g = _block_inverses(low_g, groups_g)
+        sigma_inv.append(inv_g)
+        logdet_sigma.append(logdet_g)
 
     trace = []
     prev_bound = -np.inf
@@ -469,15 +572,15 @@ def fit_from_state(
 
     def component_bounds():
         f = np.empty((n, G))
-        factors = [inv_logdet_from_cholesky(lower) for lower in lowers]
-        for g, (inv, logdet) in enumerate(factors):
+        for g in range(G):
             f[:, g] = elbo_batch(
-                y, log_c, m[:, g], s[:, g], mu[g], inv, logdet, log_fact=log_fact
+                y, log_c, m[:, g], s[g], mu[g], sigma_inv[g], logdet_sigma[g],
+                log_fact=log_fact, groups=groups[g],
             )
-        return f, factors
+        return f
 
     for _ in range(config.max_em_iter):
-        f, factors = component_bounds()
+        f = component_bounds()
         bound = observed_bound(f, pi)
         trace.append(bound)
         z = responsibilities(f, pi)
@@ -488,14 +591,19 @@ def fit_from_state(
 
         for g in range(G):
             # f[:, g] is the bound at this same (m, S, mu, Sigma)
-            m[:, g], s[:, g] = _sweep_batch(
-                y, log_c, m[:, g], s[:, g], mu[g], *factors[g], log_fact,
-                f[:, g], config.inner_iter, config.inner_tol,
+            m[:, g], s[g] = _sweep_batch(
+                y, log_c, m[:, g], s[g], mu[g], sigma_inv[g], logdet_sigma[g],
+                groups[g], log_fact, f[:, g], config.inner_iter, config.inner_tol,
             )
+            if len(groups[g]) < partitions[g].k:
+                # S sits on merged blocks since a partition change; after the
+                # sweep only rows its guard rejected still cross Sigma's blocks
+                groups[g], s[g] = _store_blocks(partitions[g], groups[g], s[g])
+                sigma_inv[g], logdet_sigma[g] = _block_inverses(lowers[g], groups[g])
         pi = m_step_pi(z)
         mu = m_step_mu(z, m)
         for g in range(G):
-            w = compute_scatter(z[:, g], m[:, g], s[:, g], mu[g])
+            w = compute_scatter(z[:, g], m[:, g], s[g], mu[g], groups[g])
             mass = z[:, g].sum()
             cand_sigma, cand_lower, cand_part = _covariance_candidate(
                 w, k_spec, g, config.linkage
@@ -507,14 +615,23 @@ def fit_from_state(
             if candidate >= current - 1e-10 * (1.0 + abs(current)):
                 sigma[g] = cand_sigma
                 lowers[g] = cand_lower
+                if not np.array_equal(cand_part.assign, partitions[g].assign):
+                    groups[g], s[g] = _store_blocks(cand_part, groups[g], s[g])
                 partitions[g] = cand_part
+                sigma_inv[g], logdet_sigma[g] = _block_inverses(cand_lower, groups[g])
 
     if not converged:
-        f, _ = component_bounds()
+        f = component_bounds()
         trace.append(observed_bound(f, pi))
         z = responsibilities(f, pi)
 
-    final_state = VariationalState(m=m, s=s, z=z)
+    # blocks go straight into the dense API state: a dense temporary per
+    # component would raise the fit's peak memory
+    s_dense = np.zeros((n, G, d, d))
+    for g in range(G):
+        for idx, block in zip(groups[g], s[g]):
+            s_dense[:, g, idx[:, None], idx] = block
+    final_state = VariationalState(m=m, s=s_dense, z=z)
     model = MixtureModel(
         pi=pi, mu=mu, sigma=sigma, groupings=tuple(partitions)
     )
@@ -545,14 +662,16 @@ def fit(
     Each start initializes independently and runs the full EM loop; the
     result with the highest final lower bound wins.  A start that fails
     (e.g. a component empties out) is recorded and skipped; if every start
-    fails, AllRestartsFailed carries the per-start reasons.
+    fails, AllRestartsFailed carries the per-start reasons.  With G = 1
+    every start is the same, so only restart 0 runs.
     """
     if config is None:
         config = FitConfig()
     k_spec = _normalize_k_spec(k_spec, G, counts.d)
     best = None
     failures = []
-    for restart in range(config.n_starts):
+    # ``initialize`` ignores the restart index when G = 1
+    for restart in range(config.n_starts if G > 1 else 1):
         try:
             state = initialize(counts, offsets, G, config.seed, restart)
             result = fit_from_state(
@@ -577,7 +696,8 @@ def fit(
 def result_to_dict(result: FitResult) -> dict:
     """JSON-ready view of a fit: model plus trace, labels and diagnostics.
 
-    The variational state is deliberately left out — it is O(n d^2) and can
+    The variational state is deliberately left out: its dense API form is
+    O(n G d^2) (the fit itself stores only the diagonal blocks) and it can
     be recomputed from the model if needed.
     """
     return {

@@ -1,0 +1,219 @@
+"""Block-stored variational covariances against the dense reference sweep.
+
+The fit stores each component's S and Sigma^-1 per column block: the blocks
+of its partition, merged with S's old blocks right after a partition
+change.  These tests draw random partitions (one block, all singletons, and
+mixed, d = 1 included) and check the block sweep, ELBO and scatter against
+the dense copies in ``dense_reference``, that moving S between storages
+drops only exact zeros, and that moving S onto any new partition never
+lowers a bound.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln
+
+from dense_reference import elbo_dense, sweep_dense
+from mplnbicluster import vem
+from mplnbicluster.colgroup import ColumnPartition, block_project
+from mplnbicluster.data import CountMatrix, OffsetVector
+from mplnbicluster.model import blocks_from_dense, dense_from_blocks, elbo_batch
+from mplnbicluster.vem import EqualK, FitConfig, compute_scatter, fit, reblock
+
+# Block and dense paths do the same arithmetic on the same in-block numbers
+# but factor b x b instead of d x d matrices, so they agree to rounding:
+# 1e-9 absolute plus 1e-9 relative on m, S and the bounds.
+TOL = dict(rtol=1e-9, atol=1e-9)
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def partitions(draw, d=None):
+    """A partition of d columns: one block, all singletons, or mixed."""
+    if d is None:
+        d = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["one", "singletons", "mixed"]))
+    if kind == "one":
+        labels = [0] * d
+    elif kind == "singletons":
+        labels = list(range(d))
+    else:
+        labels = draw(st.lists(st.integers(0, d - 1), min_size=d, max_size=d))
+    seen = {}
+    assign = [seen.setdefault(lbl, len(seen) + 1) for lbl in labels]
+    return ColumnPartition(np.array(assign), len(seen))
+
+
+def random_pd(rng, d, lead=()):
+    a = rng.normal(size=lead + (d, d))
+    return a @ np.swapaxes(a, -1, -2) / d + 0.5 * np.eye(d)
+
+
+def problem(seed, part, n, s_part=None):
+    """Counts, offsets, means, Sigma block-diagonal on ``part`` and S
+    block-diagonal on ``s_part`` (default ``part``)."""
+    rng = np.random.default_rng(seed)
+    d = part.d
+    sigma = block_project(random_pd(rng, d), part)
+    mu = rng.normal(0.5, 0.5, size=d)
+    y = rng.poisson(np.exp(mu), size=(n, d)).astype(float)
+    log_c = rng.normal(0.0, 0.3, size=n)
+    m = np.log(y + 0.5) - log_c[:, None]
+    s_part = part if s_part is None else s_part
+    s = np.stack([block_project(0.2 * random_pd(rng, d), s_part) for _ in range(n)])
+    return y, log_c, m, s, mu, sigma
+
+
+def dense_inverse(sigma):
+    inv = np.linalg.inv(sigma)
+    return 0.5 * (inv + inv.T), np.linalg.slogdet(sigma)[1]
+
+
+@SETTINGS
+@given(data=st.data(), n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       inner_iter=st.integers(1, 10))
+def test_block_sweep_matches_dense_reference(data, n, seed, inner_iter):
+    # Sigma is block-diagonal on `part`; S, as right after a partition
+    # change, on another partition of the same columns
+    part = data.draw(partitions())
+    s_part = data.draw(partitions(d=part.d))
+    y, log_c, m, s, mu, sigma = problem(seed, part, n, s_part)
+    sigma_inv, logdet_sigma = dense_inverse(sigma)
+    log_fact = gammaln(y + 1.0).sum(axis=1)
+
+    # the fit stores S on the merged blocks, Sigma^-1 on the same blocks
+    groups, s_blocks = vem._store_blocks(part, (np.arange(part.d),), [s])
+    assert np.array_equal(dense_from_blocks(s_blocks, groups, part.d), s)
+    inv_blocks, logdet_blocks = vem._block_inverses(np.linalg.cholesky(sigma), groups)
+    np.testing.assert_allclose(dense_from_blocks(inv_blocks, groups, part.d), sigma_inv, **TOL)
+    assert logdet_blocks == pytest.approx(logdet_sigma, rel=1e-9, abs=1e-9)
+
+    f_dense = elbo_dense(y, log_c, m, s, mu, sigma_inv, logdet_sigma, log_fact)
+    f_block = elbo_batch(y, log_c, m, s_blocks, mu, inv_blocks, logdet_blocks,
+                         log_fact=log_fact, groups=groups)
+    np.testing.assert_allclose(f_block, f_dense, **TOL)
+
+    m_ref, s_ref = sweep_dense(y, log_c, m, s, mu, sigma_inv, logdet_sigma,
+                               log_fact, f_dense, inner_iter, 1e-6)
+    m_out, s_out = vem._sweep_batch(y, log_c, m, s_blocks, mu, inv_blocks,
+                                    logdet_blocks, groups, log_fact, f_block,
+                                    inner_iter, 1e-6)
+    np.testing.assert_allclose(m_out, m_ref, **TOL)
+    s_dense = dense_from_blocks(s_out, groups, part.d)
+    np.testing.assert_allclose(s_dense, s_ref, **TOL)
+
+    # moving S back towards Sigma's blocks drops nothing but exact zeros
+    new_groups, s_moved = vem._store_blocks(part, groups, s_out)
+    assert np.array_equal(dense_from_blocks(s_moved, new_groups, part.d), s_dense)
+
+    z = np.random.default_rng(seed).uniform(0.1, 1.0, size=n)
+    np.testing.assert_allclose(
+        compute_scatter(z, m_out, s_out, mu, groups),
+        compute_scatter(z, m_ref, s_ref, mu), **TOL,
+    )
+
+
+def test_storage_returns_to_the_partition_after_a_full_sweep():
+    # every row takes a step, so S' is block-diagonal on Sigma's partition
+    part = ColumnPartition(np.array([1, 2, 1, 2]), 2)
+    old = ColumnPartition(np.array([1, 1, 2, 2]), 2)
+    y, log_c, m, s, mu, sigma = problem(5, part, 6, old)
+    groups, s_blocks = vem._store_blocks(part, (np.arange(4),), [s])
+    assert len(groups) == 1
+    inv_blocks, logdet = vem._block_inverses(np.linalg.cholesky(sigma), groups)
+    f = elbo_batch(y, log_c, m, s_blocks, mu, inv_blocks, logdet, groups=groups)
+    _, s_out = vem._sweep_batch(y, log_c, m - 0.3, s_blocks, mu, inv_blocks, logdet,
+                                groups, gammaln(y + 1.0).sum(axis=1), f - 1e3, 1, 1e-6)
+    new_groups, _ = vem._store_blocks(part, groups, s_out)
+    assert [g.tolist() for g in new_groups] == [[0, 2], [1, 3]]
+
+
+@SETTINGS
+@given(data=st.data(), n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_reblock_never_lowers_a_bound_and_keeps_blocks_pd(data, n, seed):
+    old = data.draw(partitions())
+    new = data.draw(partitions(d=old.d))
+    y, log_c, m, s, mu, _ = problem(seed, old, n)
+    # Sigma lives on the partition S is moved to
+    sigma = block_project(random_pd(np.random.default_rng(seed + 1), old.d), new)
+    sigma_inv, logdet_sigma = dense_inverse(sigma)
+    before = elbo_dense(y, log_c, m, s, mu, sigma_inv, logdet_sigma)
+
+    moved = reblock(blocks_from_dense(s, old.groups()), old.groups(), new.groups())
+    for block in moved:
+        np.linalg.cholesky(block)  # raises unless positive definite
+    after = elbo_batch(y, log_c, m, moved, mu, blocks_from_dense(sigma_inv, new.groups()),
+                       logdet_sigma, groups=new.groups())
+    assert np.all(after >= before - 1e-9 * (1.0 + np.abs(before)))
+
+
+def test_reblock_keeps_in_block_entries_and_drops_the_rest():
+    rng = np.random.default_rng(3)
+    old = ColumnPartition(np.array([1, 1, 2, 2]), 2)
+    new = ColumnPartition(np.array([1, 2, 1, 2]), 2)
+    s = np.stack([block_project(random_pd(rng, 4), old) for _ in range(3)])
+    moved = reblock(blocks_from_dense(s, old.groups()), old.groups(), new.groups())
+    expected = block_project(np.ones((4, 4)), old) * block_project(np.ones((4, 4)), new)
+    assert np.array_equal(dense_from_blocks(moved, new.groups(), 4), s * expected)
+
+
+def two_blob_counts(seed=12, n=40):
+    rng = np.random.default_rng(seed)
+    lam = np.where(np.arange(n)[:, None] < n // 2, 4.0, 15.0) * np.ones((1, 4))
+    y = rng.poisson(lam)
+    counts = CountMatrix(y, tuple(f"s{i}" for i in range(n)),
+                         tuple(f"v{j}" for j in range(4)))
+    return counts, OffsetVector(np.ones(n))
+
+
+def test_fit_state_is_dense_and_zero_outside_the_final_blocks():
+    counts, offsets = two_blob_counts()
+    result = fit(counts, offsets, G=2, k_spec=EqualK(2),
+                 config=FitConfig(n_starts=1, max_em_iter=20, seed=1))
+    assert result.state.s.shape == (40, 2, 4, 4)
+    # no partition changes after the last sweep of this fit, so S sits
+    # exactly on the final blocks
+    for g, part in enumerate(result.model.groupings):
+        outside = part.assign[:, None] != part.assign[None, :]
+        assert np.all(result.state.s[:, g][:, outside] == 0.0)
+
+
+def test_fit_single_component_runs_one_start(monkeypatch):
+    counts, offsets = two_blob_counts()
+    calls = []
+    original = vem.fit_from_state
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("restart"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(vem, "fit_from_state", spy)
+    five = fit(counts, offsets, G=1, k_spec=EqualK(2),
+               config=FitConfig(n_starts=5, max_em_iter=30, seed=3))
+    assert calls == [0]
+    one = fit(counts, offsets, G=1, k_spec=EqualK(2),
+              config=FitConfig(n_starts=1, max_em_iter=30, seed=3))
+    assert np.array_equal(five.elbo_trace, one.elbo_trace)
+    assert np.array_equal(five.labels, one.labels)
+    assert np.array_equal(five.model.sigma, one.model.sigma)
+    assert (five.lower_bound, five.bic, five.restart) == (one.lower_bound, one.bic, 0)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_dense_and_one_block_forms_agree(d):
+    # groups omitted means one dense block
+    rng = np.random.default_rng(d)
+    part = ColumnPartition(np.ones(d, dtype=np.int64), 1)
+    y, log_c, m, s, mu, sigma = problem(7, part, 5)
+    sigma_inv, logdet_sigma = dense_inverse(sigma)
+    groups = (np.arange(d),)
+    assert np.array_equal(
+        elbo_batch(y, log_c, m, s, mu, sigma_inv, logdet_sigma),
+        elbo_batch(y, log_c, m, [s], mu, [sigma_inv], logdet_sigma, groups=groups),
+    )
+    z = rng.uniform(size=5)
+    assert np.array_equal(compute_scatter(z, m, s, mu),
+                          compute_scatter(z, m, [s], mu, groups))

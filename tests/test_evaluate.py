@@ -16,6 +16,7 @@ from mplnbicluster.evaluate import (
     evaluate_fit,
     load_report,
     param_mse,
+    replicate_sds,
     save_report,
     save_support_csv,
     save_support_pgm,
@@ -355,6 +356,20 @@ def test_aggregate_skips_nan():
     assert agg.row_ari == pytest.approx(0.75)  # ARI is always defined
     assert agg.col_misclass[0] == pytest.approx(0.1)
     assert agg.mu_mse[0] == pytest.approx(0.02)
+
+
+def test_replicate_sds():
+    ones = np.ones((2, 2), dtype=np.int64)
+    nan = float("nan")
+    a = EvalReport(1.0, (0.0, nan), 0.0, (0.01, 0.02), (0.001, 0.0), (ones, ones), 1)
+    b = EvalReport(0.8, (0.2, 0.1), 0.2, (0.03, 0.04), (0.003, 0.0), (ones, ones), 1)
+    sds = replicate_sds([a, b])
+    assert sds["row_ari"] == pytest.approx(np.std([1.0, 0.8], ddof=1))
+    assert sds["col_misclass"][0] == pytest.approx(np.std([0.0, 0.2], ddof=1))
+    assert sds["col_misclass"][1] is None  # one defined value
+    assert sds["mu_mse_mean"] == pytest.approx(np.std([0.015, 0.035], ddof=1))
+    assert sds["pi_mse"][1] == 0.0
+    assert replicate_sds([a])["row_ari"] is None
 
 
 def test_report_json_round_trip(tmp_path):
