@@ -22,7 +22,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace as dc_replace
+from dataclasses import asdict, fields, replace as dc_replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -34,8 +34,8 @@ from .errors import MplnError
 from .evaluate import (
     aggregate_reports,
     evaluate_fit,
-    replicate_sds,
-    report_to_dict,
+    load_report,
+    save_report,
     save_support_csv,
     save_support_pgm,
 )
@@ -50,8 +50,6 @@ __all__ = ["main", "UsageError"]
 class UsageError(Exception):
     """A problem with flags, config keys, or input files; exit code 2."""
 
-
-_FIT_DEFAULTS = FitConfig()
 
 # defaults per command; None marks "not set" so config/flags can fill it in
 _DEFAULTS = {
@@ -69,14 +67,8 @@ _DEFAULTS = {
         "mode": None,
         "gmax": None,
         "kmax": None,
-        "seed": _FIT_DEFAULTS.seed,
         "jobs": 1,
-        "n_starts": _FIT_DEFAULTS.n_starts,
-        "max_em_iter": _FIT_DEFAULTS.max_em_iter,
-        "elbo_rel_tol": _FIT_DEFAULTS.elbo_rel_tol,
-        "inner_iter": _FIT_DEFAULTS.inner_iter,
-        "inner_tol": _FIT_DEFAULTS.inner_tol,
-        "linkage": _FIT_DEFAULTS.linkage,
+        **asdict(FitConfig()),
         "out": None,
         "no_timestamp": False,
     },
@@ -346,15 +338,7 @@ def _cmd_fit(effective) -> int:
         except (MplnError, ValueError) as exc:
             raise UsageError(str(exc)) from None
 
-    config = FitConfig(
-        max_em_iter=effective["max_em_iter"],
-        elbo_rel_tol=effective["elbo_rel_tol"],
-        inner_iter=effective["inner_iter"],
-        inner_tol=effective["inner_tol"],
-        n_starts=effective["n_starts"],
-        linkage=effective["linkage"],
-        seed=effective["seed"],
-    )
+    config = FitConfig(**{f.name: effective[f.name] for f in fields(FitConfig)})
     search = grid_search_equal_k if mode == "equal-k" else fit_varying_k
     best, grid = search(counts, offsets, gmax, kmax, config, jobs=effective["jobs"])
 
@@ -432,21 +416,11 @@ def _cmd_evaluate(effective) -> int:
             )
         reports.append(evaluate_fit(truth, result.model, result.labels))
 
-    if len(reports) == 1:
-        final = reports[0]
-    else:
-        try:
-            final = aggregate_reports(reports)
-        except MplnError as exc:
-            raise UsageError(
-                f"{exc}; aggregate only replicates of a single study"
-            ) from None
-    payload = report_to_dict(final)
-    if len(reports) > 1:
-        payload["sd"] = replicate_sds(reports)
-    with open(out / "report.json", "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    try:
+        final = aggregate_reports(reports)
+    except MplnError as exc:
+        raise UsageError(f"{exc}; aggregate only replicates of a single study") from None
+    save_report(final, out / "report.json")
     for t, matrix in enumerate(final.support_counts, start=1):
         save_support_csv(matrix, out / f"support_component_{t}.csv")
         save_support_pgm(matrix, out / f"support_component_{t}.pgm")
@@ -477,33 +451,23 @@ _SUMMARY_COLUMNS = (
 
 
 def _summary_row(path: Path) -> dict:
+    label = path.parent.name if path.stem == "report" and path.parent.name else path.stem
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
-        label = path.parent.name if path.stem == "report" and path.parent.name else path.stem
-        sd = payload.get("sd", {})
-
-        def mean_of(values):
-            arr = np.asarray(
-                [np.nan if v is None else float(v) for v in values], dtype=float
-            )
-            if np.all(np.isnan(arr)):
-                return None
-            return float(np.nanmean(arr))
-
+        report = load_report(path)
+        sd = report.sd or {}
         return {
             "report": label,
-            "n_replicates": int(payload["n_replicates"]),
-            "row_ari": _null(payload["row_ari"]),
+            "n_replicates": int(report.n_replicates),
+            "row_ari": _null(report.row_ari),
             "row_ari_sd": _null(sd.get("row_ari")),
-            "col_misclass": _null(payload["col_misclass_mean"]),
+            "col_misclass": _null(report.col_misclass_mean),
             "col_misclass_sd": _null(sd.get("col_misclass_mean")),
-            "mu_mse": mean_of(payload["mu_mse"]),
+            "mu_mse": _null(report.mu_mse_mean),
             "mu_mse_sd": _null(sd.get("mu_mse_mean")),
-            "pi_mse": mean_of(payload["pi_mse"]),
+            "pi_mse": _null(report.pi_mse_mean),
             "pi_mse_sd": _null(sd.get("pi_mse_mean")),
         }
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{path}: not a valid report file ({exc})") from None
 
 
@@ -581,19 +545,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         effective = _resolve(args.command, args)
         return _DISPATCH[args.command](effective)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MplnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except np.linalg.LinAlgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MplnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

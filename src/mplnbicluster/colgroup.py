@@ -15,9 +15,7 @@ runs and platforms.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -259,15 +257,3 @@ def select_k_silhouette(
         if scores[k] > best:
             best, best_k = scores[k], k
     return best_k, scores
-
-
-def save_dendrogram(dendro: Dendrogram, path: str | Path) -> None:
-    """Write the merge list as CSV: step, cluster_a, cluster_b, height, new_size."""
-    sizes = np.ones(2 * dendro.n_leaves - 1, dtype=np.int64)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "cluster_a", "cluster_b", "height", "new_size"])
-        for step, ((a, b), h) in enumerate(zip(dendro.merges, dendro.heights)):
-            new = dendro.n_leaves + step
-            sizes[new] = sizes[a] + sizes[b]
-            writer.writerow([step, int(a), int(b), repr(float(h)), int(sizes[new])])

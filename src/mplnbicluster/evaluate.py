@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import comb
+from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -170,6 +171,24 @@ class EvalReport:
     pi_mse: tuple
     support_counts: tuple  # per true component, (d, d) int arrays
     n_replicates: int = 1
+    sd: Optional[dict] = None  # replicate_sds of two or more replicates
+
+    @property
+    def mu_mse_mean(self) -> float:
+        return _nanmean(self.mu_mse)
+
+    @property
+    def pi_mse_mean(self) -> float:
+        return _nanmean(self.pi_mse)
+
+
+def _nanmean(values, axis=None):
+    """``np.nanmean`` without its empty-slice warning: all-NaN gives NaN."""
+    arr = np.asarray(values, dtype=float)
+    defined = ~np.isnan(arr)
+    with np.errstate(invalid="ignore"):
+        means = np.where(defined, arr, 0.0).sum(axis=axis) / defined.sum(axis=axis)
+    return float(means) if axis is None else tuple(float(v) for v in means)
 
 
 def evaluate_fit(truth, model, labels) -> EvalReport:
@@ -190,8 +209,7 @@ def evaluate_fit(truth, model, labels) -> EvalReport:
         )
         mu_mse, pi_mse = param_mse(truth_model, model, truth.row_labels, labels)
         support = tuple(
-            (np.abs(model.sigma[perm[t]]) > 0).astype(np.int64)
-            for t in range(g_true)
+            support_count_heatmap([model.sigma[perm[t]]]) for t in range(g_true)
         )
     else:
         col = (float("nan"),) * g_true
@@ -202,7 +220,7 @@ def evaluate_fit(truth, model, labels) -> EvalReport:
     return EvalReport(
         row_ari=row_ari,
         col_misclass=col,
-        col_misclass_mean=float(np.nanmean(col)) if not np.all(np.isnan(col)) else float("nan"),
+        col_misclass_mean=_nanmean(col),
         mu_mse=tuple(float(v) for v in mu_mse),
         pi_mse=tuple(float(v) for v in pi_mse),
         support_counts=support,
@@ -210,15 +228,12 @@ def evaluate_fit(truth, model, labels) -> EvalReport:
     )
 
 
-def _nanmean_columns(rows) -> tuple:
-    stacked = np.array(rows, dtype=float)
-    with np.errstate(invalid="ignore"):
-        means = np.nanmean(stacked, axis=0)
-    return tuple(float(v) for v in means)
-
-
 def aggregate_reports(reports) -> EvalReport:
-    """Combine per-replicate reports: metric means, support-count sums."""
+    """Combine per-replicate reports: metric means, support-count sums.
+
+    Two or more reports also get their replicate SDs (``replicate_sds``) as
+    ``sd``; a single report keeps its metrics and gets ``sd`` None.
+    """
     reports = list(reports)
     if not reports:
         raise ValueError("need at least one report")
@@ -229,16 +244,15 @@ def aggregate_reports(reports) -> EvalReport:
     support = tuple(
         sum(r.support_counts[t] for r in reports) for t in range(g)
     )
-    aris = [r.row_ari for r in reports]
-    means = [r.col_misclass_mean for r in reports]
     return EvalReport(
-        row_ari=float(np.mean(aris)),
-        col_misclass=_nanmean_columns([r.col_misclass for r in reports]),
-        col_misclass_mean=float(np.nanmean(means)) if not np.all(np.isnan(means)) else float("nan"),
-        mu_mse=_nanmean_columns([r.mu_mse for r in reports]),
-        pi_mse=_nanmean_columns([r.pi_mse for r in reports]),
+        row_ari=float(np.mean([r.row_ari for r in reports])),
+        col_misclass=_nanmean([r.col_misclass for r in reports], axis=0),
+        col_misclass_mean=_nanmean([r.col_misclass_mean for r in reports]),
+        mu_mse=_nanmean([r.mu_mse for r in reports], axis=0),
+        pi_mse=_nanmean([r.pi_mse for r in reports], axis=0),
         support_counts=support,
         n_replicates=sum(r.n_replicates for r in reports),
+        sd=replicate_sds(reports) if len(reports) > 1 else None,
     )
 
 
@@ -256,9 +270,6 @@ def replicate_sds(reports) -> dict:
         return float(np.std(arr, ddof=1))
 
     g = len(reports[0].col_misclass)
-    with np.errstate(invalid="ignore"):
-        mu_means = [float(np.nanmean(r.mu_mse)) for r in reports]
-        pi_means = [float(np.nanmean(r.pi_mse)) for r in reports]
     return {
         "row_ari": sd([r.row_ari for r in reports]),
         "col_misclass": [
@@ -267,8 +278,8 @@ def replicate_sds(reports) -> dict:
         "col_misclass_mean": sd([r.col_misclass_mean for r in reports]),
         "mu_mse": [sd([r.mu_mse[t] for r in reports]) for t in range(g)],
         "pi_mse": [sd([r.pi_mse[t] for r in reports]) for t in range(g)],
-        "mu_mse_mean": sd(mu_means),
-        "pi_mse_mean": sd(pi_means),
+        "mu_mse_mean": sd([r.mu_mse_mean for r in reports]),
+        "pi_mse_mean": sd([r.pi_mse_mean for r in reports]),
     }
 
 
@@ -277,7 +288,7 @@ def _none_if_nan(value: float):
 
 
 def report_to_dict(report: EvalReport) -> dict:
-    return {
+    payload = {
         "row_ari": report.row_ari,
         "col_misclass": [_none_if_nan(v) for v in report.col_misclass],
         "col_misclass_mean": _none_if_nan(report.col_misclass_mean),
@@ -286,6 +297,9 @@ def report_to_dict(report: EvalReport) -> dict:
         "support_counts": [m.tolist() for m in report.support_counts],
         "n_replicates": report.n_replicates,
     }
+    if report.sd is not None:
+        payload["sd"] = report.sd
+    return payload
 
 
 def save_report(report: EvalReport, path) -> None:
@@ -314,6 +328,7 @@ def load_report(path) -> EvalReport:
             np.asarray(m, dtype=np.int64) for m in payload["support_counts"]
         ),
         n_replicates=payload["n_replicates"],
+        sd=payload.get("sd"),
     )
 
 

@@ -42,7 +42,7 @@ from .colgroup import (
 )
 from .data import CountMatrix, OffsetVector
 from .errors import AllRestartsFailed, EmptyComponent, MplnError
-from .linalg import cholesky_with_jitter, inv_logdet_from_cholesky
+from .linalg import cholesky, cholesky_with_jitter, inv_logdet_from_cholesky
 from .model import (
     EXP_CAP,
     MixtureModel,
@@ -263,7 +263,7 @@ def s_fixed_point_step(log_c, m, s, sigma_inv):
     S' = (Sigma^-1 + diag(exp(log C + m + diag(S)/2)))^-1, batched over
     leading axes.  Returns (s_new, logdet_s_new).  The fit calls it once per
     column block, with that block's columns of m and its blocks of S and
-    Sigma^-1.
+    Sigma^-1.  Raises NotPositiveDefinite if S'^-1 does not factor.
     """
     m = np.asarray(m, dtype=float)
     d = m.shape[-1]
@@ -272,7 +272,7 @@ def s_fixed_point_step(log_c, m, s, sigma_inv):
     a = np.broadcast_to(sigma_inv, m.shape + (d,)).copy()
     idx = np.arange(d)
     a[..., idx, idx] += lam
-    lower = np.linalg.cholesky(a)
+    lower = cholesky(a)
     s_new = np.linalg.inv(a)
     s_new = 0.5 * (s_new + np.swapaxes(s_new, -1, -2))
     logdet_a = 2.0 * np.log(np.einsum("...jj->...j", lower)).sum(axis=-1)
@@ -360,7 +360,8 @@ def _sweep_batch(y, log_c, m, s, mu, sigma_inv, logdet_sigma, groups, log_fact,
     return m, s
 
 
-def update_variational(y, log_c, m, s, mu, sigma, inner_iter=10, inner_tol=1e-6):
+def update_variational(y, log_c, m, s, mu, sigma, inner_iter=FitConfig.inner_iter,
+                       inner_tol=FitConfig.inner_tol):
     """Refresh one observation's Gaussian approximation under one component.
 
     ``y``, ``m`` are length-d vectors, ``s`` is (d, d); returns the updated
@@ -679,9 +680,6 @@ def fit(
             )
         except MplnError as exc:
             failures.append((restart, f"{type(exc).__name__}: {exc}"))
-            continue
-        except np.linalg.LinAlgError as exc:
-            failures.append((restart, f"LinAlgError: {exc}"))
             continue
         if best is None or result.lower_bound > best.lower_bound:
             best = result

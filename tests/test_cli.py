@@ -6,6 +6,7 @@ subprocesses.  The datasets are deliberately tiny.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -528,6 +529,33 @@ def test_report_renders_means_and_sds(tmp_path):
     assert "0.9500 (0.0200)" in txt
     # mu_mse column shows the mean over components
     assert float(row[6]) == pytest.approx(0.02)
+
+
+def test_report_of_unmatched_components_leaves_cells_empty(tmp_path):
+    # a G mismatch leaves every parameter metric null; the summary shows
+    # that as an empty CSV cell and "-" without a mean-of-empty warning
+    payload = {
+        "row_ari": 0.4,
+        "col_misclass": [None, None],
+        "col_misclass_mean": None,
+        "mu_mse": [None, None],
+        "pi_mse": [None, None],
+        "support_counts": [[[0]], [[0]]],
+        "n_replicates": 1,
+    }
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "summary"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["report", "--report", str(path), "--no-timestamp", "-o", str(out)])
+    assert rc == 0
+    row = (out / "summary.csv").read_text().splitlines()[1].split(",")
+    assert row[2] == "0.4"
+    assert row[4:] == [""] * 6
+    assert (out / "summary.txt").read_text().splitlines()[1].split()[2:] == [
+        "0.4000", "-", "-", "-",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from mplnbicluster.colgroup import (
     block_project,
     cut,
     distance_matrix,
-    save_dendrogram,
     select_k_silhouette,
     silhouette,
 )
@@ -353,20 +352,3 @@ def test_partition_validation():
     part = ColumnPartition(np.array([2, 1, 1]), 2)
     assert part.block_sizes() == (2, 1)
     np.testing.assert_array_equal(part.groups()[0], [1, 2])
-
-
-def test_save_dendrogram(tmp_path):
-    dist = np.array(
-        [
-            [0.0, 0.1, 0.9],
-            [0.1, 0.0, 0.5],
-            [0.9, 0.5, 0.0],
-        ]
-    )
-    dendro = agglomerate(dist)
-    out = tmp_path / "merges.csv"
-    save_dendrogram(dendro, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "step,cluster_a,cluster_b,height,new_size"
-    assert lines[1] == "0,0,1,0.1,2"
-    assert lines[2] == "1,2,3,0.7,3"

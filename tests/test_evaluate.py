@@ -17,6 +17,7 @@ from mplnbicluster.evaluate import (
     load_report,
     param_mse,
     replicate_sds,
+    report_to_dict,
     save_report,
     save_support_csv,
     save_support_pgm,
@@ -356,6 +357,9 @@ def test_aggregate_skips_nan():
     assert agg.row_ari == pytest.approx(0.75)  # ARI is always defined
     assert agg.col_misclass[0] == pytest.approx(0.1)
     assert agg.mu_mse[0] == pytest.approx(0.02)
+    unmatched = aggregate_reports([bad, bad])  # a G mismatch in every replicate
+    assert np.isnan(unmatched.mu_mse[0]) and np.isnan(unmatched.col_misclass_mean)
+    assert unmatched.sd["mu_mse_mean"] is None
 
 
 def test_replicate_sds():
@@ -372,19 +376,46 @@ def test_replicate_sds():
     assert replicate_sds([a])["row_ari"] is None
 
 
+def test_aggregate_single_report_is_unchanged():
+    # one replicate has no spread, so a single-replicate report.json has no "sd"
+    ones = np.ones((2, 2), dtype=np.int64)
+    nan = float("nan")
+    r = EvalReport(0.7, (0.1, nan), 0.1, (0.02, nan), (0.004, nan), (ones, ones * 0), 1)
+    agg = aggregate_reports([r])
+    assert agg.sd is None
+    assert agg.row_ari == r.row_ari
+    assert agg.col_misclass_mean == r.col_misclass_mean
+    for got, want in ((agg.col_misclass, r.col_misclass), (agg.mu_mse, r.mu_mse),
+                      (agg.pi_mse, r.pi_mse)):
+        np.testing.assert_array_equal(got, want)
+    for got, want in zip(agg.support_counts, r.support_counts):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert agg.n_replicates == 1
+    assert "sd" not in report_to_dict(agg)
+
+
 def test_report_json_round_trip(tmp_path):
     ones = np.ones((2, 2), dtype=np.int64)
     nan = float("nan")
-    report = EvalReport(0.93, (0.0, nan), 0.0, (0.01, nan), (0.001, nan),
-                        (ones, ones * 2), 4)
-    path = tmp_path / "report.json"
-    save_report(report, path)
-    loaded = load_report(path)
-    assert loaded.row_ari == report.row_ari
-    assert loaded.col_misclass[0] == 0.0 and np.isnan(loaded.col_misclass[1])
-    assert loaded.mu_mse[0] == 0.01 and np.isnan(loaded.mu_mse[1])
-    assert np.array_equal(loaded.support_counts[1], ones * 2)
-    assert loaded.n_replicates == 4
+    plain = EvalReport(0.93, (0.0, nan), 0.0, (0.01, nan), (0.001, nan),
+                       (ones, ones * 2), 4)
+    other = EvalReport(0.81, (0.2, 0.1), 0.15, (0.03, 0.05), (0.003, 0.0),
+                       (ones, ones), 1)
+    with_sd = aggregate_reports([plain, other])
+    assert plain.sd is None and with_sd.sd == replicate_sds([plain, other])
+    for i, report in enumerate((plain, with_sd)):
+        path = tmp_path / f"report_{i}.json"
+        save_report(report, path)
+        loaded = load_report(path)
+        assert loaded.row_ari == report.row_ari
+        np.testing.assert_array_equal(loaded.col_misclass, report.col_misclass)
+        assert loaded.col_misclass_mean == report.col_misclass_mean
+        np.testing.assert_array_equal(loaded.mu_mse, report.mu_mse)
+        np.testing.assert_array_equal(loaded.pi_mse, report.pi_mse)
+        for got, want in zip(loaded.support_counts, report.support_counts):
+            assert np.array_equal(got, want)
+        assert loaded.n_replicates == report.n_replicates
+        assert loaded.sd == report.sd
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,15 @@ def test_s_fixed_point_worked_example():
     assert logdet[0] == pytest.approx(np.log(expected), abs=1e-12)
 
 
+def test_s_fixed_point_rejects_indefinite_precision():
+    # a failed factorization of Sigma^-1 + diag(lambda) is a typed package
+    # error, so callers need no numpy exception of their own
+    with pytest.raises(NotPositiveDefinite):
+        s_fixed_point_step(
+            np.zeros(1), np.zeros((1, 2)), np.eye(2)[None], -10.0 * np.eye(2)
+        )
+
+
 def test_newton_m_worked_example():
     # y=1, S'=0.5, C=1, mu=0, Sigma=1, m=0 -> m' = -0.5 (e^0.25 - 1)
     m_new, step = newton_m_step(
