@@ -171,10 +171,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _coerce(key, value):
     try:
-        if key in _INT_KEYS:
+        if key in _INT_KEYS or key in _FLOAT_KEYS:
+            # JSON numbers only: int() and float() also take true and "5",
+            # and int() cuts 2.7 to 2
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"expected a number, got {json.dumps(value)}")
+            if key in _FLOAT_KEYS:
+                return float(value)
+            if not float(value).is_integer():
+                raise ValueError(f"expected an integer, got {value!r}")
             return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
         if key in _LIST_KEYS:
             if isinstance(value, str):
                 return [value]
@@ -214,7 +220,8 @@ def _resolve(command, args):
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
         for key, value in cfg.items():
-            effective[key] = None if value is None else _coerce(key, value)
+            if value is not None:  # null means "not set", like an absent flag
+                effective[key] = _coerce(key, value)
     for key in defaults:
         value = getattr(args, key, None)
         if value is not None:

@@ -111,9 +111,11 @@ def _run_cell(args):
 
 
 def _run_cells(tasks, jobs):
-    if jobs <= 1:
+    # a forked pool starts all its workers at once, so never more than cells
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         return [_run_cell(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_cell, tasks))
 
 

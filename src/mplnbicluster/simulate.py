@@ -11,7 +11,7 @@ block counts).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -367,18 +367,9 @@ def load_truth(path) -> GroundTruth:
     )
 
 
-_SPEC_KEYS = frozenset(
-    {
-        "n",
-        "d",
-        "pi",
-        "mu",
-        "block_sizes",
-        "within_block_corr_range",
-        "variance_range",
-        "offsets",
-        "seed",
-    }
+_SPEC_KEYS = frozenset(f.name for f in fields(SimSpec))
+_REQUIRED_SPEC_KEYS = frozenset(
+    f.name for f in fields(SimSpec) if f.default is MISSING
 )
 
 
@@ -403,9 +394,7 @@ def spec_from_dict(payload: dict) -> SimSpec:
     unknown = sorted(set(payload) - _SPEC_KEYS)
     if unknown:
         raise ValueError(f"unknown spec keys: {', '.join(unknown)}")
-    missing = sorted(
-        {"n", "d", "pi", "mu", "block_sizes"} - set(payload)
-    )
+    missing = sorted(_REQUIRED_SPEC_KEYS - set(payload))
     if missing:
         raise ValueError(f"spec is missing keys: {', '.join(missing)}")
     kwargs = dict(payload)

@@ -1,18 +1,18 @@
 """Variational EM for the mixture model with block-structured covariances.
 
-The driver alternates three blocks of work until the observed-data bound
-stabilises:
+Each pass of the driver runs three blocks of work, until the observed-data
+bound stabilises:
 
-1. responsibilities from the current per-component evidence bounds,
-2. coordinate sweeps on the per-observation Gaussian approximations,
+1. closed-form mixture weights and means, then a covariance refresh in
+   which each component's scatter is grouped into variable blocks and
+   projected onto the implied block-diagonal pattern,
+2. the per-component evidence bounds and the responsibilities,
+3. coordinate sweeps on the per-observation Gaussian approximations,
    whose covariances S are stored, like Sigma^-1, per column block of the
    component's partition (Sigma is block-diagonal, so the fixed point for
-   S is too),
-3. closed-form mixture weights and means, then a covariance refresh in
-   which each component's scatter is grouped into variable blocks and
-   projected onto the implied block-diagonal pattern.  When a component's
-   partition changes, its S is stored on the merged old and new blocks
-   until the next sweep has refreshed it under the new Sigma.
+   S is too).  When a component's partition changes, its S is stored on
+   the merged old and new blocks until a sweep has refreshed it under the
+   new Sigma.
 
 Every substep is guarded so the quantity traced in ``elbo_trace`` — the
 log-sum-exp bound ``sum_i log sum_g pi_g exp(F_ig)`` — never decreases:
@@ -463,8 +463,13 @@ def _store_blocks(partition, groups, s):
     partition change S keeps the entries it had across the new blocks; the
     next sweep refreshes it under the new, block-diagonal Sigma (the entries
     across Sigma's blocks come out exactly zero) and S shrinks back onto
-    the partition.  Returns (groups, s).
+    the partition.  Returns (groups, s), at once when S already sits on
+    the partition's blocks.
     """
+    if len(groups) == partition.k and all(
+        np.all(partition.assign[idx] == partition.assign[idx[0]]) for idx in groups
+    ):
+        return groups, s
     sets = list(partition.groups())
     for idx, block in zip(groups, s):
         sets.extend(idx[row] for row in np.any(block != 0.0, axis=0) if row.any())
@@ -485,11 +490,18 @@ def _block_inverses(lower, groups):
     return [inv for inv, _ in pairs], sum(logdet for _, logdet in pairs)
 
 
-def _gaussian_fit_objective(w, mass, lower):
-    """-mass/2 * (tr(Sigma^-1 W) + log det Sigma) given chol(Sigma)."""
-    solved = cho_solve((lower, True), w)
-    logdet = 2.0 * np.log(np.diag(lower)).sum()
-    return -0.5 * mass * (np.trace(solved) + logdet)
+def _no_worse_fit(w, mass, lower, cand_lower):
+    """Ascent guard of the covariance refresh: whether the candidate
+    chol(Sigma) does not lower -mass/2 * (tr(Sigma^-1 W) + log det Sigma),
+    the component's weighted Gaussian objective against the new scatter W,
+    below its value at the current chol(Sigma)."""
+
+    def objective(low):
+        solved = cho_solve((low, True), w)
+        return -0.5 * mass * (np.trace(solved) + 2.0 * np.log(np.diag(low)).sum())
+
+    current = objective(lower)
+    return objective(cand_lower) >= current - 1e-10 * (1.0 + abs(current))
 
 
 def _covariance_candidate(w, k_spec, g, linkage):
@@ -528,9 +540,13 @@ def fit_from_state(
 ) -> FitResult:
     """Run the EM loop from an explicit starting state.
 
-    The trace records the observed-data bound once per iteration; the loop
-    stops when its change falls below ``elbo_rel_tol`` relative to
-    max(1, |bound|), or after ``max_em_iter`` iterations.
+    Each pass refreshes pi and mu, then each component's covariance, then
+    evaluates the bounds and responsibilities and, unless the loop stops
+    there, runs the guarded sweeps.  The first pass adopts every covariance
+    unguarded, since there is none yet.  The trace records the observed-data
+    bound once per pass; the loop stops when its change falls below
+    ``elbo_rel_tol`` relative to max(1, |bound|), or after ``max_em_iter``
+    iterations.
     """
     y = counts.counts.astype(float)
     log_c = offsets.log
@@ -542,89 +558,51 @@ def fit_from_state(
     m = state.m.copy()
     z = state.z.copy()
     log_fact = gammaln(y + 1.0).sum(axis=1)
-
-    # bootstrap the mixture parameters from the initial responsibilities,
-    # then store S and Sigma^-1 per block of each component's partition
-    pi = m_step_pi(z)
-    mu = m_step_mu(z, m)
+    # S starts as one dense block per component
+    groups = [(np.arange(d),)] * G
+    s = [[state.s[:, g]] for g in range(G)]
     sigma = np.empty((G, d, d))
-    lowers = []
-    partitions = []
-    groups = []
-    s = []
-    sigma_inv = []
-    logdet_sigma = []
-    for g in range(G):
-        w = compute_scatter(z[:, g], m[:, g], state.s[:, g], mu[g])
-        sig_g, low_g, part_g = _covariance_candidate(w, k_spec, g, config.linkage)
-        sigma[g] = sig_g
-        lowers.append(low_g)
-        partitions.append(part_g)
-        groups_g, s_g = _store_blocks(part_g, (np.arange(d),), [state.s[:, g]])
-        groups.append(groups_g)
-        s.append(s_g)
-        inv_g, logdet_g = _block_inverses(low_g, groups_g)
-        sigma_inv.append(inv_g)
-        logdet_sigma.append(logdet_g)
-
+    lowers = [None] * G
+    partitions = [None] * G
+    sigma_inv = [None] * G
+    logdet_sigma = [None] * G
     trace = []
     prev_bound = -np.inf
     converged = False
 
-    def component_bounds():
+    for iteration in range(config.max_em_iter + 1):
+        pi = m_step_pi(z)
+        mu = m_step_mu(z, m)
         f = np.empty((n, G))
         for g in range(G):
+            w = compute_scatter(z[:, g], m[:, g], s[g], mu[g], groups[g])
+            cand_sigma, cand_lower, cand_part = _covariance_candidate(
+                w, k_spec, g, config.linkage
+            )
+            # the first pass has no covariance yet to guard
+            if lowers[g] is None or _no_worse_fit(w, z[:, g].sum(), lowers[g], cand_lower):
+                sigma[g], lowers[g], partitions[g] = cand_sigma, cand_lower, cand_part
+            groups[g], s[g] = _store_blocks(partitions[g], groups[g], s[g])
+            sigma_inv[g], logdet_sigma[g] = _block_inverses(lowers[g], groups[g])
             f[:, g] = elbo_batch(
                 y, log_c, m[:, g], s[g], mu[g], sigma_inv[g], logdet_sigma[g],
                 log_fact=log_fact, groups=groups[g],
             )
-        return f
-
-    for _ in range(config.max_em_iter):
-        f = component_bounds()
         bound = observed_bound(f, pi)
         trace.append(bound)
         z = responsibilities(f, pi)
+        if iteration == config.max_em_iter:
+            break
         if abs(bound - prev_bound) <= config.elbo_rel_tol * max(1.0, abs(bound)):
             converged = True
             break
         prev_bound = bound
-
         for g in range(G):
             # f[:, g] is the bound at this same (m, S, mu, Sigma)
             m[:, g], s[g] = _sweep_batch(
                 y, log_c, m[:, g], s[g], mu[g], sigma_inv[g], logdet_sigma[g],
                 groups[g], log_fact, f[:, g], config.inner_iter, config.inner_tol,
             )
-            if len(groups[g]) < partitions[g].k:
-                # S sits on merged blocks since a partition change; after the
-                # sweep only rows its guard rejected still cross Sigma's blocks
-                groups[g], s[g] = _store_blocks(partitions[g], groups[g], s[g])
-                sigma_inv[g], logdet_sigma[g] = _block_inverses(lowers[g], groups[g])
-        pi = m_step_pi(z)
-        mu = m_step_mu(z, m)
-        for g in range(G):
-            w = compute_scatter(z[:, g], m[:, g], s[g], mu[g], groups[g])
-            mass = z[:, g].sum()
-            cand_sigma, cand_lower, cand_part = _covariance_candidate(
-                w, k_spec, g, config.linkage
-            )
-            current = _gaussian_fit_objective(w, mass, lowers[g])
-            candidate = _gaussian_fit_objective(w, mass, cand_lower)
-            # ascent guard: only adopt a refresh that does not lower the
-            # component's weighted Gaussian objective against the new scatter
-            if candidate >= current - 1e-10 * (1.0 + abs(current)):
-                sigma[g] = cand_sigma
-                lowers[g] = cand_lower
-                if not np.array_equal(cand_part.assign, partitions[g].assign):
-                    groups[g], s[g] = _store_blocks(cand_part, groups[g], s[g])
-                partitions[g] = cand_part
-                sigma_inv[g], logdet_sigma[g] = _block_inverses(cand_lower, groups[g])
-
-    if not converged:
-        f = component_bounds()
-        trace.append(observed_bound(f, pi))
-        z = responsibilities(f, pi)
 
     # blocks go straight into the dense API state: a dense temporary per
     # component would raise the fit's peak memory

@@ -306,6 +306,39 @@ def test_fit_config_unknown_key(sim_dir, tmp_path, capsys):
     assert "gmaxx" in capsys.readouterr().err
 
 
+def test_fit_config_null_leaves_the_default(sim_dir, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_starts": None, "jobs": None, "elbo_rel_tol": None}))
+    out = tmp_path / "out"
+    rc = main(
+        ["fit", "--config", str(cfg), "--counts", str(sim_dir / "counts.csv"),
+         "--mode", "equal-k", "--gmax", "1", "--kmax", "1", "--max-em-iter", "30",
+         "--no-timestamp", "-o", str(out)]
+    )
+    assert rc == 0
+    with open(out / "run_config.json") as fh:
+        stored = json.load(fh)
+    assert (stored["n_starts"], stored["jobs"], stored["elbo_rel_tol"]) == (5, 1, 1e-6)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("n_starts", True), ("gmax", 2.7), ("inner_iter", 3.5), ("max_em_iter", "30"),
+     ("elbo_rel_tol", True)],
+)
+def test_fit_config_rejects_loose_numbers(sim_dir, tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    rc = main(
+        ["fit", "--config", str(cfg), "--counts", str(sim_dir / "counts.csv"),
+         "--mode", "equal-k", "--gmax", "1", "--kmax", "1",
+         "-o", str(tmp_path / "o")]
+    )
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_fit_rejects_config_from_other_command(sim_dir, tmp_path, capsys):
     rc = main(
         ["fit", "--config", str(sim_dir / "run_config.json"),

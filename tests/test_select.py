@@ -192,6 +192,38 @@ def test_grid_reproducible_and_parallel_identical():
     assert best_a.bic == best_c.bic
 
 
+@pytest.mark.parametrize("g_max, k_max, workers", [(2, 2, [4]), (1, 1, [])])
+def test_grid_workers_capped_at_cell_count(monkeypatch, g_max, k_max, workers):
+    # a forked pool would start every requested worker at once; a grid of
+    # four cells needs four, and a single cell runs without a pool
+    created = []
+
+    class RecordingPool:
+        """Records max_workers and maps serially, starting no process."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    counts, offsets, _ = two_component_block_data(seed=9, n=120, d=4, sizes=(2, 2))
+    config = FitConfig(n_starts=1, max_em_iter=60, seed=3)
+    _, serial = grid_search_equal_k(counts, offsets, g_max, k_max, config=config)
+    monkeypatch.setattr(select, "ProcessPoolExecutor", RecordingPool)
+    _, pooled = grid_search_equal_k(counts, offsets, g_max, k_max, config=config, jobs=64)
+    assert created == workers
+    assert [(c.g, c.k_label, c.bic, c.iterations) for c in pooled.cells] == [
+        (c.g, c.k_label, c.bic, c.iterations) for c in serial.cells
+    ]
+
+
 def test_grid_validation():
     counts, offsets, _ = two_component_block_data(seed=2, n=30, d=4, sizes=(2, 2))
     with pytest.raises(ValueError):

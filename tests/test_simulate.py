@@ -1,6 +1,6 @@
 """Tests for dataset generation and the benchmark presets."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -356,3 +356,13 @@ def test_spec_from_dict_rejects_unknown_and_missing_keys():
     del payload["mu"]
     with pytest.raises(ValueError, match="missing"):
         spec_from_dict(payload)
+
+
+def test_spec_keys_follow_the_dataclass_fields():
+    assert set(spec_to_dict(simple_spec())) == {f.name for f in fields(SimSpec)}
+    with pytest.raises(ValueError) as err:
+        spec_from_dict({})
+    assert str(err.value) == "spec is missing keys: block_sizes, d, mu, n, pi"
+    with pytest.raises(ValueError) as err:
+        spec_from_dict({"zeta": 1, "alpha": 2})
+    assert str(err.value) == "unknown spec keys: alpha, zeta"

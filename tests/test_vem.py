@@ -1,5 +1,7 @@
 """Tests for the variational EM engine."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -7,6 +9,7 @@ from scipy.optimize import minimize
 from mplnbicluster.data import CountMatrix, OffsetVector
 from mplnbicluster.errors import AllRestartsFailed, EmptyComponent, NotPositiveDefinite
 from mplnbicluster.model import elbo_observation, observed_bound
+from mplnbicluster.simulate import preset, sample_dataset, spec_offsets
 from mplnbicluster import vem
 from mplnbicluster.vem import (
     EqualK,
@@ -431,6 +434,27 @@ def test_fit_bic_matches_definition():
     assert result.bic == pytest.approx(
         2.0 * result.lower_bound - p * np.log(50), abs=1e-9
     )
+
+
+@pytest.mark.parametrize("k_spec", [EqualK(2), SilhouetteK(3)], ids=["equal", "silhouette"])
+def test_fit_iteration_cap(k_spec):
+    # a capped fit is the uncapped one cut short: T iterations, T + 1 bounds
+    # (the start and one per iteration), and not converged
+    spec = replace(preset(11), n=80)
+    counts, _ = sample_dataset(spec)
+    offsets = spec_offsets(spec)
+
+    def capped(cap):
+        return fit(counts, offsets, 2, k_spec, FitConfig(n_starts=1, max_em_iter=cap, seed=3))
+
+    longer = capped(8)
+    assert len(longer.elbo_trace) == 9 and not longer.converged
+    for cap in (1, 2, 5):
+        result = capped(cap)
+        assert len(result.elbo_trace) == cap + 1
+        assert result.iterations == cap
+        assert not result.converged
+        assert np.array_equal(result.elbo_trace, longer.elbo_trace[:cap + 1])
 
 
 def test_fit_trace_final_consistency():
