@@ -22,7 +22,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, fields, replace as dc_replace
+from dataclasses import fields, replace as dc_replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -51,45 +51,62 @@ class UsageError(Exception):
     """A problem with flags, config keys, or input files; exit code 2."""
 
 
-# defaults per command; None marks "not set" so config/flags can fill it in
-_DEFAULTS = {
+# Every option of every command: key -> (kind, default, help).  The flag is
+# the key with "-" for "_" and the config key is the key itself.  ``kind``
+# is int, float or str, a tuple of allowed strings, list for a repeatable
+# flag, or bool for a switch.  A None default means "not set", so config
+# and flags may fill it in.  The FitConfig fields take their kind from the
+# type of their default.
+_COMMON = {
+    "out": (str, None, "output directory"),
+    "no_timestamp": (
+        bool,
+        False,
+        "omit the run timestamp and zero wall_time_ms for byte-stable outputs",
+    ),
+}
+_OPTIONS = {
     "simulate": {
-        "preset": None,
-        "spec": None,
-        "seed": None,  # None keeps the spec's own seed
-        "out": None,
-        "no_timestamp": False,
+        "preset": (int, None, "benchmark study id (1-12)"),
+        "spec": (str, None, "JSON file describing the generator"),
+        "seed": (int, None, "override the spec's data seed"),
+        **_COMMON,
     },
     "fit": {
-        "counts": None,
-        "offsets": None,
-        "offsets_mode": "unit",
-        "mode": None,
-        "gmax": None,
-        "kmax": None,
-        "jobs": 1,
-        **asdict(FitConfig()),
-        "out": None,
-        "no_timestamp": False,
+        "counts": (str, None, "count matrix CSV/TSV"),
+        "offsets": (str, None, "offsets file (one value per line)"),
+        "offsets_mode": (
+            ("unit", "libsize"),
+            "unit",
+            "derive offsets from the counts when no --offsets file is given",
+        ),
+        "mode": (("equal-k", "varying-k"), None, "one K for all components, or one each"),
+        "gmax": (int, None, "largest component count tried"),
+        "kmax": (int, None, "largest block count tried"),
+        "jobs": (int, 1, "concurrent grid cells"),
+        **{
+            f.name: (LINKAGES if f.name == "linkage" else type(f.default), f.default, None)
+            for f in fields(FitConfig)
+        },
+        **_COMMON,
     },
     "evaluate": {
-        "truth": None,
-        "result": None,
-        "out": None,
-        "no_timestamp": False,
+        "truth": (list, None, "truth JSON, or a directory of truth*.json; repeatable"),
+        "result": (list, None, "fit result JSON, or a directory of result*.json; repeatable"),
+        **_COMMON,
     },
     "report": {
-        "report": None,
-        "out": None,
-        "no_timestamp": False,
+        "report": (list, None, "report JSON, or a directory of report*.json; repeatable"),
+        **_COMMON,
     },
 }
 
-_INT_KEYS = frozenset(
-    {"preset", "seed", "gmax", "kmax", "jobs", "n_starts", "max_em_iter", "inner_iter"}
-)
-_FLOAT_KEYS = frozenset({"elbo_rel_tol", "inner_tol"})
-_LIST_KEYS = frozenset({"truth", "result", "report"})
+_HELP = {
+    "simulate": "draw a synthetic dataset with known structure",
+    "fit": "fit the mixture and select the structure by BIC",
+    "evaluate": "score fits against the generating truth",
+    "report": "summarize evaluation reports as one table",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,102 +119,55 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mplnbicluster", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, options in _OPTIONS.items():
+        p = sub.add_parser(command, help=_HELP[command])
         p.add_argument("--config", help="flat JSON config file; flags override it")
-        p.add_argument("-o", "--out", default=None, help="output directory")
-        p.add_argument(
-            "--no-timestamp",
-            action="store_true",
-            default=None,
-            dest="no_timestamp",
-            help="omit the run timestamp and zero wall_time_ms for byte-stable outputs",
-        )
-
-    p = sub.add_parser("simulate", help="draw a synthetic dataset with known structure")
-    p.add_argument("--preset", type=int, default=None, help="benchmark study id (1-12)")
-    p.add_argument("--spec", default=None, help="JSON file describing the generator")
-    p.add_argument("--seed", type=int, default=None, help="override the spec's data seed")
-    common(p)
-
-    p = sub.add_parser("fit", help="fit the mixture and select the structure by BIC")
-    p.add_argument("--counts", default=None, help="count matrix CSV/TSV")
-    p.add_argument("--offsets", default=None, help="offsets file (one value per line)")
-    p.add_argument(
-        "--offsets-mode",
-        default=None,
-        dest="offsets_mode",
-        choices=("unit", "libsize"),
-        help="derive offsets from the counts when no --offsets file is given",
-    )
-    p.add_argument("--mode", default=None, choices=("equal-k", "varying-k"))
-    p.add_argument("--gmax", type=int, default=None, help="largest component count tried")
-    p.add_argument("--kmax", type=int, default=None, help="largest block count tried")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None, help="concurrent grid cells")
-    p.add_argument("--n-starts", type=int, default=None, dest="n_starts")
-    p.add_argument("--max-em-iter", type=int, default=None, dest="max_em_iter")
-    p.add_argument("--elbo-rel-tol", type=float, default=None, dest="elbo_rel_tol")
-    p.add_argument("--inner-iter", type=int, default=None, dest="inner_iter")
-    p.add_argument("--inner-tol", type=float, default=None, dest="inner_tol")
-    p.add_argument("--linkage", default=None, choices=LINKAGES)
-    common(p)
-
-    p = sub.add_parser("evaluate", help="score fits against the generating truth")
-    p.add_argument(
-        "--truth",
-        action="append",
-        default=None,
-        help="truth JSON, or a directory of truth*.json; repeatable",
-    )
-    p.add_argument(
-        "--result",
-        action="append",
-        default=None,
-        help="fit result JSON, or a directory of result*.json; repeatable",
-    )
-    common(p)
-
-    p = sub.add_parser("report", help="summarize evaluation reports as one table")
-    p.add_argument(
-        "--report",
-        action="append",
-        default=None,
-        help="report JSON, or a directory of report*.json; repeatable",
-    )
-    common(p)
+        for key, (kind, _, text) in options.items():
+            flag = "--" + key.replace("_", "-")
+            names = ("-o", flag) if key == "out" else (flag,)
+            # every flag defaults to None so that _resolve can tell it was not given
+            kwargs = {"default": None, "help": text}
+            if kind is bool:
+                kwargs["action"] = "store_true"
+            elif kind is list:
+                kwargs["action"] = "append"
+            elif isinstance(kind, tuple):
+                kwargs["choices"] = kind
+            elif kind is not str:
+                kwargs["type"] = kind
+            p.add_argument(*names, **kwargs)
     return parser
 
 
-def _coerce(key, value):
-    try:
-        if key in _INT_KEYS or key in _FLOAT_KEYS:
-            # JSON numbers only: int() and float() also take true and "5",
-            # and int() cuts 2.7 to 2
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"expected a number, got {json.dumps(value)}")
-            if key in _FLOAT_KEYS:
-                return float(value)
-            if not float(value).is_integer():
-                raise ValueError(f"expected an integer, got {value!r}")
-            return int(value)
-        if key in _LIST_KEYS:
-            if isinstance(value, str):
-                return [value]
-            return [str(v) for v in value]
-        if key == "no_timestamp":
-            if not isinstance(value, bool):
-                raise ValueError("expected true or false")
-            return value
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"config key {key!r}: {exc}") from None
-    return value
+def _coerce(key, kind, value):
+    """Check a config-file value against its option's kind (argparse has
+    already typed the flags)."""
+    if kind is list:
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        expected = "a list of strings"
+    elif isinstance(kind, tuple):
+        ok = isinstance(value, str) and value in kind
+        expected = "one of " + ", ".join(kind)
+    elif kind is bool or kind is str:
+        ok = isinstance(value, kind)
+        expected = "true or false" if kind is bool else "a string"
+    elif kind is int:
+        # JSON numbers only (int() also takes true and "5"), and whole ones
+        # (int() cuts 2.7 to 2)
+        ok = type(value) is int or (type(value) is float and value.is_integer())
+        expected = "an integer"
+    else:
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+        expected = "a finite number"
+    if not ok:
+        raise UsageError(f"config key {key!r}: expected {expected}, got {json.dumps(value)}")
+    return kind(value) if kind in (int, float) else value
 
 
 def _resolve(command, args):
     """Merge defaults, config-file values, and CLI flags (flags win)."""
-    defaults = _DEFAULTS[command]
-    effective = dict(defaults)
+    options = _OPTIONS[command]
+    effective = {key: default for key, (_, default, _) in options.items()}
     if args.config is not None:
         path = Path(args.config)
         if not path.is_file():
@@ -216,16 +186,16 @@ def _resolve(command, args):
                 f"config file was written for {recorded!r}, not {command!r}"
             )
         cfg.pop("timestamp", None)  # a replayed archive carries one; harmless
-        unknown = sorted(set(cfg) - set(defaults))
+        unknown = sorted(set(cfg) - set(options))
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
         for key, value in cfg.items():
             if value is not None:  # null means "not set", like an absent flag
-                effective[key] = _coerce(key, value)
-    for key in defaults:
-        value = getattr(args, key, None)
+                effective[key] = _coerce(key, options[key][0], value)
+    for key in options:
+        value = getattr(args, key)
         if value is not None:
-            effective[key] = _coerce(key, value)
+            effective[key] = value
     return effective
 
 
@@ -322,10 +292,6 @@ def _cmd_fit(effective) -> int:
     mode = _require(effective, "mode", "--mode")
     gmax = _require(effective, "gmax", "--gmax")
     kmax = _require(effective, "kmax", "--kmax")
-    if mode not in ("equal-k", "varying-k"):
-        raise UsageError(f"mode must be equal-k or varying-k, got {mode!r}")
-    if effective["jobs"] < 1:
-        raise UsageError(f"jobs must be at least 1, got {effective['jobs']}")
     out = _prepare_out(effective)
 
     _require_file(counts_path, "counts")

@@ -137,8 +137,11 @@ class VariationalState:
 
 def blocks_from_dense(s: np.ndarray, groups) -> list[np.ndarray]:
     """The diagonal blocks s[..., idx, idx] of a (..., d, d) stack, one per
-    index array in ``groups``; entries outside the blocks are dropped."""
-    return [s[..., idx[:, None], idx] for idx in groups]
+    index array in ``groups``; entries outside the blocks are dropped.
+
+    The blocks are C-contiguous like the sweep's, because the bound sums
+    them in an order that follows their memory layout."""
+    return [np.ascontiguousarray(s[..., idx[:, None], idx]) for idx in groups]
 
 
 def dense_from_blocks(blocks, groups, d: int) -> np.ndarray:

@@ -149,6 +149,8 @@ def _search(counts, offsets, specs, config, jobs):
 
     Returns (best cell, best FitResult, all cells in ``specs`` order).
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if config is None:
         config = FitConfig()
     g_max = max(g for g, _ in specs)

@@ -78,6 +78,8 @@ class SimSpec:
             "block_sizes",
             tuple(tuple(int(b) for b in sizes) for sizes in self.block_sizes),
         )
+        for name in ("within_block_corr_range", "variance_range"):
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         if self.n < 1 or self.d < 1:
             raise ValueError("n and d must be positive")
         G = len(self.pi)
@@ -397,15 +399,7 @@ def spec_from_dict(payload: dict) -> SimSpec:
     missing = sorted(_REQUIRED_SPEC_KEYS - set(payload))
     if missing:
         raise ValueError(f"spec is missing keys: {', '.join(missing)}")
-    kwargs = dict(payload)
-    kwargs["pi"] = tuple(kwargs["pi"])
-    kwargs["block_sizes"] = tuple(tuple(b) for b in kwargs["block_sizes"])
-    for key in ("within_block_corr_range", "variance_range"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    if not isinstance(kwargs.get("offsets", "unit"), str):
-        kwargs["offsets"] = tuple(kwargs["offsets"])
-    return SimSpec(**kwargs)
+    return SimSpec(**payload)
 
 
 def save_spec(spec: SimSpec, path) -> None:

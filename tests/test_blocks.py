@@ -9,6 +9,8 @@ drops only exact zeros, and that moving S onto any new partition never
 lowers a bound.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,8 @@ from mplnbicluster import vem
 from mplnbicluster.colgroup import ColumnPartition, block_project
 from mplnbicluster.data import CountMatrix, OffsetVector
 from mplnbicluster.model import blocks_from_dense, dense_from_blocks, elbo_batch
-from mplnbicluster.vem import EqualK, FitConfig, compute_scatter, fit, reblock
+from mplnbicluster.simulate import preset, sample_dataset, spec_offsets
+from mplnbicluster.vem import EqualK, FitConfig, SilhouetteK, compute_scatter, fit, reblock
 
 # Block and dense paths do the same arithmetic on the same in-block numbers
 # but factor b x b instead of d x d matrices, so they agree to rounding:
@@ -158,6 +161,41 @@ def test_reblock_keeps_in_block_entries_and_drops_the_rest():
     moved = reblock(blocks_from_dense(s, old.groups()), old.groups(), new.groups())
     expected = block_project(np.ones((4, 4)), old) * block_project(np.ones((4, 4)), new)
     assert np.array_equal(dense_from_blocks(moved, new.groups(), 4), s * expected)
+
+
+def test_reblock_returns_c_contiguous_blocks():
+    rng = np.random.default_rng(4)
+    old = ColumnPartition(np.array([1, 1, 2, 2, 2]), 2)
+    new = ColumnPartition(np.array([1, 2, 1, 2, 2]), 2)
+    s = np.stack([block_project(random_pd(rng, 5), old) for _ in range(6)])
+    for block in reblock(blocks_from_dense(s, old.groups()), old.groups(), new.groups()):
+        assert block.flags.c_contiguous
+
+
+def test_fit_trace_does_not_depend_on_the_block_layout(monkeypatch):
+    # restart 2 of this silhouette fit changes partitions several times, so
+    # S is re-blocked and its bound taken before the next sweep refreshes it
+    spec = replace(preset(11), n=200)
+    counts, _ = sample_dataset(spec)
+    offsets = spec_offsets(spec)
+
+    def run():
+        state = vem.initialize(counts, offsets, 2, 0, 2)
+        return vem.fit_from_state(counts, offsets, state, SilhouetteK(5),
+                                  FitConfig(n_starts=1, seed=0), restart=2)
+
+    plain = run()
+    calls = []
+    original = vem.reblock
+
+    def contiguous(s, old_groups, new_groups):
+        calls.append(len(new_groups))
+        return [np.ascontiguousarray(b) for b in original(s, old_groups, new_groups)]
+
+    monkeypatch.setattr(vem, "reblock", contiguous)
+    copied = run()
+    assert len(calls) > 2  # more than the first pass's one move per component
+    assert np.array_equal(plain.elbo_trace, copied.elbo_trace)
 
 
 def two_blob_counts(seed=12, n=40):

@@ -255,6 +255,15 @@ def test_fit_jobs_do_not_change_outputs(sim_dir, tmp_path):
         ).read_bytes()
 
 
+def test_fit_jobs_below_one_is_usage_error(sim_dir, tmp_path, capsys):
+    rc = main(
+        ["fit", "--counts", str(sim_dir / "counts.csv"), "--mode", "equal-k",
+         "--gmax", "1", "--kmax", "1", "--jobs", "0", "-o", str(tmp_path / "o")]
+    )
+    assert rc == 2
+    assert "jobs must be at least 1, got 0" in capsys.readouterr().err
+
+
 def test_fit_varying_k_labels_blocks_per_component(sim_dir, tmp_path):
     out = tmp_path / "vary"
     rc = main(
@@ -324,9 +333,12 @@ def test_fit_config_null_leaves_the_default(sim_dir, tmp_path):
 @pytest.mark.parametrize(
     "key, value",
     [("n_starts", True), ("gmax", 2.7), ("inner_iter", 3.5), ("max_em_iter", "30"),
-     ("elbo_rel_tol", True)],
+     ("elbo_rel_tol", True), ("counts", 5), ("offsets", ["a.txt"]), ("out", 5),
+     ("mode", "sideways"), ("linkage", 3),
+     pytest.param("elbo_rel_tol", 10**400, id="elbo_rel_tol-huge-int")],
 )
 def test_fit_config_rejects_loose_numbers(sim_dir, tmp_path, capsys, key, value):
+    # config values are checked even where a flag overrides them
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))
     rc = main(
@@ -335,7 +347,17 @@ def test_fit_config_rejects_loose_numbers(sim_dir, tmp_path, capsys, key, value)
          "-o", str(tmp_path / "o")]
     )
     assert rc == 2
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config key {key!r}" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_config_rejects_a_list_for_the_spec(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"spec": ["a"]}))
+    rc = main(["simulate", "--config", str(cfg), "-o", str(tmp_path / "o")])
+    assert rc == 2
+    assert "config key 'spec'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

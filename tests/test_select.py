@@ -295,6 +295,20 @@ def test_search_rejects_g_max_above_n_before_fitting(monkeypatch, search):
     assert calls == []
 
 
+@pytest.mark.parametrize("jobs", [0, -5])
+@pytest.mark.parametrize("search", [grid_search_equal_k, fit_varying_k],
+                         ids=["equal", "varying"])
+def test_search_rejects_jobs_below_one_before_fitting(monkeypatch, search, jobs):
+    rng = np.random.default_rng(3)
+    counts = make_counts(rng.poisson(5.0, size=(6, 4)))
+    calls = []
+    monkeypatch.setattr(select, "fit", lambda *args, **kwargs: calls.append(args[2]))
+    with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+        search(counts, unit_offsets(6), 2, 2,
+               config=FitConfig(n_starts=1, max_em_iter=5, seed=0), jobs=jobs)
+    assert calls == []
+
+
 def test_searches_reproduce_recorded_fits():
     # Values recorded from the searches before the sweep's guard was moved
     # onto the full per-observation bound.  The guard now compares full

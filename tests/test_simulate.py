@@ -337,6 +337,16 @@ def test_spec_round_trip(tmp_path):
     assert np.array_equal(a.counts, b.counts)
 
 
+def test_list_built_spec_equals_its_round_trip():
+    spec = simple_spec(within_block_corr_range=[0.55, 0.75], variance_range=[1, 2])
+    assert spec.within_block_corr_range == (0.55, 0.75)
+    assert spec.variance_range == (1.0, 2.0)
+    assert all(type(v) is float for v in spec.variance_range)
+    loaded = spec_from_dict(spec_to_dict(spec))
+    assert loaded.within_block_corr_range == spec.within_block_corr_range
+    assert loaded.variance_range == spec.variance_range
+
+
 def test_spec_dict_defaults_fill_in():
     payload = spec_to_dict(simple_spec())
     for key in ("within_block_corr_range", "variance_range", "offsets", "seed"):
