@@ -1,14 +1,15 @@
 """Symmetric positive-definite matrix kernels.
 
-Thin wrappers around LAPACK (via numpy/scipy) that turn factorization
-failures into package-level errors and centralize the jitter policy used
-by the EM loop.  Everything here works on dense float64 arrays.
+Thin wrappers around LAPACK (via numpy) that turn factorization failures
+into package-level errors and centralize the jitter policy used by the EM
+loop, plus the one routine that turns a Cholesky factor into an inverse
+and a log-determinant.  Everything here works on dense float64 arrays;
+``cholesky`` and the factor-based routines also take stacks of matrices.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotPositiveDefinite, ZeroVariance
 
@@ -29,10 +30,30 @@ def cholesky(a: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite(f"matrix of shape {a.shape} is not positive definite") from exc
 
 
-def inv_logdet_from_cholesky(lower: np.ndarray) -> tuple[np.ndarray, float]:
-    """Symmetrized inverse and log-determinant of a = L L' from its factor L."""
-    inv = scipy.linalg.cho_solve((lower, True), np.eye(lower.shape[0]))
-    return 0.5 * (inv + inv.T), 2.0 * float(np.sum(np.log(np.diag(lower))))
+def logdet_from_cholesky(lower: np.ndarray):
+    """log det a of a = L L' from its factor L, batched over leading axes."""
+    return 2.0 * np.log(np.einsum("...jj->...j", lower)).sum(axis=-1)
+
+
+def inv_logdet_from_cholesky(lower: np.ndarray):
+    """Inverse and log-determinant of a = L L' from its factor L.
+
+    ``lower`` is (..., b, b), lower triangular with a positive diagonal (as
+    ``cholesky`` returns it).  L^-1 is built by forward substitution, one
+    row at a time over the whole stack, and a^-1 = L^-T L^-1 is one batched
+    product, which comes out exactly symmetric.  Returns (inverse, logdet)
+    with logdet of shape (...); a single (b, b) factor gives a scalar.
+    """
+    lower = np.asarray(lower, dtype=float)
+    diag = np.einsum("...jj->...j", lower)
+    w = np.zeros_like(lower)
+    for i in range(lower.shape[-1]):
+        # row i of L^-1 from rows 0..i-1, which are zero right of the diagonal
+        w[..., i, :i] = -np.einsum(
+            "...k,...kj->...j", lower[..., i, :i], w[..., :i, :i]
+        ) / diag[..., i, None]
+        w[..., i, i] = 1.0 / diag[..., i]
+    return np.swapaxes(w, -1, -2) @ w, logdet_from_cholesky(lower)
 
 
 def corr_from_cov(cov: np.ndarray) -> np.ndarray:

@@ -17,8 +17,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .colgroup import ColumnPartition
-from .errors import LengthMismatch, NotPositiveDefinite
-from .linalg import cholesky, inv_logdet_from_cholesky
+from .errors import LengthMismatch
+from .linalg import cholesky, inv_logdet_from_cholesky, logdet_from_cholesky
 
 # Cap on exponents fed to np.exp: keeps the ELBO and its updates finite
 # (-inf ELBO instead of NaN) if an iterate ever runs away.
@@ -173,7 +173,8 @@ def elbo_batch(
     ``groups`` omitted, s (n, d, d) and sigma_inv (d, d) are dense: the
     one-block case.  log_fact is sum_j log(y_ij!) per row (computed if
     omitted); logdet_s may be passed when the caller already has it from a
-    factorization.
+    factorization.  Otherwise each block of S is Cholesky-factored, which
+    raises NotPositiveDefinite for an S that is not positive definite.
     """
     y = np.asarray(y, dtype=float)
     if groups is None:
@@ -181,12 +182,7 @@ def elbo_batch(
     if log_fact is None:
         log_fact = gammaln(y + 1.0).sum(axis=1)
     if logdet_s is None:
-        logdet_s = 0.0
-        for block in s:
-            sign, logdet = np.linalg.slogdet(block)
-            if np.any(sign <= 0):
-                raise NotPositiveDefinite("variational covariance is not positive definite")
-            logdet_s = logdet_s + logdet
+        logdet_s = sum(logdet_from_cholesky(cholesky(block)) for block in s)
     d = m.shape[1]
     dm = m - mu
     quad = 0.0

@@ -144,6 +144,17 @@ def _cell_config(config: FitConfig, g: int, k_spec) -> FitConfig:
     return replace(config, seed=seed)
 
 
+def _check_g_max(counts, g_max):
+    """Reject fewer than 2 observations or a ``g_max`` outside 1..n before
+    any cell is built, so a bad value costs nothing however large it is."""
+    if counts.n < 2:
+        raise ValueError("model selection needs at least 2 observations")
+    if g_max < 1:
+        raise ValueError("g_max must be at least 1")
+    if g_max > counts.n:
+        raise ValueError(f"g_max={g_max} exceeds the number of observations {counts.n}")
+
+
 def _search(counts, offsets, specs, config, jobs):
     """Fit every (G, k_spec) pair in ``specs`` and pick the BIC-best fit.
 
@@ -153,9 +164,6 @@ def _search(counts, offsets, specs, config, jobs):
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if config is None:
         config = FitConfig()
-    g_max = max(g for g, _ in specs)
-    if g_max > counts.n:
-        raise ValueError(f"g_max={g_max} exceeds the number of observations {counts.n}")
     tasks = [
         (counts, offsets, g, k_spec, _cell_config(config, g, k_spec))
         for g, k_spec in specs
@@ -178,10 +186,9 @@ def grid_search_equal_k(
     Returns (best FitResult, SelectionGrid).  Failed cells stay in the grid
     marked with their error but are excluded from selection.
     """
-    if counts.n < 2:
-        raise ValueError("grid search needs at least 2 observations")
-    if g_max < 1 or k_max < 1:
-        raise ValueError("g_max and k_max must be at least 1")
+    _check_g_max(counts, g_max)
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
     if k_max > counts.d:
         raise ValueError(f"k_max={k_max} exceeds the number of variables {counts.d}")
     g_values = list(range(1, g_max + 1))
@@ -204,10 +211,7 @@ def fit_varying_k(
     jobs: int = 1,
 ):
     """One silhouette-guided fit per G in 1..g_max; BIC compares across G."""
-    if counts.n < 2:
-        raise ValueError("model selection needs at least 2 observations")
-    if g_max < 1:
-        raise ValueError("g_max must be at least 1")
+    _check_g_max(counts, g_max)
     if not 2 <= k_max <= counts.d:
         raise ValueError(
             f"k_max must be between 2 and d={counts.d}, got {k_max}"

@@ -11,6 +11,7 @@ block counts).
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import MISSING, dataclass, fields
 from typing import Optional, Union
 
@@ -69,6 +70,12 @@ class SimSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n", "d", "seed"):
+            value = getattr(self, name)
+            # bool is an Integral too, but a spec file's true is no count
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         object.__setattr__(self, "pi", tuple(float(p) for p in self.pi))
         object.__setattr__(
             self, "mu", np.array(self.mu, dtype=float, copy=True)

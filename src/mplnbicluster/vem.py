@@ -263,7 +263,9 @@ def s_fixed_point_step(log_c, m, s, sigma_inv):
     S' = (Sigma^-1 + diag(exp(log C + m + diag(S)/2)))^-1, batched over
     leading axes.  Returns (s_new, logdet_s_new).  The fit calls it once per
     column block, with that block's columns of m and its blocks of S and
-    Sigma^-1.  Raises NotPositiveDefinite if S'^-1 does not factor.
+    Sigma^-1.  S'^-1 is factored once; S' and log det S' both come from
+    that Cholesky factor (``inv_logdet_from_cholesky``), and S' is exactly
+    symmetric.  Raises NotPositiveDefinite if S'^-1 does not factor.
     """
     m = np.asarray(m, dtype=float)
     d = m.shape[-1]
@@ -272,10 +274,7 @@ def s_fixed_point_step(log_c, m, s, sigma_inv):
     a = np.broadcast_to(sigma_inv, m.shape + (d,)).copy()
     idx = np.arange(d)
     a[..., idx, idx] += lam
-    lower = cholesky(a)
-    s_new = np.linalg.inv(a)
-    s_new = 0.5 * (s_new + np.swapaxes(s_new, -1, -2))
-    logdet_a = 2.0 * np.log(np.einsum("...jj->...j", lower)).sum(axis=-1)
+    s_new, logdet_a = inv_logdet_from_cholesky(cholesky(a))
     return s_new, -logdet_a
 
 

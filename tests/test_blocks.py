@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from dense_reference import elbo_dense, sweep_dense
+from dense_reference import elbo_dense, s_fixed_point_dense, sweep_dense
 from mplnbicluster import vem
 from mplnbicluster.colgroup import ColumnPartition, block_project
 from mplnbicluster.data import CountMatrix, OffsetVector
@@ -117,6 +117,23 @@ def test_block_sweep_matches_dense_reference(data, n, seed, inner_iter):
         compute_scatter(z, m_out, s_out, mu, groups),
         compute_scatter(z, m_ref, s_ref, mu), **TOL,
     )
+
+
+@pytest.mark.parametrize("b", [1, 2, 5, 10, 50])
+def test_s_fixed_point_step_matches_dense_reference(b):
+    # one Cholesky factor gives S' and log det S'; the reference inverts by
+    # LU, so S' agrees to a few ulps of these well-conditioned blocks
+    rng = np.random.default_rng(b)
+    n = 40
+    sigma_inv = np.linalg.inv(random_pd(rng, b))
+    m = rng.normal(0.5, 0.5, size=(n, b))
+    log_c = rng.normal(0.0, 0.3, size=n)
+    s = np.stack([0.2 * random_pd(rng, b) for _ in range(n)])
+    s_new, logdet = vem.s_fixed_point_step(log_c, m, s, sigma_inv)
+    s_ref, logdet_ref = s_fixed_point_dense(log_c, m, s, sigma_inv)
+    np.testing.assert_allclose(s_new, s_ref, rtol=1e-11, atol=1e-14)
+    np.testing.assert_allclose(logdet, logdet_ref, rtol=1e-13, atol=1e-12)
+    assert np.array_equal(s_new, np.swapaxes(s_new, -1, -2))
 
 
 def test_storage_returns_to_the_partition_after_a_full_sweep():

@@ -178,6 +178,17 @@ def test_simulate_rejects_unknown_spec_key(tmp_path, capsys):
     assert "sigma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("seed", 1.5), ("seed", True), ("n", 2.5)])
+def test_simulate_rejects_a_non_integer_spec_field(tmp_path, capsys, field, value):
+    payload = {"n": 10, "d": 2, "pi": [1.0], "mu": [[0, 0]], "block_sizes": [[2]]}
+    payload[field] = value
+    bad = tmp_path / "spec.json"
+    bad.write_text(json.dumps(payload))
+    rc = main(["simulate", "--spec", str(bad), "-o", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"{field} must be an integer" in capsys.readouterr().err
+
+
 def test_simulate_seed_flag_overrides_spec(spec_file, sim_dir, tmp_path):
     out = tmp_path / "seeded"
     assert main(

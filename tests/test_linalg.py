@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -89,6 +92,70 @@ def test_cholesky_inverse_is_inverse_and_symmetric():
     inv = inverse(a)
     np.testing.assert_allclose(inv @ a, np.eye(6), atol=1e-9)
     np.testing.assert_allclose(inv, inv.T, atol=0)
+
+
+@pytest.mark.parametrize("batch", [(), (7,), (4, 3)], ids=["single", "stack", "grid"])
+@pytest.mark.parametrize("b", [*range(1, 13), 50])
+def test_batched_inverse_and_logdet_match_oracles(batch, b):
+    rng = np.random.default_rng(100 * b + len(batch))
+    x = rng.standard_normal(batch + (b, b))
+    a = x @ np.swapaxes(x, -1, -2) / b + 0.5 * np.eye(b)
+    inv, logdet = inv_logdet_from_cholesky(cholesky(a))
+    # LU inverse and eigenvalue log-det: independent algorithms, so the
+    # tolerances are a few hundred ulps of these well-conditioned matrices
+    np.testing.assert_allclose(inv, np.linalg.inv(a), rtol=1e-12, atol=1e-13)
+    oracle = np.log(np.linalg.eigvalsh(a)).sum(axis=-1)
+    np.testing.assert_allclose(logdet, oracle, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(inv, np.swapaxes(inv, -1, -2))  # exactly symmetric
+    if batch:
+        assert logdet.shape == batch
+    else:
+        assert isinstance(logdet, float)
+
+
+def test_batched_inverse_keeps_exact_zeros_across_blocks():
+    # a factor that is block-diagonal on interleaved columns gives an
+    # inverse with exact zeros across the blocks
+    rng = np.random.default_rng(37)
+    a = np.zeros((5, 4, 4))
+    for idx in (np.array([0, 2]), np.array([1, 3])):
+        x = rng.standard_normal((5, 2, 2))
+        a[:, idx[:, None], idx] = x @ np.swapaxes(x, -1, -2) + np.eye(2)
+    inv, _ = inv_logdet_from_cholesky(cholesky(a))
+    assert np.all(inv[:, [0, 0, 2, 2], [1, 3, 1, 3]] == 0.0)
+
+
+def _numpy_linalg_calls(tree):
+    """(attribute, line) of every np.linalg.<name> / numpy.linalg.<name>
+    reference and every name imported from numpy.linalg."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "linalg"
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id in ("np", "numpy")):
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found.extend((alias.name, node.lineno) for alias in node.names)
+    return found
+
+
+def test_only_linalg_factors_or_inverts_matrices():
+    # every factorization, inverse and solve goes through linalg, the one
+    # place that turns a failed factorization into NotPositiveDefinite
+    forbidden = {"inv", "slogdet", "cholesky", "solve"}
+    src = Path(__file__).resolve().parents[1] / "src" / "mplnbicluster"
+    seen = {}
+    for path in sorted(src.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        calls = _numpy_linalg_calls(ast.parse(path.read_text(), filename=str(path)))
+        seen[path.name] = {name for name, _ in calls}
+        bad = [(name, line) for name, line in calls if name in forbidden]
+        assert not bad, f"{path.name} calls numpy.linalg directly: {bad}"
+    # simulate's redraw test needs eigenvalues, not a factorization; it is
+    # allowed, and finding it shows the walker sees numpy.linalg calls
+    assert "eigvalsh" in seen["simulate.py"]
 
 
 def test_corr_from_cov_diagonal_scaling():

@@ -283,16 +283,24 @@ def test_search_rejects_g_max_above_n_before_fitting(monkeypatch, search):
     counts = make_counts(rng.poisson(5.0, size=(3, 4)))
     real_fit = select.fit
     calls = []
+    built = []
 
     def counting_fit(*args, **kwargs):
         calls.append(args[2])
         return real_fit(*args, **kwargs)
 
     monkeypatch.setattr(select, "fit", counting_fit)
-    with pytest.raises(ValueError, match="g_max"):
+    # every grid cell builds one block-count request, so a bad g_max must be
+    # rejected before any is built: its cost must not grow with g_max
+    for name in ("EqualK", "SilhouetteK"):
+        real = getattr(select, name)
+        monkeypatch.setattr(select, name,
+                            lambda *args, _real=real: built.append(args) or _real(*args))
+    with pytest.raises(ValueError, match="g_max=4 exceeds"):
         search(counts, unit_offsets(3), 4, 2,
                config=FitConfig(n_starts=1, max_em_iter=5, seed=0))
     assert calls == []
+    assert built == []
 
 
 @pytest.mark.parametrize("jobs", [0, -5])

@@ -69,6 +69,15 @@ def test_spec_validation(overrides):
         simple_spec(**overrides)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", 1.5), ("seed", True), ("n", 2.5), ("n", 50.0), ("d", 10.0), ("d", False)],
+)
+def test_spec_rejects_non_integer_counts_and_seed(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        simple_spec(**{field: value})
+
+
 def test_spec_explicit_offsets_accepted():
     spec = simple_spec(n=3, offsets=(1.0, 2.0, 0.5))
     assert spec.offsets == (1.0, 2.0, 0.5)

@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 
 from mplnbicluster.data import CountMatrix, OffsetVector
 from mplnbicluster.errors import AllRestartsFailed, EmptyComponent, NotPositiveDefinite
-from mplnbicluster.model import elbo_observation, observed_bound
+from mplnbicluster.model import elbo_batch, elbo_observation, observed_bound
 from mplnbicluster.simulate import preset, sample_dataset, spec_offsets
 from mplnbicluster import vem
 from mplnbicluster.vem import (
@@ -189,6 +189,16 @@ def test_update_variational_rejects_indefinite_s():
             np.array([3.0]), 0.0, np.array([1.0]), np.array([[-1.0]]),
             np.zeros(1), np.eye(1),
         )
+
+
+def test_indefinite_s_with_positive_determinant_is_rejected():
+    # det S = 1 > 0, so a sign test on the determinant would let it through
+    s = np.diag([-1.0, -1.0, 1.0])
+    y, m, mu = np.array([1.0, 2.0, 0.0]), np.zeros(3), np.zeros(3)
+    with pytest.raises(NotPositiveDefinite):
+        elbo_batch(y[None], np.zeros(1), m[None], s[None], mu, np.eye(3), 0.0)
+    with pytest.raises(NotPositiveDefinite):
+        update_variational(y, 0.0, m, s, mu, np.eye(3))
 
 
 def test_update_variational_stationarity_1d():
