@@ -292,6 +292,7 @@ def _cmd_fit(effective) -> int:
     mode = _require(effective, "mode", "--mode")
     gmax = _require(effective, "gmax", "--gmax")
     kmax = _require(effective, "kmax", "--kmax")
+    config = FitConfig(**{f.name: effective[f.name] for f in fields(FitConfig)})
     out = _prepare_out(effective)
 
     _require_file(counts_path, "counts")
@@ -311,7 +312,6 @@ def _cmd_fit(effective) -> int:
         except (MplnError, ValueError) as exc:
             raise UsageError(str(exc)) from None
 
-    config = FitConfig(**{f.name: effective[f.name] for f in fields(FitConfig)})
     search = grid_search_equal_k if mode == "equal-k" else fit_varying_k
     best, grid = search(counts, offsets, gmax, kmax, config, jobs=effective["jobs"])
 

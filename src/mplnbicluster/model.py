@@ -95,34 +95,40 @@ class MixtureModel:
 class VariationalState:
     """Per-observation, per-component variational parameters.
 
-    m : (n, G, d) variational means; s : (n, G, d, d) variational
-    covariances; z : (n, G) responsibilities, rows on the simplex.
-
-    This is the dense form used at the API boundary (starting states and
-    ``FitResult.state``).  Inside the fit, component g's covariances are
-    stored per column block of its partition (see ``blocks_from_dense``),
-    so a fitted ``s[:, g]`` is zero outside those blocks unless the
-    partition changed after the last sweep.
+    m : (n, G, d) variational means; z : (n, G) responsibilities, rows on
+    the simplex.  S_ig is stored per column block: ``groups[g]`` holds index
+    arrays partitioning range(d) and ``s[g]`` the (n, b, b) blocks of S_ig
+    on them.  A fitted state's ``groups[g]`` are component g's final blocks,
+    merged with the previous partition's if it changed after the last sweep.
     """
 
     m: np.ndarray
-    s: np.ndarray
+    s: tuple
     z: np.ndarray
+    groups: tuple
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=float)
-        s = np.asarray(self.s, dtype=float)
         z = np.asarray(self.z, dtype=float)
+        s = tuple(tuple(np.asarray(b, dtype=float) for b in blocks) for blocks in self.s)
+        groups = tuple(tuple(np.asarray(idx, dtype=np.intp) for idx in g) for g in self.groups)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "z", z)
+        object.__setattr__(self, "groups", groups)
         if m.ndim != 3:
             raise LengthMismatch(f"m must be (n, G, d), got shape {m.shape}")
         n, G, d = m.shape
-        if s.shape != (n, G, d, d):
-            raise LengthMismatch(f"s shape {s.shape}, expected {(n, G, d, d)}")
         if z.shape != (n, G):
             raise LengthMismatch(f"z shape {z.shape}, expected {(n, G)}")
+        if len(s) != G or len(groups) != G:
+            raise LengthMismatch(f"{len(s)} S and {len(groups)} group tuples for G={G}")
+        for g, (blocks, idxs) in enumerate(zip(s, groups)):
+            cols = np.concatenate((np.empty(0, dtype=np.intp),) + idxs)
+            if not np.array_equal(np.sort(cols), np.arange(d)):
+                raise LengthMismatch(f"groups[{g}] do not partition the {d} columns")
+            if [block.shape for block in blocks] != [(n, i.size, i.size) for i in idxs]:
+                raise LengthMismatch(f"S blocks of component {g} do not match its groups")
         if np.any(z < 0.0) or np.max(np.abs(z.sum(axis=1) - 1.0)) > 1e-8:
             raise ValueError("z rows must lie on the probability simplex")
 
@@ -162,23 +168,21 @@ def elbo_batch(
     logdet_sigma: float,
     log_fact: np.ndarray | None = None,
     logdet_s: np.ndarray | None = None,
-    groups=None,
+    *,
+    groups,
 ) -> np.ndarray:
     """F(q_ig, y_i) for all observations under one component, vectorized.
 
     y, m: (n, d); mu: (d,).  S and Sigma^-1 are block-diagonal over the
-    column blocks ``groups`` (a sequence of index arrays): s holds one
-    (n, b, b) array and sigma_inv one (b, b) array per block, and the
-    quadratic, trace and log-det terms are summed over blocks.  With
-    ``groups`` omitted, s (n, d, d) and sigma_inv (d, d) are dense: the
-    one-block case.  log_fact is sum_j log(y_ij!) per row (computed if
-    omitted); logdet_s may be passed when the caller already has it from a
-    factorization.  Otherwise each block of S is Cholesky-factored, which
-    raises NotPositiveDefinite for an S that is not positive definite.
+    column blocks ``groups`` (index arrays partitioning the columns): s
+    holds one (n, b, b) array and sigma_inv one (b, b) array per block,
+    and the quadratic, trace and log-det terms are summed over blocks.
+    log_fact is sum_j log(y_ij!) per row (computed if omitted); logdet_s
+    may be passed when the caller already has it from a factorization.
+    Otherwise each block of S is Cholesky-factored, which raises
+    NotPositiveDefinite for an S that is not positive definite.
     """
     y = np.asarray(y, dtype=float)
-    if groups is None:
-        groups, s, sigma_inv = (np.arange(m.shape[1]),), (s,), (sigma_inv,)
     if log_fact is None:
         log_fact = gammaln(y + 1.0).sum(axis=1)
     if logdet_s is None:
@@ -215,17 +219,18 @@ def elbo_observation(
     mu: np.ndarray,
     sigma: np.ndarray,
 ) -> float:
-    """Single-observation ELBO F(q, y) under one component."""
+    """Single-observation ELBO F(q, y) under one component; S is one block."""
     sigma_inv, logdet_sigma = inv_logdet_from_cholesky(cholesky(sigma))
     return float(
         elbo_batch(
             np.asarray(y, dtype=float)[None, :],
             np.array([log_c], dtype=float),
             np.asarray(m, dtype=float)[None, :],
-            np.asarray(s, dtype=float)[None, :, :],
+            [np.asarray(s, dtype=float)[None, :, :]],
             np.asarray(mu, dtype=float),
-            sigma_inv,
+            [sigma_inv],
             logdet_sigma,
+            groups=(np.arange(np.size(m)),),
         )[0]
     )
 

@@ -229,8 +229,8 @@ def fit_varying_k(
 def save_grid(grid: SelectionGrid, path, include_timing: bool = True) -> None:
     """Write the grid as CSV.
 
-    Failed cells leave the numeric columns empty and put the error class in
-    the ``converged`` column.  With ``include_timing=False`` the
+    Failed cells leave the numeric columns empty and put ``failed`` in the
+    ``converged`` column.  With ``include_timing=False`` the
     wall_time_ms column is written as 0 so that repeated runs produce
     byte-identical files.
     """

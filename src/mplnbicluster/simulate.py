@@ -89,6 +89,8 @@ class SimSpec:
             object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         if self.n < 1 or self.d < 1:
             raise ValueError("n and d must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         G = len(self.pi)
         if G < 1:
             raise ValueError("need at least one component")

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -82,6 +84,17 @@ __all__ = [
     "save_labels",
 ]
 
+def _integer(name, value, low):
+    """``value`` as an int; ValueError naming ``name`` unless it is an
+    integer of at least ``low``."""
+    # bool is an Integral too, but True is no count
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Knobs for a single fit.  Defaults are the package-wide defaults."""
@@ -95,14 +108,14 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_em_iter < 1:
-            raise ValueError("max_em_iter must be at least 1")
-        if self.elbo_rel_tol <= 0 or self.inner_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.inner_iter < 1:
-            raise ValueError("inner_iter must be at least 1")
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be at least 1")
+        for name, low in (("max_em_iter", 1), ("inner_iter", 1), ("n_starts", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
+        for name in ("elbo_rel_tol", "inner_tol"):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            # the comparison is False for NaN as well
+            if not (real and 0.0 < value < math.inf):
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
         if self.linkage not in LINKAGES:
             raise ValueError(
                 f"linkage must be one of {LINKAGES}, got {self.linkage!r}"
@@ -116,8 +129,7 @@ class EqualK:
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
+        object.__setattr__(self, "k", _integer("k", self.k, 1))
 
 
 @dataclass(frozen=True)
@@ -127,9 +139,9 @@ class PerGroupK:
     ks: tuple
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ks", tuple(int(k) for k in self.ks))
-        if any(k < 1 for k in self.ks):
-            raise ValueError("all block counts must be at least 1")
+        object.__setattr__(
+            self, "ks", tuple(_integer(f"ks[{i}]", k, 1) for i, k in enumerate(self.ks))
+        )
 
 
 @dataclass(frozen=True)
@@ -139,8 +151,7 @@ class SilhouetteK:
     k_max: int
 
     def __post_init__(self) -> None:
-        if self.k_max < 1:
-            raise ValueError("k_max must be at least 1")
+        object.__setattr__(self, "k_max", _integer("k_max", self.k_max, 1))
 
 
 KSpec = Union[EqualK, PerGroupK, SilhouetteK]
@@ -149,7 +160,7 @@ KSpec = Union[EqualK, PerGroupK, SilhouetteK]
 @dataclass
 class FitResult:
     model: MixtureModel
-    state: Optional[VariationalState]  # grid searches drop this to save memory
+    state: Optional[VariationalState]  # S in column blocks; searches drop it
     labels: np.ndarray  # (n,) int, 1-based component assignments
     elbo_trace: np.ndarray  # observed-data bound per iteration
     lower_bound: float  # responsibility-weighted bound at the final state
@@ -229,9 +240,9 @@ def initialize(
     """Starting point for one restart.
 
     Variational means start at the shifted log counts, covariances at
-    0.1 * I.  Responsibilities are hard k-means labels on the log counts
-    for restart 0 and Dirichlet(1) draws for later restarts, so the first
-    start is a strong guess and the rest explore.
+    0.1 * I in 1 x 1 blocks.  Responsibilities are hard k-means labels on
+    the log counts for restart 0 and Dirichlet(1) draws for later restarts,
+    so the first start is a strong guess and the rest explore.
     """
     y = counts.counts
     n, d = y.shape
@@ -239,7 +250,9 @@ def initialize(
         raise ValueError(f"G must be between 1 and n={n}, got {G}")
     m0 = np.log((y + 0.5) / offsets.c[:, None])
     m = np.repeat(m0[:, None, :], G, axis=1)
-    s = np.broadcast_to(0.1 * np.eye(d), (n, G, d, d)).copy()
+    # views into one (n, d, 1, 1) array: the first scatter sums them over the
+    # rows in the same order as a dense S, so G = 1 fits match it bit for bit
+    s = tuple(tuple(np.full((n, d, 1, 1), 0.1).transpose(1, 0, 2, 3)) for _ in range(G))
     if G == 1:
         z = np.ones((n, 1))
     else:
@@ -250,7 +263,7 @@ def initialize(
             z[np.arange(n), hard] = 1.0
         else:
             z = rng.dirichlet(np.ones(G), size=n)
-    return VariationalState(m=m, s=s, z=z)
+    return VariationalState(m=m, s=s, z=z, groups=(tuple(np.arange(d)[:, None]),) * G)
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +388,12 @@ def update_variational(y, log_c, m, s, mu, sigma, inner_iter=FitConfig.inner_ite
     m = np.asarray(m, dtype=float)[None, :]
     s = np.asarray(s, dtype=float)[None, :, :]
     mu = np.asarray(mu, dtype=float)
+    groups = (np.arange(m.shape[1]),)
     log_fact = gammaln(y + 1.0).sum(axis=1)
-    f_start = elbo_batch(y, log_c, m, s, mu, sigma_inv, logdet_sigma, log_fact=log_fact)
+    f_start = elbo_batch(y, log_c, m, [s], mu, [sigma_inv], logdet_sigma,
+                         log_fact=log_fact, groups=groups)
     m_out, s_out = _sweep_batch(
-        y, log_c, m, [s], mu, [sigma_inv], logdet_sigma, (np.arange(m.shape[1]),),
+        y, log_c, m, [s], mu, [sigma_inv], logdet_sigma, groups,
         log_fact, f_start, inner_iter, inner_tol,
     )
     return m_out[0], s_out[0][0]
@@ -422,16 +437,14 @@ def m_step_mu(z: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.einsum("ng,ngd->gd", z, m) / mass[:, None]
 
 
-def compute_scatter(z_g, m_g, s_g, mu_g, groups=None):
+def compute_scatter(z_g, m_g, s_g, mu_g, groups):
     """Weighted second-moment matrix W_g around the component mean.
 
-    ``s_g`` is dense (n, d, d), or with ``groups`` one (n, b, b) array per
-    column block, whose weighted mean lands on that block of W.
+    ``s_g`` holds one (n, b, b) array per column block in ``groups``, and
+    each block's weighted mean lands on that block of W.
     """
     mass = z_g.sum()
     dm = m_g - mu_g
-    if groups is None:
-        groups, s_g = (np.arange(dm.shape[1]),), (s_g,)
     w = np.einsum("n,ni,nj->ij", z_g, dm, dm)
     for idx, s_b in zip(groups, s_g):
         w[np.ix_(idx, idx)] += np.einsum("n,nij->ij", z_g, s_b)
@@ -557,9 +570,7 @@ def fit_from_state(
     m = state.m.copy()
     z = state.z.copy()
     log_fact = gammaln(y + 1.0).sum(axis=1)
-    # S starts as one dense block per component
-    groups = [(np.arange(d),)] * G
-    s = [[state.s[:, g]] for g in range(G)]
+    groups, s = list(state.groups), list(state.s)
     sigma = np.empty((G, d, d))
     lowers = [None] * G
     partitions = [None] * G
@@ -603,13 +614,7 @@ def fit_from_state(
                 groups[g], log_fact, f[:, g], config.inner_iter, config.inner_tol,
             )
 
-    # blocks go straight into the dense API state: a dense temporary per
-    # component would raise the fit's peak memory
-    s_dense = np.zeros((n, G, d, d))
-    for g in range(G):
-        for idx, block in zip(groups[g], s[g]):
-            s_dense[:, g, idx[:, None], idx] = block
-    final_state = VariationalState(m=m, s=s_dense, z=z)
+    final_state = VariationalState(m=m, s=s, z=z, groups=groups)
     model = MixtureModel(
         pi=pi, mu=mu, sigma=sigma, groupings=tuple(partitions)
     )
@@ -671,9 +676,9 @@ def fit(
 def result_to_dict(result: FitResult) -> dict:
     """JSON-ready view of a fit: model plus trace, labels and diagnostics.
 
-    The variational state is deliberately left out: its dense API form is
-    O(n G d^2) (the fit itself stores only the diagonal blocks) and it can
-    be recomputed from the model if needed.
+    The variational state is deliberately left out: its S blocks take
+    O(n sum_b b^2) numbers per component, and the state can be recomputed
+    from the model if needed.
     """
     return {
         "model": model_to_dict(result.model),

@@ -9,6 +9,7 @@ drops only exact zeros, and that moving S onto any new partition never
 lowers a bound.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,12 @@ from dense_reference import elbo_dense, s_fixed_point_dense, sweep_dense
 from mplnbicluster import vem
 from mplnbicluster.colgroup import ColumnPartition, block_project
 from mplnbicluster.data import CountMatrix, OffsetVector
-from mplnbicluster.model import blocks_from_dense, dense_from_blocks, elbo_batch
+from mplnbicluster.model import (
+    VariationalState,
+    blocks_from_dense,
+    dense_from_blocks,
+    elbo_batch,
+)
 from mplnbicluster.simulate import preset, sample_dataset, spec_offsets
 from mplnbicluster.vem import EqualK, FitConfig, SilhouetteK, compute_scatter, fit, reblock
 
@@ -115,7 +121,7 @@ def test_block_sweep_matches_dense_reference(data, n, seed, inner_iter):
     z = np.random.default_rng(seed).uniform(0.1, 1.0, size=n)
     np.testing.assert_allclose(
         compute_scatter(z, m_out, s_out, mu, groups),
-        compute_scatter(z, m_ref, s_ref, mu), **TOL,
+        compute_scatter(z, m_ref, [s_ref], mu, (np.arange(part.d),)), **TOL,
     )
 
 
@@ -215,6 +221,59 @@ def test_fit_trace_does_not_depend_on_the_block_layout(monkeypatch):
     assert np.array_equal(plain.elbo_trace, copied.elbo_trace)
 
 
+@pytest.mark.parametrize("G", [1, 2])
+def test_fit_from_singleton_blocks_matches_the_dense_start(G):
+    # differential test against the dense start: S = 0.1 * I stored as one
+    # d x d block per component instead of d blocks of 1 x 1.  The first
+    # pass moves both onto the partition's blocks with the same entries, so
+    # the two fits must agree exactly (no tolerance), through the partition
+    # changes of this silhouette fit (restart 2, as above).  With G = 1 the
+    # responsibilities are one contiguous column, which the first scatter
+    # sums in another order over a contiguous 1 x 1 block.
+    spec = replace(preset(11), n=200)
+    counts, _ = sample_dataset(spec)
+    offsets = spec_offsets(spec)
+    n, d = counts.n, counts.d
+    start = vem.initialize(counts, offsets, G, 0, 2)
+    dense_start = VariationalState(
+        m=start.m,
+        s=tuple((np.broadcast_to(0.1 * np.eye(d), (n, d, d)).copy(),) for _ in range(G)),
+        z=start.z,
+        groups=((np.arange(d),),) * G,
+    )
+    config = FitConfig(n_starts=1, seed=0)
+    blocks = vem.fit_from_state(counts, offsets, start, SilhouetteK(5), config, restart=2)
+    dense = vem.fit_from_state(counts, offsets, dense_start, SilhouetteK(5), config, restart=2)
+    assert len(blocks.elbo_trace) > 3
+    assert np.array_equal(blocks.elbo_trace, dense.elbo_trace)
+    assert np.array_equal(blocks.labels, dense.labels)
+    assert blocks.bic == dense.bic
+    assert np.array_equal(blocks.state.m, dense.state.m)
+    for g in range(G):
+        assert np.array_equal(
+            dense_from_blocks(blocks.state.s[g], blocks.state.groups[g], d),
+            dense_from_blocks(dense.state.s[g], dense.state.groups[g], d),
+        )
+
+
+def test_fit_peak_memory_stays_below_one_dense_s():
+    # S is stored per column block from the start state to the result, so
+    # a fit on ten blocks of five columns never holds a dense (n, G, d, d)
+    # S; tracemalloc sees numpy's allocations
+    spec = replace(preset(4), n=200)
+    counts, _ = sample_dataset(spec)
+    offsets = spec_offsets(spec)
+    G = 2
+    dense_s_bytes = counts.n * G * counts.d ** 2 * 8
+    tracemalloc.start()
+    try:
+        fit(counts, offsets, G, EqualK(10), FitConfig(n_starts=1, max_em_iter=3, seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_s_bytes
+
+
 def two_blob_counts(seed=12, n=40):
     rng = np.random.default_rng(seed)
     lam = np.where(np.arange(n)[:, None] < n // 2, 4.0, 15.0) * np.ones((1, 4))
@@ -224,16 +283,16 @@ def two_blob_counts(seed=12, n=40):
     return counts, OffsetVector(np.ones(n))
 
 
-def test_fit_state_is_dense_and_zero_outside_the_final_blocks():
+def test_fit_state_blocks_sit_on_the_final_partitions():
     counts, offsets = two_blob_counts()
     result = fit(counts, offsets, G=2, k_spec=EqualK(2),
                  config=FitConfig(n_starts=1, max_em_iter=20, seed=1))
-    assert result.state.s.shape == (40, 2, 4, 4)
-    # no partition changes after the last sweep of this fit, so S sits
-    # exactly on the final blocks
+    # no partition changes after the last sweep of this fit, so S is
+    # stored exactly on the final blocks
     for g, part in enumerate(result.model.groupings):
-        outside = part.assign[:, None] != part.assign[None, :]
-        assert np.all(result.state.s[:, g][:, outside] == 0.0)
+        groups = result.state.groups[g]
+        assert [idx.tolist() for idx in groups] == [idx.tolist() for idx in part.groups()]
+        assert [b.shape for b in result.state.s[g]] == [(40, i.size, i.size) for i in groups]
 
 
 def test_fit_single_component_runs_one_start(monkeypatch):
@@ -259,16 +318,20 @@ def test_fit_single_component_runs_one_start(monkeypatch):
 
 @pytest.mark.parametrize("d", [1, 3])
 def test_dense_and_one_block_forms_agree(d):
-    # groups omitted means one dense block
+    # a dense S is the one-block case of the block-stored bound and scatter
     rng = np.random.default_rng(d)
     part = ColumnPartition(np.ones(d, dtype=np.int64), 1)
     y, log_c, m, s, mu, sigma = problem(7, part, 5)
     sigma_inv, logdet_sigma = dense_inverse(sigma)
     groups = (np.arange(d),)
+    # with log det S given, both do the same arithmetic on the same numbers
+    logdet_s = np.linalg.slogdet(s)[1]
     assert np.array_equal(
-        elbo_batch(y, log_c, m, s, mu, sigma_inv, logdet_sigma),
-        elbo_batch(y, log_c, m, [s], mu, [sigma_inv], logdet_sigma, groups=groups),
+        elbo_batch(y, log_c, m, [s], mu, [sigma_inv], logdet_sigma, logdet_s=logdet_s,
+                   groups=groups),
+        elbo_dense(y, log_c, m, s, mu, sigma_inv, logdet_sigma, logdet_s=logdet_s),
     )
     z = rng.uniform(size=5)
-    assert np.array_equal(compute_scatter(z, m, s, mu),
-                          compute_scatter(z, m, [s], mu, groups))
+    dm = m - mu
+    w = (np.einsum("n,ni,nj->ij", z, dm, dm) + np.einsum("n,nij->ij", z, s)) / z.sum()
+    assert np.array_equal(compute_scatter(z, m, [s], mu, groups), 0.5 * (w + w.T))

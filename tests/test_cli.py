@@ -189,6 +189,14 @@ def test_simulate_rejects_a_non_integer_spec_field(tmp_path, capsys, field, valu
     assert f"{field} must be an integer" in capsys.readouterr().err
 
 
+def test_simulate_rejects_a_negative_seed(spec_file, tmp_path, capsys):
+    rc = main(["simulate", "--spec", str(spec_file), "--seed", "-3",
+               "-o", str(tmp_path / "o")])
+    assert rc == 2
+    assert "seed must be at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_seed_flag_overrides_spec(spec_file, sim_dir, tmp_path):
     out = tmp_path / "seeded"
     assert main(
@@ -369,6 +377,31 @@ def test_simulate_config_rejects_a_list_for_the_spec(tmp_path, capsys):
     rc = main(["simulate", "--config", str(cfg), "-o", str(tmp_path / "o")])
     assert rc == 2
     assert "config key 'spec'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("elbo_rel_tol", "nan"), ("elbo_rel_tol", "inf"), ("inner_tol", "nan"),
+     ("inner_tol", "0"), ("seed", "-3"), ("max_em_iter", "0"), ("n_starts", "0")],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_fit_rejects_bad_fit_config_values(sim_dir, tmp_path, capsys, key, value, source):
+    # flags and config files go through the same FitConfig checks
+    if source == "flag":
+        extra = ["--" + key.replace("_", "-"), value]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: float(value) if "tol" in key else int(value)}))
+        extra = ["--config", str(cfg)]
+    rc = main(
+        ["fit", "--counts", str(sim_dir / "counts.csv"), "--mode", "equal-k",
+         "--gmax", "1", "--kmax", "1", *extra, "-o", str(tmp_path / "o")]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    # a config file's NaN or Infinity already fails the JSON type check
+    assert f"{key} must be" in err or f"config key {key!r}" in err
     assert not (tmp_path / "o").exists()
 
 

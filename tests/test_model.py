@@ -302,11 +302,26 @@ def test_model_json_blocks_are_variable_indices():
 def test_variational_state_validation():
     n, G, d = 4, 2, 3
     m = np.zeros((n, G, d))
-    s = np.broadcast_to(np.eye(d), (n, G, d, d)).copy()
+    groups = ((np.array([0, 2]), np.array([1])),) * G
+    s = ((np.broadcast_to(np.eye(2), (n, 2, 2)), np.ones((n, 1, 1))),) * G
     z = np.full((n, G), 0.5)
-    state = VariationalState(m, s, z)
+    state = VariationalState(m, s, z, groups)
     assert state.n == n and state.G == G
     with pytest.raises(ValueError):
-        VariationalState(m, s, np.full((n, G), 0.4))
+        VariationalState(m, s, np.full((n, G), 0.4), groups)
+    # one component's S or groups missing
     with pytest.raises(LengthMismatch):
-        VariationalState(m, s[:, :, :2, :2], z)
+        VariationalState(m, s[:1], z, groups)
+    with pytest.raises(LengthMismatch):
+        VariationalState(m, s, z, groups[:1])
+    # groups that miss, repeat or overrun a column
+    for bad in ((np.array([0, 2]),), (np.array([0, 2]), np.array([2])),
+                (np.array([0, 3]), np.array([1]))):
+        with pytest.raises(LengthMismatch):
+            VariationalState(m, s, z, (bad, groups[1]))
+    # a block of the wrong size, or with the wrong number of rows
+    for block in (np.ones((n, 2, 2)), np.ones((n + 1, 1, 1))):
+        with pytest.raises(LengthMismatch):
+            VariationalState(m, (s[0], (s[1][0], block)), z, groups)
+    with pytest.raises(LengthMismatch):
+        VariationalState(m, (s[0], s[1][:1]), z, groups)

@@ -78,6 +78,11 @@ def test_spec_rejects_non_integer_counts_and_seed(field, value):
         simple_spec(**{field: value})
 
 
+def test_spec_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be at least 0"):
+        simple_spec(seed=-1)
+
+
 def test_spec_explicit_offsets_accepted():
     spec = simple_spec(n=3, offsets=(1.0, 2.0, 0.5))
     assert spec.offsets == (1.0, 2.0, 0.5)

@@ -8,7 +8,13 @@ from scipy.optimize import minimize
 
 from mplnbicluster.data import CountMatrix, OffsetVector
 from mplnbicluster.errors import AllRestartsFailed, EmptyComponent, NotPositiveDefinite
-from mplnbicluster.model import elbo_batch, elbo_observation, observed_bound
+from mplnbicluster.model import (
+    blocks_from_dense,
+    dense_from_blocks,
+    elbo_batch,
+    elbo_observation,
+    observed_bound,
+)
 from mplnbicluster.simulate import preset, sample_dataset, spec_offsets
 from mplnbicluster import vem
 from mplnbicluster.vem import (
@@ -72,6 +78,37 @@ def test_config_defaults():
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         FitConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("elbo_rel_tol", float("nan")), ("elbo_rel_tol", float("inf")),
+     ("inner_tol", float("nan")), ("inner_tol", True), ("max_em_iter", 2.5),
+     ("max_em_iter", True), ("inner_iter", 3.0), ("n_starts", False),
+     ("seed", 1.5), ("seed", -1)],
+)
+def test_config_rejects_bad_field_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        FitConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "spec, value, name",
+    [(EqualK, 2.5, "k"), (EqualK, True, "k"), (SilhouetteK, 3.0, "k_max"),
+     (SilhouetteK, False, "k_max"), (PerGroupK, (2.7, 1), r"ks\[0\]"),
+     (PerGroupK, (2, True), r"ks\[1\]"), (PerGroupK, ("2", 1), r"ks\[0\]")],
+)
+def test_block_counts_reject_non_integers(spec, value, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        spec(value)
+
+
+def test_config_and_block_counts_take_numpy_integers():
+    config = FitConfig(max_em_iter=np.int64(7), seed=np.uint32(3))
+    assert (config.max_em_iter, config.seed) == (7, 3)
+    assert type(config.seed) is int
+    assert EqualK(np.int64(2)).k == 2
+    assert PerGroupK((np.int32(1), 2)).ks == (1, 2)
 
 
 def test_k_spec_validation():
@@ -196,7 +233,8 @@ def test_indefinite_s_with_positive_determinant_is_rejected():
     s = np.diag([-1.0, -1.0, 1.0])
     y, m, mu = np.array([1.0, 2.0, 0.0]), np.zeros(3), np.zeros(3)
     with pytest.raises(NotPositiveDefinite):
-        elbo_batch(y[None], np.zeros(1), m[None], s[None], mu, np.eye(3), 0.0)
+        elbo_batch(y[None], np.zeros(1), m[None], [s[None]], mu, [np.eye(3)], 0.0,
+                   groups=(np.arange(3),))
     with pytest.raises(NotPositiveDefinite):
         update_variational(y, 0.0, m, s, mu, np.eye(3))
 
@@ -282,7 +320,7 @@ def test_compute_scatter_hand_example():
     z = np.array([1.0, 1.0])
     m = np.array([[1.0, 0.0], [-1.0, 0.0]])
     s = np.array([np.eye(2) * 0.2, np.eye(2) * 0.4])
-    w = compute_scatter(z, m, s, np.zeros(2))
+    w = compute_scatter(z, m, [s], np.zeros(2), (np.arange(2),))
     # mean of outer products diag (1, 0) plus mean S diag (0.3, 0.3)
     assert np.allclose(w, np.diag([1.3, 0.3]), atol=1e-12)
 
@@ -292,7 +330,7 @@ def test_compute_scatter_symmetric_psd():
     z = rng.uniform(0.1, 1.0, size=8)
     m = rng.normal(size=(8, 3))
     s = np.broadcast_to(np.eye(3) * 0.1, (8, 3, 3)).copy()
-    w = compute_scatter(z, m, s, rng.normal(size=3))
+    w = compute_scatter(z, m, [s], rng.normal(size=3), (np.arange(3),))
     assert np.allclose(w, w.T, atol=1e-15)
     assert np.linalg.eigvalsh(w).min() > 0
 
@@ -307,13 +345,17 @@ def test_initialize_values_and_shapes():
     offsets = OffsetVector(np.array([1.0, 2.0, 1.0, 1.0]))
     state = initialize(counts, offsets, G=2, seed=0, restart=0)
     assert state.m.shape == (4, 2, 2)
-    assert state.s.shape == (4, 2, 2, 2)
     assert state.z.shape == (4, 2)
+    # S is 0.1 * I, stored as one 1 x 1 block per column and component
+    for g in range(2):
+        assert [idx.tolist() for idx in state.groups[g]] == [[0], [1]]
+        assert [b.shape for b in state.s[g]] == [(4, 1, 1), (4, 1, 1)]
+        assert np.array_equal(dense_from_blocks(state.s[g], state.groups[g], 2),
+                              np.broadcast_to(0.1 * np.eye(2), (4, 2, 2)))
     # m starts at log((y + 0.5) / C) for every component
     assert state.m[0, 0, 0] == pytest.approx(np.log(0.5), abs=1e-12)
     assert state.m[1, 1, 0] == pytest.approx(np.log(5.5 / 2.0), abs=1e-12)
     assert np.array_equal(state.m[:, 0], state.m[:, 1])
-    assert np.allclose(state.s, np.broadcast_to(0.1 * np.eye(2), (4, 2, 2, 2)))
     # restart 0 is a hard assignment
     assert set(np.unique(state.z)) <= {0.0, 1.0}
     assert np.allclose(state.z.sum(axis=1), 1.0)
@@ -483,11 +525,12 @@ def test_fit_trace_final_consistency():
     f = np.empty((50, 2))
     for g in range(2):
         inv, logdet = inv_logdet_from_cholesky(cholesky(result.model.sigma[g]))
+        groups = result.state.groups[g]
         f[:, g] = elbo_batch(
             y, offsets.log,
-            result.state.m[:, g], result.state.s[:, g],
-            result.model.mu[g], inv, logdet,
-            log_fact=log_fact,
+            result.state.m[:, g], result.state.s[g],
+            result.model.mu[g], blocks_from_dense(inv, groups), logdet,
+            log_fact=log_fact, groups=groups,
         )
     assert observed_bound(f, result.model.pi) == pytest.approx(
         result.elbo_trace[-1], rel=1e-12
@@ -504,7 +547,8 @@ def test_fit_permutation_equivariance():
     from mplnbicluster.model import VariationalState
 
     swapped = VariationalState(
-        m=state.m[:, ::-1].copy(), s=state.s[:, ::-1].copy(), z=state.z[:, ::-1].copy()
+        m=state.m[:, ::-1].copy(), s=state.s[::-1], z=state.z[:, ::-1].copy(),
+        groups=state.groups[::-1],
     )
     rev = fit_from_state(counts, offsets, swapped, EqualK(2), config)
     assert np.array_equal(rev.model.mu, fwd.model.mu[::-1])
@@ -566,10 +610,11 @@ def test_fit_g1_matches_single_component_math():
         counts, unit_offsets(40), G=1, k_spec=EqualK(3),
         config=FitConfig(n_starts=1, max_em_iter=40, seed=0),
     )
+    s = dense_from_blocks(result.state.s[0], result.state.groups[0], 3)
     total = sum(
         elbo_observation(
             y[i].astype(float), 0.0,
-            result.state.m[i, 0], result.state.s[i, 0],
+            result.state.m[i, 0], s[i],
             result.model.mu[0], result.model.sigma[0],
         )
         for i in range(40)
