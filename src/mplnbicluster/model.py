@@ -141,23 +141,6 @@ class VariationalState:
         return self.m.shape[1]
 
 
-def blocks_from_dense(s: np.ndarray, groups) -> list[np.ndarray]:
-    """The diagonal blocks s[..., idx, idx] of a (..., d, d) stack, one per
-    index array in ``groups``; entries outside the blocks are dropped.
-
-    The blocks are C-contiguous like the sweep's, because the bound sums
-    them in an order that follows their memory layout."""
-    return [np.ascontiguousarray(s[..., idx[:, None], idx]) for idx in groups]
-
-
-def dense_from_blocks(blocks, groups, d: int) -> np.ndarray:
-    """The (..., d, d) stack holding ``blocks`` on their columns, zero elsewhere."""
-    out = np.zeros(blocks[0].shape[:-2] + (d, d))
-    for idx, block in zip(groups, blocks):
-        out[..., idx[:, None], idx] = block
-    return out
-
-
 def elbo_batch(
     y: np.ndarray,
     log_c: np.ndarray,

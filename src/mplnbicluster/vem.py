@@ -50,8 +50,6 @@ from .model import (
     MixtureModel,
     VariationalState,
     bic,
-    blocks_from_dense,
-    dense_from_blocks,
     elbo_batch,
     lower_bound,
     model_from_dict,
@@ -151,7 +149,8 @@ class SilhouetteK:
     k_max: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k_max", _integer("k_max", self.k_max, 1))
+        # the silhouette needs two blocks to compare
+        object.__setattr__(self, "k_max", _integer("k_max", self.k_max, 2))
 
 
 KSpec = Union[EqualK, PerGroupK, SilhouetteK]
@@ -175,8 +174,8 @@ class FitResult:
 
 
 def _normalize_k_spec(k_spec, G: int, d: int) -> KSpec:
-    if isinstance(k_spec, int):
-        k_spec = EqualK(k_spec)
+    if isinstance(k_spec, numbers.Integral):
+        k_spec = EqualK(k_spec)  # which rejects a bool
     elif isinstance(k_spec, (tuple, list)):
         k_spec = PerGroupK(tuple(k_spec))
     if isinstance(k_spec, EqualK):
@@ -191,6 +190,8 @@ def _normalize_k_spec(k_spec, G: int, d: int) -> KSpec:
             raise ValueError("a per-component block count exceeds the dimension")
     elif not isinstance(k_spec, SilhouetteK):
         raise TypeError(f"unsupported block-count request: {k_spec!r}")
+    elif d < 2:
+        raise ValueError(f"SilhouetteK needs at least 2 variables, got {d}")
     return k_spec
 
 
@@ -400,17 +401,30 @@ def update_variational(y, log_c, m, s, mu, sigma, inner_iter=FitConfig.inner_ite
 
 
 def reblock(s, old_groups, new_groups):
-    """Move per-block covariances onto a new column partition.
+    """Move (..., b, b) blocks on the column index arrays ``old_groups``
+    onto ``new_groups`` (a dense (..., d, d) array is the layout
+    ``(np.arange(d),)``), filling each new block from the old ones it
+    overlaps; the new blocks are C-contiguous, like the sweep's.
 
-    Entries that fall inside a new block are carried over; entries that
-    cross the new blocks are dropped.  The ELBO's trace and rate terms see
-    only in-block entries under a Sigma that is block-diagonal on the new
-    partition, and log det S <= sum_b log det S_bb (Fischer's inequality),
-    so no observation's bound goes down, and every new block is a principal
-    submatrix of a positive-definite S.
+    Entries that cross the new blocks are dropped.  The ELBO's trace and
+    rate terms see only in-block entries under a Sigma that is
+    block-diagonal on the new partition, and log det S <= sum_b log det
+    S_bb (Fischer's inequality), so no observation's bound goes down, and
+    every new block is a principal submatrix of a positive-definite S.
     """
-    d = sum(len(idx) for idx in old_groups)
-    return blocks_from_dense(dense_from_blocks(s, old_groups, d), new_groups)
+    owner, position = np.empty((2, sum(idx.size for idx in old_groups)), dtype=np.intp)
+    for b, idx in enumerate(old_groups):
+        owner[idx] = b
+        position[idx] = np.arange(idx.size)
+    out = []
+    for idx in new_groups:
+        block = np.zeros(s[0].shape[:-2] + (idx.size, idx.size))
+        for b in np.unique(owner[idx]):
+            here = np.flatnonzero(owner[idx] == b)
+            there = position[idx[here]]
+            block[..., here[:, None], here] = s[b][..., there[:, None], there]
+        out.append(block)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 These are the sweep, the two coordinate updates and the ELBO as they were
 when every variational covariance S was stored, factored and inverted as a
-dense d x d matrix.  The package now stores S and Sigma^-1 per column block;
-``tests/test_blocks.py`` checks it against this copy.
+dense d x d matrix, and the two conversions between dense stacks and
+column blocks that moved S between partitions by way of a dense (n, d, d)
+stack.  The package now stores S and Sigma^-1 per column block and moves
+blocks with ``vem.reblock``; ``tests/test_blocks.py`` checks it against
+this copy.
 """
 
 import numpy as np
@@ -11,6 +14,20 @@ from scipy.special import gammaln
 
 from mplnbicluster.errors import NotPositiveDefinite
 from mplnbicluster.model import EXP_CAP
+
+
+def blocks_from_dense(s, groups):
+    """The diagonal blocks s[..., idx, idx] of a (..., d, d) stack, one per
+    index array in ``groups``, C-contiguous; entries outside them are dropped."""
+    return [np.ascontiguousarray(s[..., idx[:, None], idx]) for idx in groups]
+
+
+def dense_from_blocks(blocks, groups, d):
+    """The (..., d, d) stack holding ``blocks`` on their columns, zero elsewhere."""
+    out = np.zeros(blocks[0].shape[:-2] + (d, d))
+    for idx, block in zip(groups, blocks):
+        out[..., idx[:, None], idx] = block
+    return out
 
 
 def elbo_dense(y, log_c, m, s, mu, sigma_inv, logdet_sigma, log_fact=None, logdet_s=None):

@@ -4,9 +4,11 @@ The fit stores each component's S and Sigma^-1 per column block: the blocks
 of its partition, merged with S's old blocks right after a partition
 change.  These tests draw random partitions (one block, all singletons, and
 mixed, d = 1 included) and check the block sweep, ELBO and scatter against
-the dense copies in ``dense_reference``, that moving S between storages
-drops only exact zeros, and that moving S onto any new partition never
-lowers a bound.
+the dense copies in ``dense_reference``; that ``vem.reblock``, which moves
+blocks from one column layout to another without a dense stack, matches
+the dense round trip exactly; that moving S between storages drops only
+exact zeros and never builds a dense (n, d, d) stack; and that moving S
+onto any new partition never lowers a bound.
 """
 
 import tracemalloc
@@ -18,16 +20,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from dense_reference import elbo_dense, s_fixed_point_dense, sweep_dense
+from dense_reference import (
+    blocks_from_dense,
+    dense_from_blocks,
+    elbo_dense,
+    s_fixed_point_dense,
+    sweep_dense,
+)
 from mplnbicluster import vem
 from mplnbicluster.colgroup import ColumnPartition, block_project
 from mplnbicluster.data import CountMatrix, OffsetVector
-from mplnbicluster.model import (
-    VariationalState,
-    blocks_from_dense,
-    dense_from_blocks,
-    elbo_batch,
-)
+from mplnbicluster.model import VariationalState, elbo_batch
 from mplnbicluster.simulate import preset, sample_dataset, spec_offsets
 from mplnbicluster.vem import EqualK, FitConfig, SilhouetteK, compute_scatter, fit, reblock
 
@@ -54,6 +57,13 @@ def partitions(draw, d=None):
     seen = {}
     assign = [seen.setdefault(lbl, len(seen) + 1) for lbl in labels]
     return ColumnPartition(np.array(assign), len(seen))
+
+
+@st.composite
+def layouts(draw, d):
+    """A partition of d columns as index arrays, blocks and columns shuffled."""
+    blocks = [draw(st.permutations(idx.tolist())) for idx in draw(partitions(d=d)).groups()]
+    return [np.array(idx, dtype=np.intp) for idx in draw(st.permutations(blocks))]
 
 
 def random_pd(rng, d, lead=()):
@@ -186,6 +196,33 @@ def test_reblock_keeps_in_block_entries_and_drops_the_rest():
     assert np.array_equal(dense_from_blocks(moved, new.groups(), 4), s * expected)
 
 
+@SETTINGS
+@given(data=st.data(), n=st.one_of(st.none(), st.integers(1, 4)),
+       seed=st.integers(0, 2**32 - 1))
+def test_reblock_matches_the_dense_round_trip(data, n, seed):
+    # differential test, exact: reblock copies the same entries into zeros
+    # that the dense round trip does, for S blocks (n, b, b) and for a
+    # Sigma^-1 without leading axes (n None), with index arrays in any order
+    d = data.draw(st.integers(1, 6))
+    old = data.draw(layouts(d))
+    new = data.draw(layouts(d))
+    lead = () if n is None else (n,)
+    rng = np.random.default_rng(seed)
+    s = [rng.normal(size=lead + (idx.size, idx.size)) for idx in old]
+    moved = reblock(s, old, new)
+    expected = blocks_from_dense(dense_from_blocks(s, old, d), new)
+    assert len(moved) == len(expected)
+    for block, ref in zip(moved, expected):
+        assert block.shape == ref.shape
+        assert np.array_equal(block, ref)
+        assert block.flags.c_contiguous
+    # a dense array is the one-block layout
+    dense = dense_from_blocks(s, old, d)
+    assert np.array_equal(reblock(s, old, (np.arange(d),))[0], dense)
+    for block, ref in zip(reblock([dense], (np.arange(d),), new), expected):
+        assert np.array_equal(block, ref)
+
+
 def test_reblock_returns_c_contiguous_blocks():
     rng = np.random.default_rng(4)
     old = ColumnPartition(np.array([1, 1, 2, 2, 2]), 2)
@@ -272,6 +309,27 @@ def test_fit_peak_memory_stays_below_one_dense_s():
     finally:
         tracemalloc.stop()
     assert peak < dense_s_bytes
+
+
+def test_store_blocks_moves_s_without_a_dense_stack():
+    # initialize's 1 x 1 blocks onto ten blocks of five columns, as the first
+    # pass of a preset-4 fit does: the move holds the new blocks (0.1 of a
+    # dense stack) and block-sized temporaries, never an (n, d, d) array
+    n, d = 200, 50
+    counts = CountMatrix(np.ones((n, d), dtype=np.int64), tuple(f"s{i}" for i in range(n)),
+                         tuple(f"v{j}" for j in range(d)))
+    state = vem.initialize(counts, OffsetVector(np.ones(n)), 1, 0, 0)
+    part = ColumnPartition(np.repeat(np.arange(1, 11), 5), 10)
+    tracemalloc.start()
+    try:
+        groups, s = vem._store_blocks(part, state.groups[0], state.s[0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [idx.tolist() for idx in groups] == [idx.tolist() for idx in part.groups()]
+    assert np.array_equal(dense_from_blocks(s, groups, d),
+                          np.broadcast_to(0.1 * np.eye(d), (n, d, d)))
+    assert peak < 0.25 * n * d * d * 8
 
 
 def two_blob_counts(seed=12, n=40):

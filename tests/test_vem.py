@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from dense_reference import blocks_from_dense, dense_from_blocks
 from mplnbicluster.data import CountMatrix, OffsetVector
 from mplnbicluster.errors import AllRestartsFailed, EmptyComponent, NotPositiveDefinite
 from mplnbicluster.model import (
-    blocks_from_dense,
-    dense_from_blocks,
     elbo_batch,
     elbo_observation,
     observed_bound,
@@ -120,10 +119,19 @@ def test_k_spec_validation():
         fit(counts, offsets, G=2, k_spec=PerGroupK((2,)), config=FitConfig(n_starts=1))
     with pytest.raises(TypeError):
         fit(counts, offsets, G=2, k_spec="three", config=FitConfig(n_starts=1))
+    with pytest.raises(ValueError, match="k must be an integer"):
+        fit(counts, offsets, G=2, k_spec=True, config=FitConfig(n_starts=1))
     with pytest.raises(ValueError):
         EqualK(0)
     with pytest.raises(ValueError):
         SilhouetteK(0)
+    # the silhouette compares at least two blocks, so it needs k_max >= 2
+    # and two columns; both are rejected before any restart runs
+    with pytest.raises(ValueError, match="k_max"):
+        SilhouetteK(1)
+    one_column = make_counts(np.ones((5, 1), dtype=np.int64))
+    with pytest.raises(ValueError, match="SilhouetteK"):
+        fit(one_column, offsets, G=2, k_spec=SilhouetteK(2), config=FitConfig(n_starts=1))
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +593,8 @@ def test_fit_accepts_plain_int_and_tuple():
     assert np.array_equal(a.labels, b.labels)
     c = fit(counts, offsets, G=2, k_spec=(2, 2), config=config)
     assert np.array_equal(c.labels, b.labels)
+    e = fit(counts, offsets, G=2, k_spec=np.int64(2), config=config)
+    assert np.array_equal(e.labels, b.labels)
 
 
 def test_fit_all_restarts_failed(monkeypatch):
