@@ -44,6 +44,7 @@ from .colgroup import (  # noqa: F401
 from .model import (  # noqa: F401
     MixtureModel,
     VariationalState,
+    bic,
     load_model,
     save_model,
 )
@@ -60,7 +61,6 @@ from .vem import (  # noqa: F401
 )
 from .select import (  # noqa: F401
     SelectionGrid,
-    bic,
     fit_varying_k,
     grid_search_equal_k,
     save_grid,

@@ -26,15 +26,22 @@ from dataclasses import fields, replace as dc_replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from .colgroup import LINKAGES
-from .data import compute_offsets, load_counts, load_offsets, save_counts, save_offsets
+from .data import (
+    compute_offsets,
+    load_counts,
+    load_offsets,
+    read_json,
+    save_counts,
+    save_offsets,
+    write_json,
+)
 from .errors import MplnError
 from .evaluate import (
     aggregate_reports,
     evaluate_fit,
     load_report,
+    none_if_nan,
     save_report,
     save_support_csv,
     save_support_pgm,
@@ -173,8 +180,7 @@ def _resolve(command, args):
         if not path.is_file():
             raise UsageError(f"config file not found: {args.config}")
         try:
-            with open(path) as fh:
-                cfg = json.load(fh)
+            cfg = read_json(path)
         except json.JSONDecodeError as exc:
             raise UsageError(f"{args.config}: invalid JSON ({exc})") from None
         if not isinstance(cfg, dict):
@@ -226,9 +232,7 @@ def _write_run_config(command, effective, out: Path) -> None:
         payload["timestamp"] = datetime.now(timezone.utc).isoformat(
             timespec="seconds"
         )
-    with open(out / "run_config.json", "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(payload, out / "run_config.json")
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +353,6 @@ def _expand(values, pattern, kind):
     return paths
 
 
-def _null(value):
-    return None if value is None or np.isnan(value) else float(value)
-
-
 def _cmd_evaluate(effective) -> int:
     truth_arg = _require(effective, "truth", "--truth")
     result_arg = _require(effective, "result", "--result")
@@ -431,14 +431,14 @@ def _summary_row(path: Path) -> dict:
         return {
             "report": label,
             "n_replicates": int(report.n_replicates),
-            "row_ari": _null(report.row_ari),
-            "row_ari_sd": _null(sd.get("row_ari")),
-            "col_misclass": _null(report.col_misclass_mean),
-            "col_misclass_sd": _null(sd.get("col_misclass_mean")),
-            "mu_mse": _null(report.mu_mse_mean),
-            "mu_mse_sd": _null(sd.get("mu_mse_mean")),
-            "pi_mse": _null(report.pi_mse_mean),
-            "pi_mse_sd": _null(sd.get("pi_mse_mean")),
+            "row_ari": none_if_nan(report.row_ari),
+            "row_ari_sd": none_if_nan(sd.get("row_ari")),
+            "col_misclass": none_if_nan(report.col_misclass_mean),
+            "col_misclass_sd": none_if_nan(sd.get("col_misclass_mean")),
+            "mu_mse": none_if_nan(report.mu_mse_mean),
+            "mu_mse_sd": none_if_nan(sd.get("mu_mse_mean")),
+            "pi_mse": none_if_nan(report.pi_mse_mean),
+            "pi_mse_sd": none_if_nan(sd.get("pi_mse_mean")),
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{path}: not a valid report file ({exc})") from None

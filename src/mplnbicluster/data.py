@@ -1,15 +1,18 @@
-"""Count-matrix and offset handling.
+"""Count-matrix and offset handling, and the package's file formats.
 
 Counts are stored as a dense integer matrix with named samples (rows) and
 variables (columns).  Offsets are per-sample positive multipliers of the
 Poisson rate (library-size normalizers); they enter the model on the log
-scale but are stored and exchanged on the natural scale.
+scale but are stored and exchanged on the natural scale.  Every JSON file
+the package writes or reads goes through ``write_json`` and ``read_json``.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +27,31 @@ from .errors import (
 )
 
 _DELIMS = {"csv": ",", "tsv": "\t"}
+
+
+def integer(name, value, low):
+    """``value`` as an int; ValueError naming ``name`` unless it is an
+    integer of at least ``low``."""
+    # bool is an Integral too, but True is no count
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}, got {value}")
+    return int(value)
+
+
+def write_json(payload, path: str | Path) -> None:
+    """Write ``payload`` as JSON indented by two spaces, with a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+def read_json(path: str | Path):
+    """The JSON value in the file at ``path``; json.JSONDecodeError if it
+    does not parse."""
+    with open(path) as fh:
+        return json.load(fh)
 
 
 @dataclass(frozen=True)

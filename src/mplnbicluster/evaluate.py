@@ -10,7 +10,6 @@ after that alignment.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb
 from typing import Optional
@@ -19,6 +18,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .colgroup import ColumnPartition
+from .data import read_json, write_json
 from .errors import LengthMismatch
 
 __all__ = [
@@ -31,12 +31,19 @@ __all__ = [
     "evaluate_fit",
     "aggregate_reports",
     "replicate_sds",
+    "none_if_nan",
     "report_to_dict",
     "save_report",
     "load_report",
     "save_support_csv",
     "save_support_pgm",
 ]
+
+
+def _overlap(a, b, k: int) -> np.ndarray:
+    """(k, k) table whose entry [t, e] counts the items labelled t + 1 in
+    ``a`` and e + 1 in ``b`` (1-based labels; labels above k are left out)."""
+    return np.array([np.bincount(b[a == t], minlength=k + 1)[1:k + 1] for t in range(1, k + 1)])
 
 
 def ari(a, b) -> float:
@@ -55,8 +62,7 @@ def ari(a, b) -> float:
         raise ValueError("ARI needs at least 2 observations")
     _, a_idx = np.unique(a, return_inverse=True)
     _, b_idx = np.unique(b, return_inverse=True)
-    table = np.zeros((a_idx.max() + 1, b_idx.max() + 1), dtype=np.int64)
-    np.add.at(table, (a_idx, b_idx), 1)
+    table = _overlap(a_idx + 1, b_idx + 1, max(a_idx.max(), b_idx.max()) + 1)
     sum_cells = sum(comb(int(v), 2) for v in table.ravel())
     sum_rows = sum(comb(int(v), 2) for v in table.sum(axis=1))
     sum_cols = sum(comb(int(v), 2) for v in table.sum(axis=0))
@@ -80,13 +86,7 @@ def align_components(truth_labels, est_labels, g: int) -> np.ndarray:
         raise LengthMismatch(
             f"label vectors differ: {truth_labels.shape} vs {est_labels.shape}"
         )
-    overlap = np.zeros((g, g), dtype=np.int64)
-    for t in range(g):
-        mask = truth_labels == t + 1
-        if mask.any():
-            counts = np.bincount(est_labels[mask], minlength=g + 1)[1:g + 1]
-            overlap[t] = counts
-    rows, cols = linear_sum_assignment(overlap, maximize=True)
+    rows, cols = linear_sum_assignment(_overlap(truth_labels, est_labels, g), maximize=True)
     perm = np.empty(g, dtype=np.int64)
     perm[rows] = cols
     return perm
@@ -105,11 +105,7 @@ def column_misclassification(truth: ColumnPartition, est: ColumnPartition) -> fl
             f"{truth.assign.shape[0]} vs {est.assign.shape[0]}"
         )
     d = truth.assign.shape[0]
-    size = max(truth.k, est.k)
-    agreement = np.zeros((size, size), dtype=np.int64)
-    for t in range(truth.k):
-        mask = truth.assign == t + 1
-        agreement[t, :] = np.bincount(est.assign[mask], minlength=size + 1)[1:size + 1]
+    agreement = _overlap(truth.assign, est.assign, max(truth.k, est.k))
     rows, cols = linear_sum_assignment(agreement, maximize=True)
     matched = agreement[rows, cols].sum()
     return float((d - matched) / d)
@@ -283,17 +279,18 @@ def replicate_sds(reports) -> dict:
     }
 
 
-def _none_if_nan(value: float):
-    return None if np.isnan(value) else float(value)
+def none_if_nan(value):
+    """``value`` as a float, or None (JSON null) for None or NaN."""
+    return None if value is None or np.isnan(value) else float(value)
 
 
 def report_to_dict(report: EvalReport) -> dict:
     payload = {
         "row_ari": report.row_ari,
-        "col_misclass": [_none_if_nan(v) for v in report.col_misclass],
-        "col_misclass_mean": _none_if_nan(report.col_misclass_mean),
-        "mu_mse": [_none_if_nan(v) for v in report.mu_mse],
-        "pi_mse": [_none_if_nan(v) for v in report.pi_mse],
+        "col_misclass": [none_if_nan(v) for v in report.col_misclass],
+        "col_misclass_mean": none_if_nan(report.col_misclass_mean),
+        "mu_mse": [none_if_nan(v) for v in report.mu_mse],
+        "pi_mse": [none_if_nan(v) for v in report.pi_mse],
         "support_counts": [m.tolist() for m in report.support_counts],
         "n_replicates": report.n_replicates,
     }
@@ -303,14 +300,11 @@ def report_to_dict(report: EvalReport) -> dict:
 
 
 def save_report(report: EvalReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2)
-        fh.write("\n")
+    write_json(report_to_dict(report), path)
 
 
 def load_report(path) -> EvalReport:
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
 
     def back(values):
         return tuple(float("nan") if v is None else float(v) for v in values)

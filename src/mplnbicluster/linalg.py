@@ -79,17 +79,12 @@ def cholesky_with_jitter(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Tries a plain factorization; on failure adds JITTER_REL * mean(diag)
     to the diagonal and retries once.  Returns (matrix_used, lower_factor)
     so callers keep working with the (possibly jittered) matrix that was
-    actually factored.
+    actually factored.  Raises NotPositiveDefinite if the retry fails too.
     """
     a = np.asarray(a, dtype=float)
     try:
-        return a, np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
+        return a, cholesky(a)
+    except NotPositiveDefinite:
         pass
     bumped = a + JITTER_REL * float(np.mean(np.diag(a))) * np.eye(a.shape[0])
-    try:
-        return bumped, np.linalg.cholesky(bumped)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(
-            f"matrix of shape {a.shape} not positive definite even after diagonal jitter"
-        ) from exc
+    return bumped, cholesky(bumped)

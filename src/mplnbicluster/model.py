@@ -9,7 +9,6 @@ the evidence lower bound of that single observation under component g.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,6 +16,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .colgroup import ColumnPartition
+from .data import read_json, write_json
 from .errors import LengthMismatch
 from .linalg import cholesky, inv_logdet_from_cholesky, logdet_from_cholesky
 
@@ -64,7 +64,8 @@ class MixtureModel:
             raise LengthMismatch(f"sigma shape {sigma.shape}, expected {(G, d, d)}")
         if len(self.groupings) != G:
             raise LengthMismatch(f"{len(self.groupings)} groupings for G={G}")
-        if np.any(pi < 0.0) or abs(float(pi.sum()) - 1.0) > 1e-12:
+        # written so that NaN fails: every comparison with it is False
+        if not (np.all(pi >= 0.0) and abs(float(pi.sum()) - 1.0) <= 1e-12):
             raise ValueError(f"pi must be a probability vector, got {pi.tolist()}")
         for g, part in enumerate(self.groupings):
             if part.d != d:
@@ -129,7 +130,8 @@ class VariationalState:
                 raise LengthMismatch(f"groups[{g}] do not partition the {d} columns")
             if [block.shape for block in blocks] != [(n, i.size, i.size) for i in idxs]:
                 raise LengthMismatch(f"S blocks of component {g} do not match its groups")
-        if np.any(z < 0.0) or np.max(np.abs(z.sum(axis=1) - 1.0)) > 1e-8:
+        # written so that NaN fails, like the check on MixtureModel.pi
+        if not (np.all(z >= 0.0) and np.max(np.abs(z.sum(axis=1) - 1.0)) <= 1e-8):
             raise ValueError("z rows must lie on the probability simplex")
 
     @property
@@ -180,7 +182,7 @@ def elbo_batch(
         quad = quad + np.einsum("ni,ij,nj->n", dm_b, inv_b, dm_b)
         trace = trace + np.einsum("ij,nji->n", inv_b, s_b)
         s_diag[:, idx] = np.einsum("njj->nj", s_b)
-    rate = np.exp(np.minimum(log_c[:, None] + m + 0.5 * s_diag, EXP_CAP))
+    rate = poisson_rate(log_c, m, s_diag)
     return (
         -0.5 * quad
         - 0.5 * trace
@@ -218,39 +220,41 @@ def elbo_observation(
     )
 
 
-def responsibilities(elbo: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Posterior component probabilities from the (n, G) ELBO matrix.
+def poisson_rate(log_c, m, diag_s):
+    """Expected Poisson count exp(log C + m + diag(S)/2) under q = N(m, S).
 
-    Row-wise softmax of log pi_g + F_ig, computed with the max shifted out
-    so large negative ELBOs cannot underflow the normalizer.
+    ``log_c`` has one entry per row of ``m`` and ``diag_s`` (its leading
+    shape); the exponent is capped at EXP_CAP.
+    """
+    return np.exp(np.minimum(log_c[..., None] + m + 0.5 * diag_s, EXP_CAP))
+
+
+def posterior(elbo: np.ndarray, pi: np.ndarray) -> tuple[float, np.ndarray]:
+    """Observed-data bound and responsibilities from the (n, G) ELBO matrix.
+
+    The bound is sum_i log sum_g pi_g exp(F_ig); it equals lower_bound(...)
+    plus the entropy of the responsibilities, and unlike that quantity it is
+    nondecreasing along the EM iteration, so the fitting loop traces and
+    converges on this one.  The responsibilities are the row-wise softmax of
+    log pi_g + F_ig.  Both come from the same weights, computed with each
+    row's max shifted out so large negative ELBOs cannot underflow.
     """
     logw = np.log(np.maximum(pi, RESP_FLOOR))[None, :] + elbo
     shift = logw.max(axis=1, keepdims=True)
     w = np.exp(logw - shift)
-    z = w / w.sum(axis=1, keepdims=True)
+    total = w.sum(axis=1, keepdims=True)
+    bound = float(np.sum(shift[:, 0] + np.log(total[:, 0])))
+    z = w / total
     if np.any(z < RESP_FLOOR):
         z = np.maximum(z, RESP_FLOOR)
         z = z / z.sum(axis=1, keepdims=True)
-    return z
+    return bound, z
 
 
 def lower_bound(elbo: np.ndarray, z: np.ndarray, pi: np.ndarray) -> float:
     """Responsibility-weighted aggregate bound sum_ig z_ig (log pi_g + F_ig)."""
     logpi = np.log(np.maximum(pi, RESP_FLOOR))
     return float(np.sum(z * (logpi[None, :] + elbo)))
-
-
-def observed_bound(elbo: np.ndarray, pi: np.ndarray) -> float:
-    """Aggregate bound on the observed-data log-likelihood.
-
-    sum_i log sum_g pi_g exp(F_ig), evaluated by log-sum-exp.  Equals
-    lower_bound(...) plus the entropy of the softmax responsibilities, and
-    unlike that quantity it is nondecreasing along the EM iteration, so the
-    fitting loop traces and converges on this one.
-    """
-    logw = np.log(np.maximum(pi, RESP_FLOOR))[None, :] + elbo
-    shift = logw.max(axis=1, keepdims=True)
-    return float(np.sum(shift[:, 0] + np.log(np.sum(np.exp(logw - shift), axis=1))))
 
 
 def count_free_parameters(
@@ -317,11 +321,8 @@ def model_from_dict(payload: dict) -> MixtureModel:
 
 
 def save_model(model: MixtureModel, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
+    write_json(model_to_dict(model), path)
 
 
 def load_model(path: str | Path) -> MixtureModel:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))
+    return model_from_dict(read_json(path))

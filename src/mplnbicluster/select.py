@@ -22,12 +22,10 @@ from typing import Optional
 
 from .data import CountMatrix, OffsetVector
 from .errors import AllCellsFailed, MplnError
-from .model import bic
 from .seeding import TAG_CELL, derive_seed
 from .vem import EqualK, FitConfig, FitResult, SilhouetteK, fit
 
 __all__ = [
-    "bic",
     "GridCell",
     "SelectionGrid",
     "grid_search_equal_k",

@@ -10,15 +10,14 @@ block counts).
 
 from __future__ import annotations
 
-import json
-import numbers
+import math
 from dataclasses import MISSING, dataclass, fields
 from typing import Optional, Union
 
 import numpy as np
 
 from .colgroup import ColumnPartition
-from .data import CountMatrix, OffsetVector
+from .data import CountMatrix, OffsetVector, integer, read_json, write_json
 from .errors import NotPositiveDefinite
 from .model import MixtureModel, model_from_dict, model_to_dict
 from .seeding import TAG_SIM, derive_rng
@@ -70,12 +69,8 @@ class SimSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n", "d", "seed"):
-            value = getattr(self, name)
-            # bool is an Integral too, but a spec file's true is no count
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        for name, low in (("n", 1), ("d", 1), ("seed", 0)):
+            object.__setattr__(self, name, integer(name, getattr(self, name), low))
         object.__setattr__(self, "pi", tuple(float(p) for p in self.pi))
         object.__setattr__(
             self, "mu", np.array(self.mu, dtype=float, copy=True)
@@ -87,19 +82,18 @@ class SimSpec:
         )
         for name in ("within_block_corr_range", "variance_range"):
             object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
-        if self.n < 1 or self.d < 1:
-            raise ValueError("n and d must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be at least 0, got {self.seed}")
         G = len(self.pi)
         if G < 1:
             raise ValueError("need at least one component")
-        if any(p <= 0 for p in self.pi) or abs(sum(self.pi) - 1.0) > 1e-12:
+        # written so that NaN fails: every comparison with it is False
+        if not (all(p > 0 for p in self.pi) and abs(sum(self.pi) - 1.0) <= 1e-12):
             raise ValueError(f"pi must be a positive simplex vector, got {self.pi}")
         if self.mu.shape != (G, self.d):
             raise ValueError(
                 f"mu must have shape ({G}, {self.d}), got {self.mu.shape}"
             )
+        if not np.all(np.isfinite(self.mu)):
+            raise ValueError("mu must be finite")
         if len(self.block_sizes) != G:
             raise ValueError("need one block-size tuple per component")
         for g, sizes in enumerate(self.block_sizes):
@@ -125,6 +119,11 @@ class SimSpec:
             if len(vec) != self.n:
                 raise ValueError(
                     f"explicit offsets need length n={self.n}, got {len(vec)}"
+                )
+            bad = [i for i, c in enumerate(vec) if not 0.0 < c < math.inf]
+            if bad:
+                raise ValueError(
+                    f"offsets must be finite and > 0; offset {bad[0]} is {vec[bad[0]]}"
                 )
             object.__setattr__(self, "offsets", vec)
 
@@ -361,14 +360,11 @@ def save_truth(truth: GroundTruth, path) -> None:
         "row_labels": [int(v) for v in truth.row_labels],
         "model": model_to_dict(truth.model),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(payload, path)
 
 
 def load_truth(path) -> GroundTruth:
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     model = model_from_dict(payload["model"])
     labels = np.asarray(payload["row_labels"], dtype=np.int64)
     return GroundTruth(
@@ -412,11 +408,8 @@ def spec_from_dict(payload: dict) -> SimSpec:
 
 
 def save_spec(spec: SimSpec, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(spec_to_dict(spec), fh, indent=2)
-        fh.write("\n")
+    write_json(spec_to_dict(spec), path)
 
 
 def load_spec(path) -> SimSpec:
-    with open(path) as fh:
-        return spec_from_dict(json.load(fh))
+    return spec_from_dict(read_json(path))

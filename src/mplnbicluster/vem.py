@@ -24,7 +24,6 @@ does not lower that component's weighted Gaussian objective.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -42,11 +41,10 @@ from .colgroup import (
     distance_matrix,
     select_k_silhouette,
 )
-from .data import CountMatrix, OffsetVector
+from .data import CountMatrix, OffsetVector, integer, read_json, write_json
 from .errors import AllRestartsFailed, EmptyComponent, MplnError
-from .linalg import cholesky, cholesky_with_jitter, inv_logdet_from_cholesky
+from .linalg import cholesky, cholesky_with_jitter, inv_logdet_from_cholesky, logdet_from_cholesky
 from .model import (
-    EXP_CAP,
     MixtureModel,
     VariationalState,
     bic,
@@ -54,8 +52,8 @@ from .model import (
     lower_bound,
     model_from_dict,
     model_to_dict,
-    observed_bound,
-    responsibilities,
+    poisson_rate,
+    posterior,
 )
 from .seeding import TAG_INIT, derive_rng
 
@@ -82,16 +80,6 @@ __all__ = [
     "save_labels",
 ]
 
-def _integer(name, value, low):
-    """``value`` as an int; ValueError naming ``name`` unless it is an
-    integer of at least ``low``."""
-    # bool is an Integral too, but True is no count
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be at least {low}, got {value}")
-    return int(value)
-
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -107,7 +95,7 @@ class FitConfig:
 
     def __post_init__(self) -> None:
         for name, low in (("max_em_iter", 1), ("inner_iter", 1), ("n_starts", 1), ("seed", 0)):
-            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
+            object.__setattr__(self, name, integer(name, getattr(self, name), low))
         for name in ("elbo_rel_tol", "inner_tol"):
             value = getattr(self, name)
             real = isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -127,7 +115,7 @@ class EqualK:
     k: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k", _integer("k", self.k, 1))
+        object.__setattr__(self, "k", integer("k", self.k, 1))
 
 
 @dataclass(frozen=True)
@@ -138,7 +126,7 @@ class PerGroupK:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "ks", tuple(_integer(f"ks[{i}]", k, 1) for i, k in enumerate(self.ks))
+            self, "ks", tuple(integer(f"ks[{i}]", k, 1) for i, k in enumerate(self.ks))
         )
 
 
@@ -150,7 +138,7 @@ class SilhouetteK:
 
     def __post_init__(self) -> None:
         # the silhouette needs two blocks to compare
-        object.__setattr__(self, "k_max", _integer("k_max", self.k_max, 2))
+        object.__setattr__(self, "k_max", integer("k_max", self.k_max, 2))
 
 
 KSpec = Union[EqualK, PerGroupK, SilhouetteK]
@@ -167,10 +155,6 @@ class FitResult:
     converged: bool
     iterations: int
     restart: int  # index of the winning start
-
-    @property
-    def n(self) -> int:
-        return self.labels.shape[0]
 
 
 def _normalize_k_spec(k_spec, G: int, d: int) -> KSpec:
@@ -284,7 +268,7 @@ def s_fixed_point_step(log_c, m, s, sigma_inv):
     m = np.asarray(m, dtype=float)
     d = m.shape[-1]
     diag_s = np.einsum("...jj->...j", np.asarray(s, dtype=float))
-    lam = np.exp(np.minimum(log_c[..., None] + m + 0.5 * diag_s, EXP_CAP))
+    lam = poisson_rate(log_c, m, diag_s)
     a = np.broadcast_to(sigma_inv, m.shape + (d,)).copy()
     idx = np.arange(d)
     a[..., idx, idx] += lam
@@ -301,7 +285,7 @@ def newton_m_step(y, log_c, m, s_new, mu, sigma_inv):
     """
     m = np.asarray(m, dtype=float)
     diag_s = np.einsum("...jj->...j", np.asarray(s_new, dtype=float))
-    lam = np.exp(np.minimum(log_c[..., None] + m + 0.5 * diag_s, EXP_CAP))
+    lam = poisson_rate(log_c, m, diag_s)
     resid = lam + (m - mu) @ sigma_inv - np.asarray(y, dtype=float)
     step = np.einsum("...ij,...j->...i", s_new, resid)
     return m - step, step
@@ -524,7 +508,7 @@ def _no_worse_fit(w, mass, lower, cand_lower):
 
     def objective(low):
         solved = cho_solve((low, True), w)
-        return -0.5 * mass * (np.trace(solved) + 2.0 * np.log(np.diag(low)).sum())
+        return -0.5 * mass * (np.trace(solved) + logdet_from_cholesky(low))
 
     current = objective(lower)
     return objective(cand_lower) >= current - 1e-10 * (1.0 + abs(current))
@@ -612,9 +596,8 @@ def fit_from_state(
                 y, log_c, m[:, g], s[g], mu[g], sigma_inv[g], logdet_sigma[g],
                 log_fact=log_fact, groups=groups[g],
             )
-        bound = observed_bound(f, pi)
+        bound, z = posterior(f, pi)
         trace.append(bound)
-        z = responsibilities(f, pi)
         if iteration == config.max_em_iter:
             break
         if abs(bound - prev_bound) <= config.elbo_rel_tol * max(1.0, abs(bound)):
@@ -721,14 +704,11 @@ def result_from_dict(payload: dict) -> FitResult:
 
 
 def save_result(result: FitResult, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(result_to_dict(result), fh, indent=2)
-        fh.write("\n")
+    write_json(result_to_dict(result), path)
 
 
 def load_result(path) -> FitResult:
-    with open(path) as fh:
-        return result_from_dict(json.load(fh))
+    return result_from_dict(read_json(path))
 
 
 def save_labels(sample_ids, labels, path) -> None:

@@ -189,6 +189,18 @@ def test_simulate_rejects_a_non_integer_spec_field(tmp_path, capsys, field, valu
     assert f"{field} must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("offsets", [1.0, -2.0, 1.0]), ("mu", [[0, 1e999]])])
+def test_simulate_rejects_bad_spec_values_before_any_output(tmp_path, capsys, field, value):
+    payload = {"n": 3, "d": 2, "pi": [1.0], "mu": [[0, 0]], "block_sizes": [[2]]}
+    payload[field] = value
+    bad = tmp_path / "spec.json"
+    bad.write_text(json.dumps(payload))
+    rc = main(["simulate", "--spec", str(bad), "-o", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_rejects_a_negative_seed(spec_file, tmp_path, capsys):
     rc = main(["simulate", "--spec", str(spec_file), "--seed", "-3",
                "-o", str(tmp_path / "o")])

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -230,3 +233,40 @@ def test_filter_top_variable_noop_when_wide_enough():
     assert filter_top_variable(cm, 5) is cm
     with pytest.raises(ValueError):
         filter_top_variable(cm, 0)
+
+
+def _owned_names(tree):
+    """(name, line) of every json.dump / json.load reference, every name
+    imported from json, and every reference to EXP_CAP."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "json"):
+            found.append(("json." + node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found.extend(("json." + alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.extend((alias.name, node.lineno) for alias in node.names
+                         if alias.name == "EXP_CAP")
+        elif isinstance(node, ast.Name) and node.id == "EXP_CAP":
+            found.append(("EXP_CAP", node.lineno))
+        elif isinstance(node, ast.Attribute) and node.attr == "EXP_CAP":
+            found.append(("EXP_CAP", node.lineno))
+    return found
+
+
+def test_one_module_owns_the_json_files_and_one_the_exponent_cap():
+    # data writes and reads every JSON file, and model.poisson_rate is the
+    # one place that caps the exponent of a Poisson rate
+    owner = {"json.dump": "data.py", "json.load": "data.py", "EXP_CAP": "model.py"}
+    src = Path(__file__).resolve().parents[1] / "src" / "mplnbicluster"
+    seen = {}
+    for path in sorted(src.glob("*.py")):
+        names = _owned_names(ast.parse(path.read_text(), filename=str(path)))
+        seen[path.name] = {name for name, _ in names}
+        bad = [(name, line) for name, line in names
+               if name in owner and owner[name] != path.name]
+        assert not bad, f"{path.name} uses what another module owns: {bad}"
+    # finding the owners' own uses shows the walker sees them
+    assert {"json.dump", "json.load"} <= seen["data.py"]
+    assert "EXP_CAP" in seen["model.py"]

@@ -17,8 +17,7 @@ from mplnbicluster.model import (
     lower_bound,
     model_from_dict,
     model_to_dict,
-    observed_bound,
-    responsibilities,
+    posterior,
     save_model,
 )
 
@@ -130,7 +129,7 @@ def test_elbo_gradient_matches_finite_differences():
 
 def test_responsibilities_two_close_components():
     elbo = np.array([[-1000.0, -1001.0]])
-    z = responsibilities(elbo, np.array([0.5, 0.5]))
+    z = posterior(elbo, np.array([0.5, 0.5]))[1]
     expected = 1.0 / (1.0 + np.exp(-1.0))
     assert z[0, 0] == pytest.approx(expected, rel=1e-12)
     assert z[0].sum() == pytest.approx(1.0, abs=1e-15)
@@ -140,14 +139,14 @@ def test_responsibilities_shift_invariant():
     rng = np.random.default_rng(109)
     elbo = rng.normal(-500.0, 30.0, size=(6, 3))
     pi = np.array([0.2, 0.5, 0.3])
-    base = responsibilities(elbo, pi)
-    shifted = responsibilities(elbo + 12345.0, pi)
+    base = posterior(elbo, pi)[1]
+    shifted = posterior(elbo + 12345.0, pi)[1]
     np.testing.assert_allclose(base, shifted, atol=1e-13)
 
 
 def test_responsibilities_extreme_gaps_no_nan():
     elbo = np.array([[0.0, -5000.0], [-5000.0, 0.0]])
-    z = responsibilities(elbo, np.array([0.5, 0.5]))
+    z = posterior(elbo, np.array([0.5, 0.5]))[1]
     assert np.all(np.isfinite(z))
     assert np.all(z > 0.0)  # floored, never exactly zero
     np.testing.assert_allclose(z.sum(axis=1), 1.0, atol=1e-12)
@@ -178,9 +177,9 @@ def test_observed_bound_is_lse_and_dominates_lower_bound():
     elbo = rng.normal(-60.0, 10.0, size=(n, G))
     pi = rng.dirichlet(np.ones(G))
     direct = sum(logsumexp(np.log(pi) + elbo[i]) for i in range(n))
-    got = observed_bound(elbo, pi)
+    got = posterior(elbo, pi)[0]
     assert got == pytest.approx(direct, rel=1e-12)
-    z = responsibilities(elbo, pi)
+    z = posterior(elbo, pi)[1]
     lb = lower_bound(elbo, z, pi)
     assert got >= lb - 1e-10
     # equality up to the entropy of the responsibilities
@@ -192,15 +191,15 @@ def test_bounds_invariant_under_component_relabeling():
     rng = np.random.default_rng(137)
     elbo = rng.normal(-30.0, 5.0, size=(8, 4))
     pi = rng.dirichlet(np.ones(4))
-    z = responsibilities(elbo, pi)
+    z = posterior(elbo, pi)[1]
     perm = np.array([2, 0, 3, 1])
-    assert observed_bound(elbo[:, perm], pi[perm]) == pytest.approx(
-        observed_bound(elbo, pi), rel=1e-13
+    assert posterior(elbo[:, perm], pi[perm])[0] == pytest.approx(
+        posterior(elbo, pi)[0], rel=1e-13
     )
     assert lower_bound(elbo[:, perm], z[:, perm], pi[perm]) == pytest.approx(
         lower_bound(elbo, z, pi), rel=1e-13
     )
-    np.testing.assert_allclose(responsibilities(elbo[:, perm], pi[perm]), z[:, perm], atol=1e-14)
+    np.testing.assert_allclose(posterior(elbo[:, perm], pi[perm])[1], z[:, perm], atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +268,18 @@ def test_model_validation_rejects_bad_inputs():
         MixtureModel(good.pi, good.mu, asym, good.groupings)
 
 
+def test_model_rejects_nan_in_pi(tmp_path):
+    good = toy_model()
+    with pytest.raises(ValueError, match="pi must be"):
+        MixtureModel(np.array([float("nan"), 1.0]), good.mu, good.sigma, good.groupings)
+    payload = model_to_dict(good)
+    payload["pi"] = [float("nan"), 0.5]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))  # written as the JSON extension NaN
+    with pytest.raises(ValueError, match="pi must be"):
+        load_model(path)
+
+
 def test_model_free_parameter_property():
     assert toy_model().n_free_parameters == 1 + 6 + (3 + 1) + (1 + 3)
 
@@ -325,3 +336,13 @@ def test_variational_state_validation():
             VariationalState(m, (s[0], (s[1][0], block)), z, groups)
     with pytest.raises(LengthMismatch):
         VariationalState(m, (s[0], s[1][:1]), z, groups)
+
+
+def test_variational_state_rejects_a_nan_z_row():
+    n, G, d = 3, 2, 2
+    z = np.full((n, G), 0.5)
+    z[1] = np.nan
+    groups = ((np.arange(d),),) * G
+    s = ((np.broadcast_to(np.eye(d), (n, d, d)),),) * G
+    with pytest.raises(ValueError, match="z rows"):
+        VariationalState(np.zeros((n, G, d)), s, z, groups)

@@ -8,10 +8,10 @@ import pytest
 from mplnbicluster.data import CountMatrix, OffsetVector
 from mplnbicluster.errors import AllCellsFailed, EmptyComponent
 from mplnbicluster import select
+from mplnbicluster.model import bic
 from mplnbicluster.select import (
     GRID_COLUMNS,
     GridCell,
-    bic,
     fit_varying_k,
     grid_search_equal_k,
     save_grid,

@@ -83,6 +83,23 @@ def test_spec_rejects_a_negative_seed():
         simple_spec(seed=-1)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("pi", (0.5, float("nan"))),
+        ("mu", [[1.0, float("nan"), 3.0, 3.0], [3.0, 3.0, 1.0, 1.0]]),
+        ("mu", [[1.0, 1.0, 3.0, 3.0], [3.0, float("inf"), 1.0, 1.0]]),
+        ("offsets", (1.0, -2.0, 0.5)),
+        ("offsets", (1.0, 0.0, 0.5)),
+        ("offsets", (1.0, float("nan"), 0.5)),
+        ("offsets", (1.0, float("inf"), 0.5)),
+    ],
+)
+def test_spec_rejects_nan_and_nonpositive_values_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        simple_spec(n=3, **{field: value})
+
+
 def test_spec_explicit_offsets_accepted():
     spec = simple_spec(n=3, offsets=(1.0, 2.0, 0.5))
     assert spec.offsets == (1.0, 2.0, 0.5)
