@@ -25,6 +25,7 @@ __all__ = [
     "ari",
     "align_components",
     "column_misclassification",
+    "relabelling",
     "param_mse",
     "support_count_heatmap",
     "EvalReport",
@@ -44,6 +45,21 @@ def _overlap(a, b, k: int) -> np.ndarray:
     """(k, k) table whose entry [t, e] counts the items labelled t + 1 in
     ``a`` and e + 1 in ``b`` (1-based labels; labels above k are left out)."""
     return np.array([np.bincount(b[a == t], minlength=k + 1)[1:k + 1] for t in range(1, k + 1)])
+
+
+def relabelling(a, b, k: int) -> Optional[np.ndarray]:
+    """The renaming that turns labelling ``a`` into ``b``, or None.
+
+    ``perm[t] + 1`` is the label in ``b`` of the items labelled ``t + 1`` in
+    ``a``, when the two labellings (1-based, labels in 1..k) split the
+    items the same way up to renaming: their overlap table has exactly one
+    nonzero entry per row and per column.  A label that labels no item
+    leaves a row or column empty, so it never matches.
+    """
+    nonzero = _overlap(a, b, k) != 0
+    if np.all(nonzero.sum(axis=0) == 1) and np.all(nonzero.sum(axis=1) == 1):
+        return np.argmax(nonzero, axis=1)
+    return None
 
 
 def ari(a, b) -> float:

@@ -67,6 +67,8 @@ class MixtureModel:
         # written so that NaN fails: every comparison with it is False
         if not (np.all(pi >= 0.0) and abs(float(pi.sum()) - 1.0) <= 1e-12):
             raise ValueError(f"pi must be a probability vector, got {pi.tolist()}")
+        if not np.all(np.isfinite(mu)):
+            raise ValueError("mu must be finite")
         for g, part in enumerate(self.groupings):
             if part.d != d:
                 raise LengthMismatch(f"grouping {g} covers {part.d} variables, expected {d}")

@@ -43,6 +43,7 @@ from .colgroup import (
 )
 from .data import CountMatrix, OffsetVector, integer, read_json, write_json
 from .errors import AllRestartsFailed, EmptyComponent, MplnError
+from .evaluate import relabelling
 from .linalg import cholesky, cholesky_with_jitter, inv_logdet_from_cholesky, logdet_from_cholesky
 from .model import (
     MixtureModel,
@@ -155,6 +156,12 @@ class FitResult:
     converged: bool
     iterations: int
     restart: int  # index of the winning start
+    # the earlier start whose optimum this start reached; it stopped there
+    # and cannot win, so a result of ``fit`` never has one
+    joined: Optional[int] = None
+    # (restart, outcome, iterations) of every start ``fit`` ran; the outcome
+    # is "converged", "capped", "joined restart r" or the error's text
+    starts: tuple = ()
 
 
 def _normalize_k_spec(k_spec, G: int, d: int) -> KSpec:
@@ -536,6 +543,17 @@ def _covariance_candidate(w, k_spec, g, linkage):
     return sigma_used, lower, partition
 
 
+def _joins(incumbent, labels, partitions):
+    """Whether the hard row labels and the column partitions equal the
+    incumbent's final ones up to a renaming of components and of each
+    matched component's blocks."""
+    perm = relabelling(incumbent.labels, labels, len(partitions))
+    return perm is not None and all(
+        relabelling(old.assign, partitions[g].assign, max(old.k, partitions[g].k)) is not None
+        for old, g in zip(incumbent.model.groupings, perm)
+    )
+
+
 # ---------------------------------------------------------------------------
 # the driver
 
@@ -547,6 +565,7 @@ def fit_from_state(
     k_spec,
     config: FitConfig,
     restart: int = 0,
+    incumbent: Optional[FitResult] = None,
 ) -> FitResult:
     """Run the EM loop from an explicit starting state.
 
@@ -556,7 +575,10 @@ def fit_from_state(
     unguarded, since there is none yet.  The trace records the observed-data
     bound once per pass; the loop stops when its change falls below
     ``elbo_rel_tol`` relative to max(1, |bound|), or after ``max_em_iter``
-    iterations.
+    iterations.  Given an ``incumbent`` (an earlier start's result), it also
+    stops, with ``joined`` set to that start, before the sweeps of any pass
+    whose hard row labels and column partitions equal the incumbent's up to
+    renaming.
     """
     y = counts.counts.astype(float)
     log_c = offsets.log
@@ -577,6 +599,7 @@ def fit_from_state(
     trace = []
     prev_bound = -np.inf
     converged = False
+    joined = None
 
     for iteration in range(config.max_em_iter + 1):
         pi = m_step_pi(z)
@@ -604,6 +627,9 @@ def fit_from_state(
             converged = True
             break
         prev_bound = bound
+        if incumbent is not None and _joins(incumbent, np.argmax(z, axis=1) + 1, partitions):
+            joined = incumbent.restart
+            break
         for g in range(G):
             # f[:, g] is the bound at this same (m, S, mu, Sigma)
             m[:, g], s[g] = _sweep_batch(
@@ -627,6 +653,7 @@ def fit_from_state(
         converged=converged,
         iterations=len(trace) - 1,
         restart=restart,
+        joined=joined,
     )
 
 
@@ -639,31 +666,43 @@ def fit(
 ) -> FitResult:
     """Fit the mixture with ``G`` components from multiple starts.
 
-    Each start initializes independently and runs the full EM loop; the
-    result with the highest final lower bound wins.  A start that fails
-    (e.g. a component empties out) is recorded and skipped; if every start
-    fails, AllRestartsFailed carries the per-start reasons.  With G = 1
-    every start is the same, so only restart 0 runs.
+    Each start initializes independently and runs the EM loop.  The first
+    start that finishes is the incumbent: every later start stops once it
+    reaches the incumbent's optimum (same hard row labels and column
+    partitions up to renaming) and cannot win.  Of the starts that finish
+    without joining it, the one with the highest final lower bound wins.
+    A start that fails (e.g. a component empties out) is recorded and
+    skipped; if every start fails, AllRestartsFailed carries the per-start
+    reasons.  The winner's ``starts`` records every start's outcome.  With
+    G = 1 every start is the same, so only restart 0 runs.
     """
     if config is None:
         config = FitConfig()
     k_spec = _normalize_k_spec(k_spec, G, counts.d)
-    best = None
-    failures = []
+    best = incumbent = None
+    starts = []
     # ``initialize`` ignores the restart index when G = 1
     for restart in range(config.n_starts if G > 1 else 1):
         try:
             state = initialize(counts, offsets, G, config.seed, restart)
             result = fit_from_state(
-                counts, offsets, state, k_spec, config, restart=restart
+                counts, offsets, state, k_spec, config, restart=restart,
+                incumbent=incumbent,
             )
         except MplnError as exc:
-            failures.append((restart, f"{type(exc).__name__}: {exc}"))
+            starts.append((restart, f"{type(exc).__name__}: {exc}", None))
             continue
+        if result.joined is not None:
+            starts.append((restart, f"joined restart {result.joined}", result.iterations))
+            continue
+        starts.append((restart, "converged" if result.converged else "capped", result.iterations))
+        if incumbent is None:
+            incumbent = result
         if best is None or result.lower_bound > best.lower_bound:
             best = result
     if best is None:
-        raise AllRestartsFailed(failures)
+        raise AllRestartsFailed([(restart, outcome) for restart, outcome, _ in starts])
+    best.starts = tuple(starts)
     return best
 
 
@@ -686,6 +725,7 @@ def result_to_dict(result: FitResult) -> dict:
         "converged": bool(result.converged),
         "iterations": int(result.iterations),
         "restart": int(result.restart),
+        "starts": [list(start) for start in result.starts],
     }
 
 
@@ -700,6 +740,8 @@ def result_from_dict(payload: dict) -> FitResult:
         converged=bool(payload["converged"]),
         iterations=int(payload["iterations"]),
         restart=int(payload["restart"]),
+        # files written before the start record existed have no "starts"
+        starts=tuple(tuple(start) for start in payload.get("starts", ())),
     )
 
 

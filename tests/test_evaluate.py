@@ -16,6 +16,7 @@ from mplnbicluster.evaluate import (
     evaluate_fit,
     load_report,
     param_mse,
+    relabelling,
     replicate_sds,
     report_to_dict,
     save_report,
@@ -126,6 +127,42 @@ def test_align_components_majority_wins():
     est = np.array([2, 2, 1, 1, 1, 1])  # est 2 mostly covers true 1
     perm = align_components(truth, est, 2)
     assert perm.tolist() == [1, 0]
+
+
+# ---------------------------------------------------------------------------
+# the same partition up to renaming
+
+
+def test_relabelling_matches_renamed_components():
+    a = np.array([1, 1, 2, 2, 3, 3, 1])
+    b = np.array([3, 3, 1, 1, 2, 2, 3])
+    assert relabelling(a, b, 3).tolist() == [2, 0, 1]
+    assert relabelling(b, a, 3).tolist() == [1, 2, 0]
+    assert relabelling(a, a, 3).tolist() == [0, 1, 2]
+
+
+def test_relabelling_matches_renamed_blocks():
+    # column partitions are 1-based labellings of the columns too
+    a = ColumnPartition(np.array([1, 1, 2, 3, 3]), 3)
+    b = ColumnPartition(np.array([2, 2, 3, 1, 1]), 3)
+    assert relabelling(a.assign, b.assign, 3).tolist() == [1, 2, 0]
+
+
+def test_relabelling_rejects_one_moved_item():
+    a = np.array([1, 1, 2, 2, 3, 3])
+    for moved in range(6):
+        b = a.copy()
+        b[moved] = 1 + b[moved] % 3  # one row or column to another label
+        assert relabelling(a, b, 3) is None
+        assert relabelling(b, a, 3) is None
+
+
+def test_relabelling_rejects_an_empty_label():
+    # label 3 labels nothing on one side: that component never matches,
+    # not even against itself
+    a = np.array([1, 1, 2, 2])
+    assert relabelling(a, a, 3) is None
+    assert relabelling(a, np.array([1, 1, 3, 3]), 3) is None
 
 
 # ---------------------------------------------------------------------------

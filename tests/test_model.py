@@ -280,6 +280,24 @@ def test_model_rejects_nan_in_pi(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_model_rejects_non_finite_mu(tmp_path, bad):
+    good = toy_model()
+    mu = good.mu.copy()
+    mu[1, 0] = bad
+    with pytest.raises(ValueError, match="mu must be finite"):
+        MixtureModel(good.pi, mu, good.sigma, good.groupings)
+    part = ColumnPartition(np.array([1, 2]), 2)
+    with pytest.raises(ValueError, match="mu must be finite"):
+        MixtureModel(np.array([1.0]), np.array([[bad, 0.0]]), np.eye(2)[None], (part,))
+    payload = model_to_dict(good)
+    payload["mu"][1][0] = bad
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))  # written as the JSON extension NaN/Infinity
+    with pytest.raises(ValueError, match="mu must be finite"):
+        load_model(path)
+
+
 def test_model_free_parameter_property():
     assert toy_model().n_free_parameters == 1 + 6 + (3 + 1) + (1 + 3)
 

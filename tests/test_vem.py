@@ -1,14 +1,17 @@
 """Tests for the variational EM engine."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 from dense_reference import blocks_from_dense, dense_from_blocks
-from mplnbicluster.data import CountMatrix, OffsetVector
+from restart_reference import fit_every_start
+from mplnbicluster.data import CountMatrix, OffsetVector, write_json
 from mplnbicluster.errors import AllRestartsFailed, EmptyComponent, NotPositiveDefinite
+from mplnbicluster.colgroup import ColumnPartition
 from mplnbicluster.model import (
     elbo_batch,
     elbo_observation,
@@ -611,6 +614,125 @@ def test_fit_all_restarts_failed(monkeypatch):
     assert "EmptyComponent" in err.value.failures[0][1]
 
 
+# ---------------------------------------------------------------------------
+# restarts that reach an earlier start's optimum
+
+
+def preset_1_data(n):
+    spec = replace(preset(1), n=n)
+    counts, _ = sample_dataset(spec)
+    return counts, spec_offsets(spec)
+
+
+def assert_same_fit(a, b):
+    # bit for bit: every array and number of the result and of its state
+    assert np.array_equal(a.model.pi, b.model.pi)
+    assert np.array_equal(a.model.mu, b.model.mu)
+    assert np.array_equal(a.model.sigma, b.model.sigma)
+    assert [p.assign.tolist() for p in a.model.groupings] == [
+        p.assign.tolist() for p in b.model.groupings
+    ]
+    assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a.elbo_trace, b.elbo_trace)
+    assert (a.lower_bound, a.bic, a.converged, a.iterations, a.restart) == (
+        b.lower_bound, b.bic, b.converged, b.iterations, b.restart
+    )
+    assert np.array_equal(a.state.m, b.state.m)
+    assert np.array_equal(a.state.z, b.state.z)
+    for groups_a, groups_b, s_a, s_b in zip(a.state.groups, b.state.groups, a.state.s, b.state.s):
+        assert [idx.tolist() for idx in groups_a] == [idx.tolist() for idx in groups_b]
+        assert all(np.array_equal(x, y) for x, y in zip(s_a, s_b))
+
+
+def test_joins_matches_components_and_blocks_up_to_renaming():
+    parts = (ColumnPartition(np.array([1, 1, 2, 2]), 2), ColumnPartition(np.array([1, 2, 3, 3]), 3))
+    incumbent = SimpleNamespace(labels=np.array([1, 1, 2, 2, 1]), model=SimpleNamespace(groupings=parts))
+    # components swapped, and each component's blocks renamed
+    swapped = (ColumnPartition(np.array([3, 1, 2, 2]), 3), ColumnPartition(np.array([2, 2, 1, 1]), 2))
+    assert vem._joins(incumbent, np.array([2, 2, 1, 1, 2]), swapped)
+    # the same blocks under the wrong components
+    assert not vem._joins(incumbent, np.array([1, 1, 2, 2, 1]), swapped)
+    # one moved column in a matched component
+    moved = (ColumnPartition(np.array([3, 1, 2, 2]), 3), ColumnPartition(np.array([2, 1, 1, 1]), 2))
+    assert not vem._joins(incumbent, np.array([2, 2, 1, 1, 2]), moved)
+    # one moved row
+    assert not vem._joins(incumbent, np.array([2, 2, 1, 1, 1]), swapped)
+    # a component with no hard-assigned rows
+    assert not vem._joins(incumbent, np.array([2, 2, 2, 2, 2]), swapped)
+    empty = SimpleNamespace(labels=np.array([1, 1, 1, 1, 1]), model=SimpleNamespace(groupings=parts))
+    assert not vem._joins(empty, np.array([1, 1, 1, 1, 1]), parts)
+
+
+def test_fit_stops_a_start_on_the_incumbents_optimum():
+    # preset 1 has G = 2: every later start joins restart 0
+    counts, offsets = preset_1_data(150)
+    config = FitConfig(n_starts=4, seed=3)
+    result = fit(counts, offsets, 2, EqualK(2), config)
+    assert [(r, outcome) for r, outcome, _ in result.starts] == [
+        (0, "converged"), (1, "joined restart 0"), (2, "joined restart 0"), (3, "joined restart 0"),
+    ]
+    assert result.restart == 0 and result.joined is None
+    alone = fit_from_state(
+        counts, offsets, initialize(counts, offsets, 2, config.seed, result.restart),
+        EqualK(2), config, restart=result.restart,
+    )
+    assert_same_fit(result, alone)
+    assert result.starts[0][2] == result.iterations
+    # the starts that were stopped reached the same optimum to 1e-5 in BIC
+    reference = fit_every_start(counts, offsets, 2, EqualK(2), config)
+    assert result.bic == pytest.approx(reference.bic, rel=1e-5)
+    # a joined start comes back as a normal result with its iterations
+    joined = fit_from_state(
+        counts, offsets, initialize(counts, offsets, 2, config.seed, 1),
+        EqualK(2), config, restart=1, incumbent=result,
+    )
+    assert (joined.joined, joined.restart, joined.converged) == (0, 1, False)
+    assert joined.iterations == result.starts[1][2]
+    assert len(joined.elbo_trace) == joined.iterations + 1
+
+
+def test_fit_without_a_join_equals_every_start_run_through():
+    # an overfit G = 3 on preset 1: no start reaches restart 0's optimum,
+    # so every start runs as it would alone
+    counts, offsets = preset_1_data(120)
+    config = FitConfig(n_starts=3, max_em_iter=60, seed=3)
+    result = fit(counts, offsets, 3, EqualK(2), config)
+    assert [outcome for _, outcome, _ in result.starts] == ["converged", "capped", "capped"]
+    assert_same_fit(result, fit_every_start(counts, offsets, 3, EqualK(2), config))
+
+
+@pytest.mark.parametrize("G, n_starts", [(1, 3), (2, 1)])
+def test_fit_passes_no_incumbent_to_a_lone_start(monkeypatch, G, n_starts):
+    counts, offsets, _ = two_group_dataset(seed=31, n=40)
+    incumbents = []
+    original = vem.fit_from_state
+
+    def spy(*args, incumbent=None, **kwargs):
+        incumbents.append(incumbent)
+        return original(*args, incumbent=incumbent, **kwargs)
+
+    monkeypatch.setattr(vem, "fit_from_state", spy)
+    result = fit(counts, offsets, G, EqualK(2), FitConfig(n_starts=n_starts, max_em_iter=20, seed=0))
+    assert incumbents == [None]
+    assert [r for r, _, _ in result.starts] == [0]
+
+
+def test_fit_records_a_failed_start_beside_the_winner(monkeypatch):
+    counts, offsets, _ = two_group_dataset(seed=88, n=30)
+    original = vem.initialize
+
+    def failing_second(counts, offsets, G, seed, restart):
+        if restart == 1:
+            raise EmptyComponent("forced failure")
+        return original(counts, offsets, G, seed, restart)
+
+    monkeypatch.setattr(vem, "initialize", failing_second)
+    result = fit(counts, offsets, 2, EqualK(1), FitConfig(n_starts=2, max_em_iter=10, seed=0))
+    assert result.restart == 0
+    assert result.starts[1] == (1, "EmptyComponent: forced failure", None)
+    assert result.starts[0][0] == 0 and result.starts[0][2] == result.iterations
+
+
 def test_fit_g1_matches_single_component_math():
     # with one component the bound equals the summed per-observation bounds
     rng = np.random.default_rng(99)
@@ -654,8 +776,22 @@ def test_result_round_trip(tmp_path):
     assert loaded.converged == result.converged
     assert loaded.iterations == result.iterations
     assert loaded.restart == result.restart
+    assert loaded.starts == result.starts == ((0, "capped", 40),)
     assert np.array_equal(loaded.model.sigma, result.model.sigma)
     assert np.array_equal(loaded.model.mu, result.model.mu)
+
+
+def test_load_result_reads_a_file_without_starts(tmp_path):
+    counts, offsets, _ = two_group_dataset(n=60)
+    result = fit(counts, offsets, G=2, k_spec=EqualK(2),
+                 config=FitConfig(n_starts=1, max_em_iter=5, seed=5))
+    payload = vem.result_to_dict(result)
+    del payload["starts"]
+    path = tmp_path / "result.json"
+    write_json(payload, path)
+    loaded = load_result(path)
+    assert loaded.starts == ()
+    assert np.array_equal(loaded.labels, result.labels)
 
 
 def test_save_labels_format(tmp_path):
