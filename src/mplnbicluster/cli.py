@@ -224,6 +224,18 @@ def _require_file(path, kind) -> Path:
     return p
 
 
+def _load(loader, path, kind, **kwargs):
+    """Read an input file; every error names the path once (the loaders'
+    own errors start with it, a decoding error does not)."""
+    _require_file(path, kind)
+    try:
+        return loader(path, **kwargs)
+    except MplnError as exc:
+        raise UsageError(str(exc)) from None
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from None
+
+
 def _write_run_config(command, effective, out: Path) -> None:
     payload = {"command": command}
     for key in sorted(effective):
@@ -299,17 +311,9 @@ def _cmd_fit(effective) -> int:
     config = FitConfig(**{f.name: effective[f.name] for f in fields(FitConfig)})
     out = _prepare_out(effective)
 
-    _require_file(counts_path, "counts")
-    try:
-        counts = load_counts(counts_path)
-    except (MplnError, ValueError) as exc:
-        raise UsageError(f"{counts_path}: {exc}") from None
+    counts = _load(load_counts, counts_path, "counts")
     if effective["offsets"] is not None:
-        _require_file(effective["offsets"], "offsets")
-        try:
-            offsets = load_offsets(effective["offsets"], n=counts.n)
-        except (MplnError, ValueError) as exc:
-            raise UsageError(f"{effective['offsets']}: {exc}") from None
+        offsets = _load(load_offsets, effective["offsets"], "offsets", n=counts.n)
     else:
         try:
             offsets = compute_offsets(counts, effective["offsets_mode"])

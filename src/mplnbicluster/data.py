@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     LengthMismatch,
+    MplnError,
     NegativeCount,
     NonIntegerCount,
     NonpositiveOffset,
@@ -171,6 +172,8 @@ def load_counts(path: str | Path, fmt: str | None = None) -> CountMatrix:
         With the offending row id and column name in the message.
     LengthMismatch
         On ragged rows, an empty file, or duplicate identifiers.
+
+    Every message starts with the path.
     """
     delim = _DELIMS[_format_of(path, fmt)]
     with open(path, newline="") as fh:
@@ -215,7 +218,10 @@ def load_counts(path: str | Path, fmt: str | None = None) -> CountMatrix:
                     f"{path}: negative count {value} at row {sid!r}, column {var_names[j]!r}"
                 )
             data[r - 2, j] = value
-    return CountMatrix(data, tuple(sample_ids), var_names)
+    try:
+        return CountMatrix(data, tuple(sample_ids), var_names)
+    except MplnError as exc:  # e.g. duplicate sample ids
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def save_counts(cm: CountMatrix, path: str | Path, fmt: str | None = None) -> None:

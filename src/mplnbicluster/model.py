@@ -145,6 +145,13 @@ class VariationalState:
         return self.m.shape[1]
 
 
+def logdet_blocks(s) -> np.ndarray:
+    """log det S per observation for S stored as (n, b, b) blocks: the sum
+    of the blocks' log-determinants, each from its Cholesky factor, so an S
+    that is not positive definite raises NotPositiveDefinite."""
+    return sum(logdet_from_cholesky(cholesky(block)) for block in s)
+
+
 def elbo_batch(
     y: np.ndarray,
     log_c: np.ndarray,
@@ -165,15 +172,14 @@ def elbo_batch(
     holds one (n, b, b) array and sigma_inv one (b, b) array per block,
     and the quadratic, trace and log-det terms are summed over blocks.
     log_fact is sum_j log(y_ij!) per row (computed if omitted); logdet_s
-    may be passed when the caller already has it from a factorization.
-    Otherwise each block of S is Cholesky-factored, which raises
-    NotPositiveDefinite for an S that is not positive definite.
+    may be passed when the caller already has it from a factorization;
+    otherwise it comes from ``logdet_blocks``.
     """
     y = np.asarray(y, dtype=float)
     if log_fact is None:
         log_fact = gammaln(y + 1.0).sum(axis=1)
     if logdet_s is None:
-        logdet_s = sum(logdet_from_cholesky(cholesky(block)) for block in s)
+        logdet_s = logdet_blocks(s)
     d = m.shape[1]
     dm = m - mu
     quad = 0.0

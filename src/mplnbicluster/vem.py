@@ -12,7 +12,11 @@ bound stabilises:
    component's partition (Sigma is block-diagonal, so the fixed point for
    S is too).  When a component's partition changes, its S is stored on
    the merged old and new blocks until a sweep has refreshed it under the
-   new Sigma.
+   new Sigma.  A sweep skips the rows whose responsibility under the
+   component is below the rounding unit of 1: the M-step and the bound
+   weigh such a pair by nothing they can resolve, and a coordinate left
+   as it is never lowers the bound, so each pass still ascends.  On
+   merged blocks every row is swept.
 
 Every substep is guarded so the quantity traced in ``elbo_trace`` — the
 log-sum-exp bound ``sum_i log sum_g pi_g exp(F_ig)`` — never decreases:
@@ -50,6 +54,7 @@ from .model import (
     VariationalState,
     bic,
     elbo_batch,
+    logdet_blocks,
     lower_bound,
     model_from_dict,
     model_to_dict,
@@ -298,26 +303,29 @@ def newton_m_step(y, log_c, m, s_new, mu, sigma_inv):
     return m - step, step
 
 
-def _sweep_batch(y, log_c, m, s, mu, sigma_inv, logdet_sigma, groups, log_fact,
-                 f_start, inner_iter, inner_tol):
-    """Guarded coordinate sweeps for every observation of one component.
+def _sweep_batch(y, log_c, m, s, logdet_s, mu, sigma_inv, logdet_sigma, groups,
+                 log_fact, f_start, inner_iter, inner_tol, rows=None):
+    """Guarded coordinate sweeps for the observations ``rows`` of one
+    component (every observation when None); the others keep their pair.
 
     S and Sigma^-1 are stored per column block: ``s`` holds one (n, b, b)
     array and ``sigma_inv`` one (b, b) array per index array in ``groups``.
-    ``f_start`` is each observation's bound at the starting (m, S); every
-    trial step is scored with the same ``elbo_batch``.  Each sweep refreshes
+    ``logdet_s`` and ``f_start`` are each observation's log det S and bound
+    at the starting (m, S); every trial step is scored with the same
+    ``elbo_batch``, taking log det S' from the S-step.  Each sweep refreshes
     every block of S by its fixed-point map and takes the Newton step on
     that block's columns of m; the blocks are independent b x b problems.
     If an observation's bound would drop, the m-step is halved once; if it
     still drops, that observation keeps its pre-sweep pair and stops.
     Observations whose update falls below ``inner_tol`` in the sup norm also
-    stop.  Returns (m, s) as copies; inputs are untouched.
+    stop.  Returns (m, s, logdet_s) as copies; inputs are untouched.
     """
     y = np.asarray(y, dtype=float)
     m = m.copy()
     s = [block.copy() for block in s]
+    logdet_s = np.array(logdet_s, dtype=float)
     f_cur = np.array(f_start, dtype=float)
-    active = np.arange(m.shape[0])
+    active = np.arange(m.shape[0]) if rows is None else rows
     for _ in range(inner_iter):
         if active.size == 0:
             break
@@ -355,13 +363,14 @@ def _sweep_batch(y, log_c, m, s, mu, sigma_inv, logdet_sigma, groups, log_fact,
         for s_b_new, s_b in zip(s_new, sa):
             delta = np.maximum(delta, np.abs(s_b_new - s_b).max(axis=(1, 2)))
         accepted = ~rejected
-        rows = active[accepted]
-        m[rows] = m_new[accepted]
+        kept = active[accepted]
+        m[kept] = m_new[accepted]
         for block, s_b_new in zip(s, s_new):
-            block[rows] = s_b_new[accepted]
-        f_cur[rows] = f_new[accepted]
+            block[kept] = s_b_new[accepted]
+        logdet_s[kept] = logdet_s_new[accepted]
+        f_cur[kept] = f_new[accepted]
         active = active[accepted & (delta >= inner_tol)]
-    return m, s
+    return m, s, logdet_s
 
 
 def update_variational(y, log_c, m, s, mu, sigma, inner_iter=FitConfig.inner_iter,
@@ -382,10 +391,11 @@ def update_variational(y, log_c, m, s, mu, sigma, inner_iter=FitConfig.inner_ite
     mu = np.asarray(mu, dtype=float)
     groups = (np.arange(m.shape[1]),)
     log_fact = gammaln(y + 1.0).sum(axis=1)
+    logdet_s = logdet_blocks([s])
     f_start = elbo_batch(y, log_c, m, [s], mu, [sigma_inv], logdet_sigma,
-                         log_fact=log_fact, groups=groups)
-    m_out, s_out = _sweep_batch(
-        y, log_c, m, [s], mu, [sigma_inv], logdet_sigma, groups,
+                         log_fact=log_fact, logdet_s=logdet_s, groups=groups)
+    m_out, s_out, _ = _sweep_batch(
+        y, log_c, m, [s], logdet_s, mu, [sigma_inv], logdet_sigma, groups,
         log_fact, f_start, inner_iter, inner_tol,
     )
     return m_out[0], s_out[0][0]
@@ -496,6 +506,21 @@ def _store_blocks(partition, groups, s):
     return new, reblock(s, groups, new)
 
 
+# below this a responsibility is under the rounding unit of its row's sum of 1
+_Z_RESOLVABLE = np.finfo(float).eps
+
+
+def _rows_to_sweep(z_g, groups, partition):
+    """The rows a component's sweep refreshes: those with a responsibility
+    the fit can resolve, or every row (None) while S sits on blocks merged
+    across a partition change, so the next store shrinks S back onto the
+    partition.  A skipped pair keeps its (m, S), and its bound is retaken
+    on every pass (sparse EM, Neal & Hinton 1998)."""
+    if len(groups) != partition.k:
+        return None
+    return np.flatnonzero(z_g >= _Z_RESOLVABLE)
+
+
 def _block_inverses(lower, groups):
     """Inverses of the blocks of Sigma = L L' on ``groups``, and log det Sigma.
 
@@ -596,6 +621,9 @@ def fit_from_state(
     partitions = [None] * G
     sigma_inv = [None] * G
     logdet_sigma = [None] * G
+    # log det S per row: factored on the first pass, then carried from the
+    # S-steps (a store drops only exact zeros, so it keeps log det S)
+    logdet_s = [None] * G
     trace = []
     prev_bound = -np.inf
     converged = False
@@ -615,9 +643,11 @@ def fit_from_state(
                 sigma[g], lowers[g], partitions[g] = cand_sigma, cand_lower, cand_part
             groups[g], s[g] = _store_blocks(partitions[g], groups[g], s[g])
             sigma_inv[g], logdet_sigma[g] = _block_inverses(lowers[g], groups[g])
+            if logdet_s[g] is None:
+                logdet_s[g] = logdet_blocks(s[g])
             f[:, g] = elbo_batch(
                 y, log_c, m[:, g], s[g], mu[g], sigma_inv[g], logdet_sigma[g],
-                log_fact=log_fact, groups=groups[g],
+                log_fact=log_fact, logdet_s=logdet_s[g], groups=groups[g],
             )
         bound, z = posterior(f, pi)
         trace.append(bound)
@@ -632,9 +662,10 @@ def fit_from_state(
             break
         for g in range(G):
             # f[:, g] is the bound at this same (m, S, mu, Sigma)
-            m[:, g], s[g] = _sweep_batch(
-                y, log_c, m[:, g], s[g], mu[g], sigma_inv[g], logdet_sigma[g],
-                groups[g], log_fact, f[:, g], config.inner_iter, config.inner_tol,
+            m[:, g], s[g], logdet_s[g] = _sweep_batch(
+                y, log_c, m[:, g], s[g], logdet_s[g], mu[g], sigma_inv[g],
+                logdet_sigma[g], groups[g], log_fact, f[:, g], config.inner_iter,
+                config.inner_tol, _rows_to_sweep(z[:, g], groups[g], partitions[g]),
             )
 
     final_state = VariationalState(m=m, s=s, z=z, groups=groups)

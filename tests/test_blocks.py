@@ -30,7 +30,7 @@ from dense_reference import (
 from mplnbicluster import vem
 from mplnbicluster.colgroup import ColumnPartition, block_project
 from mplnbicluster.data import CountMatrix, OffsetVector
-from mplnbicluster.model import VariationalState, elbo_batch
+from mplnbicluster.model import VariationalState, elbo_batch, logdet_blocks
 from mplnbicluster.simulate import preset, sample_dataset, spec_offsets
 from mplnbicluster.vem import EqualK, FitConfig, SilhouetteK, compute_scatter, fit, reblock
 
@@ -106,23 +106,26 @@ def test_block_sweep_matches_dense_reference(data, n, seed, inner_iter):
     # the fit stores S on the merged blocks, Sigma^-1 on the same blocks
     groups, s_blocks = vem._store_blocks(part, (np.arange(part.d),), [s])
     assert np.array_equal(dense_from_blocks(s_blocks, groups, part.d), s)
-    inv_blocks, logdet_blocks = vem._block_inverses(np.linalg.cholesky(sigma), groups)
+    inv_blocks, logdet_sigma_blocks = vem._block_inverses(np.linalg.cholesky(sigma), groups)
     np.testing.assert_allclose(dense_from_blocks(inv_blocks, groups, part.d), sigma_inv, **TOL)
-    assert logdet_blocks == pytest.approx(logdet_sigma, rel=1e-9, abs=1e-9)
+    assert logdet_sigma_blocks == pytest.approx(logdet_sigma, rel=1e-9, abs=1e-9)
 
     f_dense = elbo_dense(y, log_c, m, s, mu, sigma_inv, logdet_sigma, log_fact)
-    f_block = elbo_batch(y, log_c, m, s_blocks, mu, inv_blocks, logdet_blocks,
+    f_block = elbo_batch(y, log_c, m, s_blocks, mu, inv_blocks, logdet_sigma_blocks,
                          log_fact=log_fact, groups=groups)
     np.testing.assert_allclose(f_block, f_dense, **TOL)
 
     m_ref, s_ref = sweep_dense(y, log_c, m, s, mu, sigma_inv, logdet_sigma,
                                log_fact, f_dense, inner_iter, 1e-6)
-    m_out, s_out = vem._sweep_batch(y, log_c, m, s_blocks, mu, inv_blocks,
-                                    logdet_blocks, groups, log_fact, f_block,
-                                    inner_iter, 1e-6)
+    m_out, s_out, logdet_out = vem._sweep_batch(
+        y, log_c, m, s_blocks, logdet_blocks(s_blocks), mu, inv_blocks, logdet_sigma_blocks,
+        groups, log_fact, f_block, inner_iter, 1e-6,
+    )
     np.testing.assert_allclose(m_out, m_ref, **TOL)
     s_dense = dense_from_blocks(s_out, groups, part.d)
     np.testing.assert_allclose(s_dense, s_ref, **TOL)
+    # the carried log det S is that of the returned S
+    np.testing.assert_allclose(logdet_out, np.linalg.slogdet(s_dense)[1], **TOL)
 
     # moving S back towards Sigma's blocks drops nothing but exact zeros
     new_groups, s_moved = vem._store_blocks(part, groups, s_out)
@@ -161,8 +164,9 @@ def test_storage_returns_to_the_partition_after_a_full_sweep():
     assert len(groups) == 1
     inv_blocks, logdet = vem._block_inverses(np.linalg.cholesky(sigma), groups)
     f = elbo_batch(y, log_c, m, s_blocks, mu, inv_blocks, logdet, groups=groups)
-    _, s_out = vem._sweep_batch(y, log_c, m - 0.3, s_blocks, mu, inv_blocks, logdet,
-                                groups, gammaln(y + 1.0).sum(axis=1), f - 1e3, 1, 1e-6)
+    _, s_out, _ = vem._sweep_batch(y, log_c, m - 0.3, s_blocks, logdet_blocks(s_blocks),
+                                   mu, inv_blocks, logdet, groups,
+                                   gammaln(y + 1.0).sum(axis=1), f - 1e3, 1, 1e-6)
     new_groups, _ = vem._store_blocks(part, groups, s_out)
     assert [g.tolist() for g in new_groups] == [[0, 2], [1, 3]]
 

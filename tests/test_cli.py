@@ -274,6 +274,41 @@ def test_fit_missing_counts_is_usage_error(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, text, message", [
+    # errors of the loader itself
+    ("neg.csv", "sample_id,a,b\ns0,1,-2\n", "negative count -2 at row 's0', column 'b'"),
+    ("ids.csv", "sample_id\ns0\n", "header has no variable columns"),
+    # an error of CountMatrix, raised inside the loader
+    ("dup.csv", "sample_id,a\ns0,1\ns0,2\n", "sample ids are not unique"),
+    # a file that is not text
+    ("bin.csv", b"\xff\xfe\x00", "codec can't decode"),
+])
+def test_fit_load_errors_name_the_path_once(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    rc = main(["fit", "--counts", str(path), "--mode", "equal-k", "--gmax", "1",
+               "--kmax", "1", "-o", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {path}: ")
+    assert message in err
+    assert err.count(str(path)) == 1
+
+
+def test_fit_offsets_errors_name_the_path_once(sim_dir, tmp_path, capsys):
+    path = tmp_path / "off.txt"
+    path.write_text("1.0\n-1.0\n")
+    rc = main(["fit", "--counts", str(sim_dir / "counts.csv"), "--offsets", str(path),
+               "--mode", "equal-k", "--gmax", "1", "--kmax", "1", "-o", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: {path}: line 2: offset -1.0")
+    assert err.count(str(path)) == 1
+
+
 def test_fit_jobs_do_not_change_outputs(sim_dir, tmp_path):
     base = ["fit", "--counts", str(sim_dir / "counts.csv"), "--mode", "equal-k",
             "--gmax", "2", "--kmax", "2", *FAST_FIT, "--no-timestamp"]

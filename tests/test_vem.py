@@ -1,5 +1,6 @@
 """Tests for the variational EM engine."""
 
+import functools
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -753,6 +754,123 @@ def test_fit_g1_matches_single_component_math():
     )
     assert result.lower_bound == pytest.approx(total, rel=1e-10)
     assert np.array_equal(result.labels, np.ones(40, dtype=np.int64))
+
+
+# ---------------------------------------------------------------------------
+# the sweep's row gate
+
+# one start at n = 200: (preset, G, k_spec, restart).  Restart 2 of the
+# preset-11 silhouette fit changes partitions, so S sits on merged blocks
+# for some sweeps.
+GATE_CASES = {
+    "preset4": (4, 2, EqualK(10), 0),
+    "preset11": (11, 2, SilhouetteK(5), 2),
+    "preset11_g1": (11, 1, SilhouetteK(5), 0),
+}
+
+
+def gate_run(case):
+    """Counts, offsets, start state, k_spec and restart of a GATE_CASES entry."""
+    preset_id, G, k_spec, restart = GATE_CASES[case]
+    spec = replace(preset(preset_id), n=200)
+    counts, _ = sample_dataset(spec)
+    offsets = spec_offsets(spec)
+    return counts, offsets, initialize(counts, offsets, G, 0, restart), k_spec, restart
+
+
+@functools.lru_cache(maxsize=None)
+def gate_fit(case, every_row):
+    """The fit of a GATE_CASES entry and the number of rows handed to the
+    S-step.  With ``every_row`` the row choice returns every row: that is
+    the reference for the gate."""
+    counts, offsets, state, k_spec, restart = gate_run(case)
+    rows = []
+    original = vem.s_fixed_point_step
+
+    def counting(log_c, m, s, sigma_inv):
+        rows.append(m.shape[0])
+        return original(log_c, m, s, sigma_inv)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vem, "s_fixed_point_step", counting)
+        if every_row:
+            patch.setattr(vem, "_rows_to_sweep", lambda z_g, groups, partition: None)
+        result = fit_from_state(counts, offsets, state, k_spec,
+                                FitConfig(n_starts=1, seed=0), restart=restart)
+    return result, sum(rows)
+
+
+@pytest.mark.parametrize("case", ["preset4", "preset11"])
+def test_row_gate_matches_sweeping_every_row(case):
+    # differential test: the pairs the gate skips weigh less than 2.2e-16
+    # in the M-step and the bound, so the fits agree to rounding: 1e-10
+    # relative on the trace and BIC, exactly on everything discrete
+    gated, _ = gate_fit(case, False)
+    full, _ = gate_fit(case, True)
+    assert gated.iterations == full.iterations
+    assert gated.converged == full.converged
+    assert np.array_equal(gated.labels, full.labels)
+    for ours, ref in zip(gated.model.groupings, full.model.groupings):
+        assert np.array_equal(ours.assign, ref.assign)
+    np.testing.assert_allclose(gated.elbo_trace, full.elbo_trace, rtol=1e-10, atol=0)
+    assert gated.bic == pytest.approx(full.bic, rel=1e-10, abs=0)
+
+
+def test_row_gate_halves_the_s_steps_of_a_two_component_fit():
+    # each preset-4 row belongs to one component with responsibility ~1, so
+    # about half of all pairs are skipped; 55% leaves room for the pairs
+    # still unresolved in the first passes
+    _, gated_rows = gate_fit("preset4", False)
+    _, full_rows = gate_fit("preset4", True)
+    assert gated_rows <= 0.55 * full_rows
+
+
+def test_row_gate_leaves_a_single_component_fit_unchanged():
+    # with G = 1 every responsibility is 1, so every row is swept: bit for bit
+    gated, gated_rows = gate_fit("preset11_g1", False)
+    full, full_rows = gate_fit("preset11_g1", True)
+    assert gated_rows == full_rows
+    assert np.array_equal(gated.elbo_trace, full.elbo_trace)
+    assert gated.bic == full.bic
+    assert np.array_equal(gated.state.m, full.state.m)
+
+
+def test_rows_to_sweep_skips_negligible_rows_only_on_the_partition():
+    part = ColumnPartition(np.array([1, 1, 2, 2]), 2)
+    eps = np.finfo(float).eps
+    z_g = np.array([1.0, 0.5, 1e-17, 0.0, eps, 0.5 * eps])
+    assert vem._rows_to_sweep(z_g, part.groups(), part).tolist() == [0, 1, 4]
+    # S stored on blocks merged across a partition change: every row
+    assert vem._rows_to_sweep(z_g, (np.arange(4),), part) is None
+
+
+def test_a_component_on_merged_blocks_sweeps_every_row(monkeypatch):
+    # through the partition changes of the preset-11 fit, a sweep on merged
+    # blocks gets every row, also when some responsibilities are below eps
+    counts, offsets, state, k_spec, restart = gate_run("preset11")
+    calls = []
+    choose, sweep = vem._rows_to_sweep, vem._sweep_batch
+
+    def choosing(z_g, groups, partition):
+        calls.append({"merged": len(groups) != partition.k,
+                      "negligible": bool(np.any(z_g < np.finfo(float).eps))})
+        return choose(z_g, groups, partition)
+
+    def sweeping(*args):
+        # the fit passes the row choice as the last positional argument
+        m, rows = args[2], args[-1]
+        calls[-1]["swept"] = m.shape[0] if rows is None else rows.size
+        return sweep(*args)
+
+    monkeypatch.setattr(vem, "_rows_to_sweep", choosing)
+    monkeypatch.setattr(vem, "_sweep_batch", sweeping)
+    fit_from_state(counts, offsets, state, k_spec, FitConfig(n_starts=1, seed=0),
+                   restart=restart)
+    merged = [c for c in calls if c["merged"]]
+    assert any(c["negligible"] for c in merged)
+    assert all(c["swept"] == counts.n for c in merged)
+    # on the partition's own blocks the gate does skip rows
+    assert any(c["swept"] < counts.n for c in calls if not c["merged"])
 
 
 # ---------------------------------------------------------------------------
