@@ -309,7 +309,6 @@ def _cmd_fit(effective) -> int:
     gmax = _require(effective, "gmax", "--gmax")
     kmax = _require(effective, "kmax", "--kmax")
     config = FitConfig(**{f.name: effective[f.name] for f in fields(FitConfig)})
-    out = _prepare_out(effective)
 
     counts = _load(load_counts, counts_path, "counts")
     if effective["offsets"] is not None:
@@ -320,6 +319,7 @@ def _cmd_fit(effective) -> int:
         except (MplnError, ValueError) as exc:
             raise UsageError(str(exc)) from None
 
+    out = _prepare_out(effective)
     search = grid_search_equal_k if mode == "equal-k" else fit_varying_k
     best, grid = search(counts, offsets, gmax, kmax, config, jobs=effective["jobs"])
 
@@ -360,7 +360,6 @@ def _expand(values, pattern, kind):
 def _cmd_evaluate(effective) -> int:
     truth_arg = _require(effective, "truth", "--truth")
     result_arg = _require(effective, "result", "--result")
-    out = _prepare_out(effective)
     truth_paths = _expand(truth_arg, "truth*.json", "truth")
     result_paths = _expand(result_arg, "result*.json", "result")
     if len(truth_paths) == 1 and len(result_paths) > 1:
@@ -397,6 +396,7 @@ def _cmd_evaluate(effective) -> int:
         final = aggregate_reports(reports)
     except MplnError as exc:
         raise UsageError(f"{exc}; aggregate only replicates of a single study") from None
+    out = _prepare_out(effective)
     save_report(final, out / "report.json")
     for t, matrix in enumerate(final.support_counts, start=1):
         save_support_csv(matrix, out / f"support_component_{t}.csv")
@@ -454,12 +454,12 @@ def _fmt(value) -> str:
 
 def _cmd_report(effective) -> int:
     report_arg = _require(effective, "report", "--report")
-    out = _prepare_out(effective)
     paths = _expand(report_arg, "report*.json", "report")
     if not paths:
         raise UsageError("no reports given")
     rows = [_summary_row(p) for p in paths]
 
+    out = _prepare_out(effective)
     with open(out / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_SUMMARY_COLUMNS)

@@ -137,6 +137,12 @@ class OffsetVector:
         return np.log(self.c)
 
 
+def check_offsets(counts: CountMatrix, offsets: OffsetVector) -> None:
+    """Raise LengthMismatch unless ``offsets`` has one value per row of ``counts``."""
+    if offsets.n != counts.n:
+        raise LengthMismatch(f"{offsets.n} offsets for {counts.n} samples")
+
+
 def _format_of(path: str | Path, fmt: str | None) -> str:
     if fmt is not None:
         if fmt not in _DELIMS:

@@ -101,8 +101,8 @@ class VariationalState:
     m : (n, G, d) variational means; z : (n, G) responsibilities, rows on
     the simplex.  S_ig is stored per column block: ``groups[g]`` holds index
     arrays partitioning range(d) and ``s[g]`` the (n, b, b) blocks of S_ig
-    on them.  A fitted state's ``groups[g]`` are component g's final blocks,
-    merged with the previous partition's if it changed after the last sweep.
+    on them.  A fitted state's ``groups[g]`` are exactly the blocks of
+    component g's final partition.
     """
 
     m: np.ndarray

@@ -20,7 +20,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Optional
 
-from .data import CountMatrix, OffsetVector
+from .data import CountMatrix, OffsetVector, check_offsets
 from .errors import AllCellsFailed, MplnError
 from .seeding import TAG_CELL, derive_seed
 from .vem import EqualK, FitConfig, FitResult, SilhouetteK, fit
@@ -185,6 +185,7 @@ def grid_search_equal_k(
     marked with their error but are excluded from selection.
     """
     _check_g_max(counts, g_max)
+    check_offsets(counts, offsets)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     if k_max > counts.d:
@@ -210,6 +211,7 @@ def fit_varying_k(
 ):
     """One silhouette-guided fit per G in 1..g_max; BIC compares across G."""
     _check_g_max(counts, g_max)
+    check_offsets(counts, offsets)
     if not 2 <= k_max <= counts.d:
         raise ValueError(
             f"k_max must be between 2 and d={counts.d}, got {k_max}"

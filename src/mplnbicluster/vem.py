@@ -10,13 +10,12 @@ bound stabilises:
 3. coordinate sweeps on the per-observation Gaussian approximations,
    whose covariances S are stored, like Sigma^-1, per column block of the
    component's partition (Sigma is block-diagonal, so the fixed point for
-   S is too).  When a component's partition changes, its S is stored on
-   the merged old and new blocks until a sweep has refreshed it under the
-   new Sigma.  A sweep skips the rows whose responsibility under the
-   component is below the rounding unit of 1: the M-step and the bound
+   S is too).  When a component's partition changes, its S moves onto the
+   new blocks and drops the entries across them, which never lowers a
+   bound (``reblock``).  A sweep skips the rows whose responsibility under
+   the component is below the rounding unit of 1: the M-step and the bound
    weigh such a pair by nothing they can resolve, and a coordinate left
-   as it is never lowers the bound, so each pass still ascends.  On
-   merged blocks every row is swept.
+   as it is never lowers the bound, so each pass still ascends.
 
 Every substep is guarded so the quantity traced in ``elbo_trace`` — the
 log-sum-exp bound ``sum_i log sum_g pi_g exp(F_ig)`` — never decreases:
@@ -45,7 +44,7 @@ from .colgroup import (
     distance_matrix,
     select_k_silhouette,
 )
-from .data import CountMatrix, OffsetVector, integer, read_json, write_json
+from .data import CountMatrix, OffsetVector, check_offsets, integer, read_json, write_json
 from .errors import AllRestartsFailed, EmptyComponent, MplnError
 from .evaluate import relabelling
 from .linalg import cholesky, cholesky_with_jitter, inv_logdet_from_cholesky, logdet_from_cholesky
@@ -241,6 +240,7 @@ def initialize(
     the log counts for restart 0 and Dirichlet(1) draws for later restarts,
     so the first start is a strong guess and the rest explore.
     """
+    check_offsets(counts, offsets)
     y = counts.counts
     n, d = y.shape
     if not 1 <= G <= n:
@@ -467,65 +467,22 @@ def compute_scatter(z_g, m_g, s_g, mu_g, groups):
     return 0.5 * (w + w.T)
 
 
-def _merge_blocks(d, index_sets):
-    """Blocks of the finest partition of range(d) that keeps each of the
-    (non-empty) ``index_sets`` inside one block, ordered by first column."""
-    root = np.arange(d)
-    changed = True
-    while changed:
-        changed = False
-        for idx in index_sets:
-            low = root[idx].min()
-            if np.any(root[idx] != low):
-                root[idx] = low
-                changed = True
-    return tuple(np.flatnonzero(root == r) for r in np.unique(root))
-
-
-def _store_blocks(partition, groups, s):
-    """Move S (blocks on ``groups``) onto the finest column blocks that are
-    unions of ``partition``'s blocks and hold every nonzero entry of S.
-
-    Only exact zeros are dropped, so no bound moves.  Right after a
-    partition change S keeps the entries it had across the new blocks; the
-    next sweep refreshes it under the new, block-diagonal Sigma (the entries
-    across Sigma's blocks come out exactly zero) and S shrinks back onto
-    the partition.  Returns (groups, s), at once when S already sits on
-    the partition's blocks.
-    """
-    if len(groups) == partition.k and all(
-        np.all(partition.assign[idx] == partition.assign[idx[0]]) for idx in groups
-    ):
-        return groups, s
-    sets = list(partition.groups())
-    for idx, block in zip(groups, s):
-        sets.extend(idx[row] for row in np.any(block != 0.0, axis=0) if row.any())
-    new = _merge_blocks(partition.d, sets)
-    if len(new) == len(groups) and all(np.array_equal(a, b) for a, b in zip(new, groups)):
-        return groups, s
-    return new, reblock(s, groups, new)
-
-
 # below this a responsibility is under the rounding unit of its row's sum of 1
 _Z_RESOLVABLE = np.finfo(float).eps
 
 
-def _rows_to_sweep(z_g, groups, partition):
+def _rows_to_sweep(z_g):
     """The rows a component's sweep refreshes: those with a responsibility
-    the fit can resolve, or every row (None) while S sits on blocks merged
-    across a partition change, so the next store shrinks S back onto the
-    partition.  A skipped pair keeps its (m, S), and its bound is retaken
-    on every pass (sparse EM, Neal & Hinton 1998)."""
-    if len(groups) != partition.k:
-        return None
+    the fit can resolve.  A skipped pair keeps its (m, S), and its bound is
+    retaken on every pass (sparse EM, Neal & Hinton 1998)."""
     return np.flatnonzero(z_g >= _Z_RESOLVABLE)
 
 
 def _block_inverses(lower, groups):
     """Inverses of the blocks of Sigma = L L' on ``groups``, and log det Sigma.
 
-    Each group is a union of Sigma's diagonal blocks, where L is zero
-    across blocks, so L's block on sorted indices is the Cholesky factor of
+    The groups are Sigma's own diagonal blocks, where L is zero across
+    blocks, so L's block on sorted indices is the Cholesky factor of
     Sigma's block.
     """
     pairs = [inv_logdet_from_cholesky(lower[np.ix_(idx, idx)]) for idx in groups]
@@ -610,6 +567,7 @@ def fit_from_state(
     n, G, d = state.m.shape
     if counts.n != n or counts.d != d:
         raise ValueError("state does not match the count matrix")
+    check_offsets(counts, offsets)
     k_spec = _normalize_k_spec(k_spec, G, d)
 
     m = state.m.copy()
@@ -621,8 +579,8 @@ def fit_from_state(
     partitions = [None] * G
     sigma_inv = [None] * G
     logdet_sigma = [None] * G
-    # log det S per row: factored on the first pass, then carried from the
-    # S-steps (a store drops only exact zeros, so it keeps log det S)
+    # log det S per row: factored whenever S moves onto a new partition,
+    # and carried from the S-steps in between
     logdet_s = [None] * G
     trace = []
     prev_bound = -np.inf
@@ -641,10 +599,13 @@ def fit_from_state(
             # the first pass has no covariance yet to guard
             if lowers[g] is None or _no_worse_fit(w, z[:, g].sum(), lowers[g], cand_lower):
                 sigma[g], lowers[g], partitions[g] = cand_sigma, cand_lower, cand_part
-            groups[g], s[g] = _store_blocks(partitions[g], groups[g], s[g])
-            sigma_inv[g], logdet_sigma[g] = _block_inverses(lowers[g], groups[g])
+            blocks = partitions[g].groups()
+            if len(blocks) != len(groups[g]) or not all(map(np.array_equal, blocks, groups[g])):
+                # dropping S's entries across the new blocks never lowers a bound
+                s[g], groups[g], logdet_s[g] = reblock(s[g], groups[g], blocks), blocks, None
             if logdet_s[g] is None:
                 logdet_s[g] = logdet_blocks(s[g])
+            sigma_inv[g], logdet_sigma[g] = _block_inverses(lowers[g], groups[g])
             f[:, g] = elbo_batch(
                 y, log_c, m[:, g], s[g], mu[g], sigma_inv[g], logdet_sigma[g],
                 log_fact=log_fact, logdet_s=logdet_s[g], groups=groups[g],
@@ -665,7 +626,7 @@ def fit_from_state(
             m[:, g], s[g], logdet_s[g] = _sweep_batch(
                 y, log_c, m[:, g], s[g], logdet_s[g], mu[g], sigma_inv[g],
                 logdet_sigma[g], groups[g], log_fact, f[:, g], config.inner_iter,
-                config.inner_tol, _rows_to_sweep(z[:, g], groups[g], partitions[g]),
+                config.inner_tol, _rows_to_sweep(z[:, g]),
             )
 
     final_state = VariationalState(m=m, s=s, z=z, groups=groups)
@@ -710,6 +671,8 @@ def fit(
     if config is None:
         config = FitConfig()
     k_spec = _normalize_k_spec(k_spec, G, counts.d)
+    # before the starts, each of which would record the error as its outcome
+    check_offsets(counts, offsets)
     best = incumbent = None
     starts = []
     # ``initialize`` ignores the restart index when G = 1

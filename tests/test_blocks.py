@@ -1,14 +1,13 @@
 """Block-stored variational covariances against the dense reference sweep.
 
-The fit stores each component's S and Sigma^-1 per column block: the blocks
-of its partition, merged with S's old blocks right after a partition
-change.  These tests draw random partitions (one block, all singletons, and
+The fit stores each component's S and Sigma^-1 per column block of the
+component's partition; when the partition changes, S moves onto the new
+blocks.  These tests draw random partitions (one block, all singletons, and
 mixed, d = 1 included) and check the block sweep, ELBO and scatter against
 the dense copies in ``dense_reference``; that ``vem.reblock``, which moves
 blocks from one column layout to another without a dense stack, matches
-the dense round trip exactly; that moving S between storages drops only
-exact zeros and never builds a dense (n, d, d) stack; and that moving S
-onto any new partition never lowers a bound.
+the dense round trip exactly; that moving S never builds a dense (n, d, d)
+stack; and that moving S onto any new partition never lowers a bound.
 """
 
 import tracemalloc
@@ -95,7 +94,7 @@ def dense_inverse(sigma):
 @given(data=st.data(), n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
        inner_iter=st.integers(1, 10))
 def test_block_sweep_matches_dense_reference(data, n, seed, inner_iter):
-    # Sigma is block-diagonal on `part`; S, as right after a partition
+    # Sigma is block-diagonal on `part`; S, as right before a partition
     # change, on another partition of the same columns
     part = data.draw(partitions())
     s_part = data.draw(partitions(d=part.d))
@@ -103,9 +102,10 @@ def test_block_sweep_matches_dense_reference(data, n, seed, inner_iter):
     sigma_inv, logdet_sigma = dense_inverse(sigma)
     log_fact = gammaln(y + 1.0).sum(axis=1)
 
-    # the fit stores S on the merged blocks, Sigma^-1 on the same blocks
-    groups, s_blocks = vem._store_blocks(part, (np.arange(part.d),), [s])
-    assert np.array_equal(dense_from_blocks(s_blocks, groups, part.d), s)
+    # the fit moves S onto Sigma's blocks, and the dense sweep gets the same S
+    groups = part.groups()
+    s_blocks = reblock(blocks_from_dense(s, s_part.groups()), s_part.groups(), groups)
+    s = dense_from_blocks(s_blocks, groups, part.d)
     inv_blocks, logdet_sigma_blocks = vem._block_inverses(np.linalg.cholesky(sigma), groups)
     np.testing.assert_allclose(dense_from_blocks(inv_blocks, groups, part.d), sigma_inv, **TOL)
     assert logdet_sigma_blocks == pytest.approx(logdet_sigma, rel=1e-9, abs=1e-9)
@@ -126,10 +126,6 @@ def test_block_sweep_matches_dense_reference(data, n, seed, inner_iter):
     np.testing.assert_allclose(s_dense, s_ref, **TOL)
     # the carried log det S is that of the returned S
     np.testing.assert_allclose(logdet_out, np.linalg.slogdet(s_dense)[1], **TOL)
-
-    # moving S back towards Sigma's blocks drops nothing but exact zeros
-    new_groups, s_moved = vem._store_blocks(part, groups, s_out)
-    assert np.array_equal(dense_from_blocks(s_moved, new_groups, part.d), s_dense)
 
     z = np.random.default_rng(seed).uniform(0.1, 1.0, size=n)
     np.testing.assert_allclose(
@@ -153,22 +149,6 @@ def test_s_fixed_point_step_matches_dense_reference(b):
     np.testing.assert_allclose(s_new, s_ref, rtol=1e-11, atol=1e-14)
     np.testing.assert_allclose(logdet, logdet_ref, rtol=1e-13, atol=1e-12)
     assert np.array_equal(s_new, np.swapaxes(s_new, -1, -2))
-
-
-def test_storage_returns_to_the_partition_after_a_full_sweep():
-    # every row takes a step, so S' is block-diagonal on Sigma's partition
-    part = ColumnPartition(np.array([1, 2, 1, 2]), 2)
-    old = ColumnPartition(np.array([1, 1, 2, 2]), 2)
-    y, log_c, m, s, mu, sigma = problem(5, part, 6, old)
-    groups, s_blocks = vem._store_blocks(part, (np.arange(4),), [s])
-    assert len(groups) == 1
-    inv_blocks, logdet = vem._block_inverses(np.linalg.cholesky(sigma), groups)
-    f = elbo_batch(y, log_c, m, s_blocks, mu, inv_blocks, logdet, groups=groups)
-    _, s_out, _ = vem._sweep_batch(y, log_c, m - 0.3, s_blocks, logdet_blocks(s_blocks),
-                                   mu, inv_blocks, logdet, groups,
-                                   gammaln(y + 1.0).sum(axis=1), f - 1e3, 1, 1e-6)
-    new_groups, _ = vem._store_blocks(part, groups, s_out)
-    assert [g.tolist() for g in new_groups] == [[0, 2], [1, 3]]
 
 
 @SETTINGS
@@ -317,20 +297,19 @@ def test_fit_peak_memory_stays_below_one_dense_s():
 
 def test_store_blocks_moves_s_without_a_dense_stack():
     # initialize's 1 x 1 blocks onto ten blocks of five columns, as the first
-    # pass of a preset-4 fit does: the move holds the new blocks (0.1 of a
-    # dense stack) and block-sized temporaries, never an (n, d, d) array
+    # pass of a preset-4 fit moves them: the move holds the new blocks (0.1
+    # of a dense stack) and block-sized temporaries, never an (n, d, d) array
     n, d = 200, 50
     counts = CountMatrix(np.ones((n, d), dtype=np.int64), tuple(f"s{i}" for i in range(n)),
                          tuple(f"v{j}" for j in range(d)))
     state = vem.initialize(counts, OffsetVector(np.ones(n)), 1, 0, 0)
-    part = ColumnPartition(np.repeat(np.arange(1, 11), 5), 10)
+    groups = ColumnPartition(np.repeat(np.arange(1, 11), 5), 10).groups()
     tracemalloc.start()
     try:
-        groups, s = vem._store_blocks(part, state.groups[0], state.s[0])
+        s = reblock(state.s[0], state.groups[0], groups)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert [idx.tolist() for idx in groups] == [idx.tolist() for idx in part.groups()]
     assert np.array_equal(dense_from_blocks(s, groups, d),
                           np.broadcast_to(0.1 * np.eye(d), (n, d, d)))
     assert peak < 0.25 * n * d * d * 8
@@ -349,8 +328,8 @@ def test_fit_state_blocks_sit_on_the_final_partitions():
     counts, offsets = two_blob_counts()
     result = fit(counts, offsets, G=2, k_spec=EqualK(2),
                  config=FitConfig(n_starts=1, max_em_iter=20, seed=1))
-    # no partition changes after the last sweep of this fit, so S is
-    # stored exactly on the final blocks
+    # S moves onto every partition the fit adopts, so it ends on the final
+    # blocks
     for g, part in enumerate(result.model.groupings):
         groups = result.state.groups[g]
         assert [idx.tolist() for idx in groups] == [idx.tolist() for idx in part.groups()]

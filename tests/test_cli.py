@@ -298,6 +298,16 @@ def test_fit_load_errors_name_the_path_once(tmp_path, capsys, name, text, messag
     assert err.count(str(path)) == 1
 
 
+def test_fit_rejects_bad_counts_before_any_output(tmp_path, capsys):
+    path = tmp_path / "neg.csv"
+    path.write_text("sample_id,a,b\ns0,1,-2\ns1,3,4\n")
+    rc = main(["fit", "--counts", str(path), "--mode", "equal-k", "--gmax", "1",
+               "--kmax", "1", "-o", str(tmp_path / "o")])
+    assert rc == 2
+    assert "negative count" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_fit_offsets_errors_name_the_path_once(sim_dir, tmp_path, capsys):
     path = tmp_path / "off.txt"
     path.write_text("1.0\n-1.0\n")
@@ -540,6 +550,14 @@ def test_evaluate_mismatched_d_is_usage_error(fit_dir, tmp_path, capsys):
     assert "d=6" in err and "d=4" in err
 
 
+def test_evaluate_missing_truth_leaves_no_output(fit_dir, tmp_path, capsys):
+    rc = main(["evaluate", "--truth", str(tmp_path / "nope.json"),
+               "--result", str(fit_dir / "result.json"), "-o", str(tmp_path / "o")])
+    assert rc == 2
+    assert "truth file not found" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_evaluate_replicates_aggregate_with_sds(tmp_path):
     truth_paths, result_paths = [], []
     for i, seed in enumerate((21, 22, 23)):
@@ -635,6 +653,14 @@ def test_report_zero_reports_is_usage_error(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["report", "--report", str(empty), "-o", str(tmp_path / "o2")]) == 2
+
+
+def test_report_invalid_report_leaves_no_output(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text("{}")
+    assert main(["report", "--report", str(path), "-o", str(tmp_path / "o")]) == 2
+    assert "not a valid report file" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_report_renders_means_and_sds(tmp_path):

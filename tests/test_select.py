@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mplnbicluster.data import CountMatrix, OffsetVector
-from mplnbicluster.errors import AllCellsFailed, EmptyComponent
+from mplnbicluster.errors import AllCellsFailed, EmptyComponent, LengthMismatch
 from mplnbicluster import select
 from mplnbicluster.model import bic
 from mplnbicluster.select import (
@@ -300,6 +300,22 @@ def test_search_rejects_g_max_above_n_before_fitting(monkeypatch, search):
         search(counts, unit_offsets(3), 4, 2,
                config=FitConfig(n_starts=1, max_em_iter=5, seed=0))
     assert calls == []
+    assert built == []
+
+
+@pytest.mark.parametrize("length", [1, 29])
+@pytest.mark.parametrize("search", [grid_search_equal_k, fit_varying_k],
+                         ids=["equal", "varying"])
+def test_search_rejects_offsets_of_another_length_before_fitting(monkeypatch, search, length):
+    counts = make_counts(np.random.default_rng(3).poisson(5.0, size=(30, 4)))
+    built = []
+    for name in ("EqualK", "SilhouetteK"):
+        real = getattr(select, name)
+        monkeypatch.setattr(select, name,
+                            lambda *args, _real=real: built.append(args) or _real(*args))
+    with pytest.raises(LengthMismatch, match=f"{length} offsets for 30 samples"):
+        search(counts, unit_offsets(length), 2, 2,
+               config=FitConfig(n_starts=1, max_em_iter=5, seed=0))
     assert built == []
 
 

@@ -7,11 +7,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.sparse.csgraph import connected_components
 
 from dense_reference import blocks_from_dense, dense_from_blocks
 from restart_reference import fit_every_start
 from mplnbicluster.data import CountMatrix, OffsetVector, write_json
-from mplnbicluster.errors import AllRestartsFailed, EmptyComponent, NotPositiveDefinite
+from mplnbicluster.errors import (
+    AllRestartsFailed,
+    EmptyComponent,
+    LengthMismatch,
+    NotPositiveDefinite,
+)
 from mplnbicluster.colgroup import ColumnPartition
 from mplnbicluster.model import (
     elbo_batch,
@@ -615,6 +621,54 @@ def test_fit_all_restarts_failed(monkeypatch):
     assert "EmptyComponent" in err.value.failures[0][1]
 
 
+@pytest.mark.parametrize("length", [1, 29])
+def test_offsets_of_another_length_are_rejected(length):
+    # checked before any arithmetic: one offset used to fail deep in the
+    # sweep with an IndexError, 29 with a numpy broadcast error
+    counts = make_counts(np.random.default_rng(3).poisson(5.0, size=(30, 4)))
+    offsets = unit_offsets(length)
+    message = f"{length} offsets for 30 samples"
+    config = FitConfig(n_starts=2, max_em_iter=5, seed=0)
+    with pytest.raises(LengthMismatch, match=message):
+        fit(counts, offsets, 2, EqualK(2), config)
+    with pytest.raises(LengthMismatch, match=message):
+        initialize(counts, offsets, 2, 0, 0)
+    state = initialize(counts, unit_offsets(30), 2, 0, 0)
+    with pytest.raises(LengthMismatch, match=message):
+        fit_from_state(counts, offsets, state, EqualK(2), config)
+
+
+# ---------------------------------------------------------------------------
+# degenerate inputs
+
+DEGENERATE = {
+    "all_zero": np.zeros((30, 4), dtype=np.int64),
+    "one_column": np.random.default_rng(5).poisson(4.0, size=(30, 1)),
+    "identical_rows": np.tile(np.array([[3, 0, 7, 1]]), (30, 1)),
+    "fewer_rows_than_columns": np.random.default_rng(6).poisson(4.0, size=(3, 6)),
+}
+
+
+@pytest.mark.parametrize("G", [1, 2])
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+def test_degenerate_inputs_fit_to_finite_outputs(case, G):
+    y = DEGENERATE[case]
+    config = FitConfig(max_em_iter=100, seed=0)
+    result = fit(make_counts(y), unit_offsets(y.shape[0]), G, EqualK(1), config)
+    assert np.isfinite(result.lower_bound)
+    assert np.isfinite(result.bic)
+    # a start may fail (an emptied component), but every one is recorded
+    assert [start[0] for start in result.starts] == list(range(config.n_starts if G > 1 else 1))
+
+
+def test_zero_columns_are_rejected_before_any_start(monkeypatch):
+    calls = []
+    monkeypatch.setattr(vem, "initialize", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="exceeds the number of variables 0"):
+        fit(make_counts(np.zeros((30, 0), dtype=np.int64)), unit_offsets(30), 1, EqualK(1))
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # restarts that reach an earlier start's optimum
 
@@ -760,8 +814,7 @@ def test_fit_g1_matches_single_component_math():
 # the sweep's row gate
 
 # one start at n = 200: (preset, G, k_spec, restart).  Restart 2 of the
-# preset-11 silhouette fit changes partitions, so S sits on merged blocks
-# for some sweeps.
+# preset-11 silhouette fit changes partitions mid-fit.
 GATE_CASES = {
     "preset4": (4, 2, EqualK(10), 0),
     "preset11": (11, 2, SilhouetteK(5), 2),
@@ -794,7 +847,7 @@ def gate_fit(case, every_row):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(vem, "s_fixed_point_step", counting)
         if every_row:
-            patch.setattr(vem, "_rows_to_sweep", lambda z_g, groups, partition: None)
+            patch.setattr(vem, "_rows_to_sweep", lambda z_g: None)
         result = fit_from_state(counts, offsets, state, k_spec,
                                 FitConfig(n_starts=1, seed=0), restart=restart)
     return result, sum(rows)
@@ -836,41 +889,43 @@ def test_row_gate_leaves_a_single_component_fit_unchanged():
 
 
 def test_rows_to_sweep_skips_negligible_rows_only_on_the_partition():
-    part = ColumnPartition(np.array([1, 1, 2, 2]), 2)
     eps = np.finfo(float).eps
     z_g = np.array([1.0, 0.5, 1e-17, 0.0, eps, 0.5 * eps])
-    assert vem._rows_to_sweep(z_g, part.groups(), part).tolist() == [0, 1, 4]
-    # S stored on blocks merged across a partition change: every row
-    assert vem._rows_to_sweep(z_g, (np.arange(4),), part) is None
+    assert vem._rows_to_sweep(z_g).tolist() == [0, 1, 4]
 
 
-def test_a_component_on_merged_blocks_sweeps_every_row(monkeypatch):
-    # through the partition changes of the preset-11 fit, a sweep on merged
-    # blocks gets every row, also when some responsibilities are below eps
+def test_every_sweep_holds_s_on_its_components_partition(monkeypatch):
+    # through the partition changes of the preset-11 fit, each sweep gets S
+    # on exactly the blocks of its component's Sigma (the connected parts of
+    # chol(Sigma)'s nonzero pattern), never on blocks that span two of them
     counts, offsets, state, k_spec, restart = gate_run("preset11")
-    calls = []
-    choose, sweep = vem._rows_to_sweep, vem._sweep_batch
+    sigma_blocks, swept = {}, []
+    inverses, sweep = vem._block_inverses, vem._sweep_batch
 
-    def choosing(z_g, groups, partition):
-        calls.append({"merged": len(groups) != partition.k,
-                      "negligible": bool(np.any(z_g < np.finfo(float).eps))})
-        return choose(z_g, groups, partition)
+    def inverting(lower, groups):
+        out = inverses(lower, groups)
+        _, labels = connected_components(lower != 0.0, directed=False)
+        blocks = [np.flatnonzero(labels == c).tolist() for c in range(labels.max() + 1)]
+        sigma_blocks[id(out[0])] = sorted(blocks)
+        return out
 
-    def sweeping(*args):
-        # the fit passes the row choice as the last positional argument
-        m, rows = args[2], args[-1]
-        calls[-1]["swept"] = m.shape[0] if rows is None else rows.size
-        return sweep(*args)
+    def sweeping(y, log_c, m, s, logdet_s, mu, sigma_inv, logdet_sigma, groups, *rest):
+        swept.append(([idx.tolist() for idx in groups],
+                      [block.shape[1:] for block in s], sigma_blocks[id(sigma_inv)]))
+        return sweep(y, log_c, m, s, logdet_s, mu, sigma_inv, logdet_sigma, groups, *rest)
 
-    monkeypatch.setattr(vem, "_rows_to_sweep", choosing)
+    monkeypatch.setattr(vem, "_block_inverses", inverting)
     monkeypatch.setattr(vem, "_sweep_batch", sweeping)
-    fit_from_state(counts, offsets, state, k_spec, FitConfig(n_starts=1, seed=0),
-                   restart=restart)
-    merged = [c for c in calls if c["merged"]]
-    assert any(c["negligible"] for c in merged)
-    assert all(c["swept"] == counts.n for c in merged)
-    # on the partition's own blocks the gate does skip rows
-    assert any(c["swept"] < counts.n for c in calls if not c["merged"])
+    result = fit_from_state(counts, offsets, state, k_spec, FitConfig(n_starts=1, seed=0),
+                            restart=restart)
+    # more layouts than components: some component changed its partition
+    assert len({str(groups) for groups, _, _ in swept}) > state.G
+    for groups, shapes, blocks in swept:
+        assert groups == blocks
+        assert shapes == [(len(idx), len(idx)) for idx in groups]
+    for g, part in enumerate(result.model.groupings):
+        assert ([idx.tolist() for idx in result.state.groups[g]]
+                == [idx.tolist() for idx in part.groups()])
 
 
 # ---------------------------------------------------------------------------
