@@ -35,7 +35,6 @@ from .colgroup import (  # noqa: F401
     ColumnPartition,
     Dendrogram,
     agglomerate,
-    block_project,
     cut,
     distance_matrix,
     select_k_silhouette,

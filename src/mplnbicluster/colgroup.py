@@ -2,9 +2,9 @@
 
 Within one mixture component, variables are grouped by hierarchical
 clustering of the dissimilarity 1 - corr^2 computed from that component's
-latent covariance.  Cutting the tree yields a partition of the columns;
-projecting the covariance onto the partition zeroes everything outside
-the diagonal blocks.
+latent covariance.  Cutting the tree yields a partition of the columns,
+and the covariance's diagonal blocks on it are the component's
+block-diagonal covariance.
 
 The agglomeration is written out longhand (Lance-Williams updates) rather
 than delegated to a library so that tie-breaking is fully deterministic:
@@ -187,22 +187,6 @@ def cut(dendro: Dendrogram, k: int) -> ColumnPartition:
             seen[cid] = len(seen) + 1
         labels[j] = seen[cid]
     return ColumnPartition(labels, k)
-
-
-def block_project(cov: np.ndarray, part: ColumnPartition) -> np.ndarray:
-    """Zero out every covariance entry whose variables are in different groups.
-
-    Entries inside a group are copied unchanged, so the off-block zeros are
-    exact and the operation is idempotent.
-    """
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (part.d, part.d):
-        raise LengthMismatch(f"covariance shape {cov.shape} does not match d={part.d}")
-    out = np.zeros_like(cov)
-    for members in part.groups():
-        block = np.ix_(members, members)
-        out[block] = cov[block]
-    return out
 
 
 def silhouette(dist: np.ndarray, part: ColumnPartition) -> float:

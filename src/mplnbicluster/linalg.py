@@ -80,6 +80,8 @@ def cholesky_with_jitter(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     to the diagonal and retries once.  Returns (matrix_used, lower_factor)
     so callers keep working with the (possibly jittered) matrix that was
     actually factored.  Raises NotPositiveDefinite if the retry fails too.
+    The covariance refresh calls it once per diagonal block of Sigma, so a
+    bump touches only a block that failed, scaled by its own diagonal.
     """
     a = np.asarray(a, dtype=float)
     try:

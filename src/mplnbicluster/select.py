@@ -70,11 +70,7 @@ class GridCell:
 
 @dataclass
 class SelectionGrid:
-    mode: str  # "equal" or "varying"
-    g_values: list
-    k_values: Optional[list]  # equal mode
-    k_max: Optional[int]  # varying mode
-    cells: list
+    cells: list  # one GridCell per (G, k_spec) fitted, in search order
     best_g: Optional[int] = None
     best_k_label: Optional[str] = None
 
@@ -156,7 +152,7 @@ def _check_g_max(counts, g_max):
 def _search(counts, offsets, specs, config, jobs):
     """Fit every (G, k_spec) pair in ``specs`` and pick the BIC-best fit.
 
-    Returns (best cell, best FitResult, all cells in ``specs`` order).
+    Returns (best FitResult, SelectionGrid with the cells in ``specs`` order).
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -168,7 +164,8 @@ def _search(counts, offsets, specs, config, jobs):
     ]
     pairs = _run_cells(tasks, jobs)
     best_cell, best_result = _select_best(pairs)
-    return best_cell, best_result, [cell for cell, _ in pairs]
+    grid = SelectionGrid([cell for cell, _ in pairs], best_cell.g, best_cell.k_label)
+    return best_result, grid
 
 
 def grid_search_equal_k(
@@ -190,15 +187,8 @@ def grid_search_equal_k(
         raise ValueError("k_max must be at least 1")
     if k_max > counts.d:
         raise ValueError(f"k_max={k_max} exceeds the number of variables {counts.d}")
-    g_values = list(range(1, g_max + 1))
-    k_values = list(range(1, k_max + 1))
-    specs = [(g, EqualK(k)) for g in g_values for k in k_values]
-    best_cell, best_result, cells = _search(counts, offsets, specs, config, jobs)
-    grid = SelectionGrid(
-        mode="equal", g_values=g_values, k_values=k_values, k_max=None,
-        cells=cells, best_g=best_cell.g, best_k_label=best_cell.k_label,
-    )
-    return best_result, grid
+    specs = [(g, EqualK(k)) for g in range(1, g_max + 1) for k in range(1, k_max + 1)]
+    return _search(counts, offsets, specs, config, jobs)
 
 
 def fit_varying_k(
@@ -216,14 +206,8 @@ def fit_varying_k(
         raise ValueError(
             f"k_max must be between 2 and d={counts.d}, got {k_max}"
         )
-    g_values = list(range(1, g_max + 1))
-    specs = [(g, SilhouetteK(k_max)) for g in g_values]
-    best_cell, best_result, cells = _search(counts, offsets, specs, config, jobs)
-    grid = SelectionGrid(
-        mode="varying", g_values=g_values, k_values=None, k_max=k_max,
-        cells=cells, best_g=best_cell.g, best_k_label=best_cell.k_label,
-    )
-    return best_result, grid
+    specs = [(g, SilhouetteK(k_max)) for g in range(1, g_max + 1)]
+    return _search(counts, offsets, specs, config, jobs)
 
 
 def save_grid(grid: SelectionGrid, path, include_timing: bool = True) -> None:

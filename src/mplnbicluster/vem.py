@@ -4,8 +4,9 @@ Each pass of the driver runs three blocks of work, until the observed-data
 bound stabilises:
 
 1. closed-form mixture weights and means, then a covariance refresh in
-   which each component's scatter is grouped into variable blocks and
-   projected onto the implied block-diagonal pattern,
+   which each component's scatter is grouped into variable blocks and its
+   diagonal blocks become Sigma's, each factored once for its inverse and
+   log-determinant (a dense Sigma is built only for the fitted model),
 2. the per-component evidence bounds and the responsibilities,
 3. coordinate sweeps on the per-observation Gaussian approximations,
    whose covariances S are stored, like Sigma^-1, per column block of the
@@ -33,13 +34,12 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.special import gammaln
 
 from .colgroup import (
     LINKAGES,
+    ColumnPartition,
     agglomerate,
-    block_project,
     cut,
     distance_matrix,
     select_k_silhouette,
@@ -47,7 +47,7 @@ from .colgroup import (
 from .data import CountMatrix, OffsetVector, check_offsets, integer, read_json, write_json
 from .errors import AllRestartsFailed, EmptyComponent, MplnError
 from .evaluate import relabelling
-from .linalg import cholesky, cholesky_with_jitter, inv_logdet_from_cholesky, logdet_from_cholesky
+from .linalg import cholesky, cholesky_with_jitter, inv_logdet_from_cholesky
 from .model import (
     MixtureModel,
     VariationalState,
@@ -195,7 +195,8 @@ def _normalize_k_spec(k_spec, G: int, d: int) -> KSpec:
 
 
 def _kmeans_labels(x: np.ndarray, k: int, rng: np.random.Generator, max_iter: int = 100) -> np.ndarray:
-    """Plain k-means++ / Lloyd labels, deterministic given the generator."""
+    """Plain k-means++ / Lloyd labels, deterministic given the generator;
+    every cluster keeps at least one row, even when rows tie."""
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
     centers[0] = x[int(rng.integers(n))]
@@ -208,18 +209,25 @@ def _kmeans_labels(x: np.ndarray, k: int, rng: np.random.Generator, max_iter: in
             idx = int(rng.integers(n))
         centers[j] = x[idx]
         d2 = np.minimum(d2, ((x - centers[j]) ** 2).sum(axis=1))
-    labels = np.argmin(((x[:, None, :] - centers[None]) ** 2).sum(axis=-1), axis=1)
-    for _ in range(max_iter):
+
+    def nearest():
+        labels = np.argmin(((x[:, None, :] - centers[None]) ** 2).sum(axis=-1), axis=1)
         for j in range(k):
-            members = labels == j
-            if members.any():
-                centers[j] = x[members].mean(axis=0)
-            else:
-                # resurrect an empty cluster at the worst-fit point
-                worst = int(np.argmax(((x - centers[labels]) ** 2).sum(axis=1)))
+            if not np.any(labels == j):
+                # resurrect an empty cluster at the worst-fit row of a
+                # cluster that keeps another row
+                misfit = ((x - centers[labels]) ** 2).sum(axis=1)
+                shared = np.bincount(labels, minlength=k)[labels] > 1
+                worst = int(np.argmax(np.where(shared, misfit, -1.0)))
                 centers[j] = x[worst]
                 labels[worst] = j
-        new = np.argmin(((x[:, None, :] - centers[None]) ** 2).sum(axis=-1), axis=1)
+        return labels
+
+    labels = nearest()
+    for _ in range(max_iter):
+        for j in range(k):
+            centers[j] = x[labels == j].mean(axis=0)
+        new = nearest()
         if np.array_equal(new, labels):
             break
         labels = new
@@ -478,39 +486,50 @@ def _rows_to_sweep(z_g):
     return np.flatnonzero(z_g >= _Z_RESOLVABLE)
 
 
-def _block_inverses(lower, groups):
-    """Inverses of the blocks of Sigma = L L' on ``groups``, and log det Sigma.
+@dataclass(frozen=True)
+class _Covariance:
+    """A component's Sigma: its diagonal blocks on the partition's
+    ``groups``, their inverses and log det Sigma."""
 
-    The groups are Sigma's own diagonal blocks, where L is zero across
-    blocks, so L's block on sorted indices is the Cholesky factor of
-    Sigma's block.
-    """
-    pairs = [inv_logdet_from_cholesky(lower[np.ix_(idx, idx)]) for idx in groups]
-    return [inv for inv, _ in pairs], sum(logdet for _, logdet in pairs)
+    partition: ColumnPartition
+    groups: tuple
+    blocks: list
+    inverses: list
+    logdet: float
 
+    def objective(self, w, mass):
+        """-mass/2 * (tr(Sigma^-1 W) + log det Sigma), the component's
+        weighted Gaussian objective against the scatter W; Sigma^-1 is
+        block-diagonal, so only W's blocks on the partition enter."""
+        trace = sum(np.einsum("ij,ji->", inv, w[np.ix_(idx, idx)])
+                    for idx, inv in zip(self.groups, self.inverses))
+        return -0.5 * mass * (trace + self.logdet)
 
-def _no_worse_fit(w, mass, lower, cand_lower):
-    """Ascent guard of the covariance refresh: whether the candidate
-    chol(Sigma) does not lower -mass/2 * (tr(Sigma^-1 W) + log det Sigma),
-    the component's weighted Gaussian objective against the new scatter W,
-    below its value at the current chol(Sigma)."""
+    def no_worse_than(self, current, w, mass):
+        """Ascent guard of the covariance refresh: whether this Sigma does
+        not lower the objective against W below its value at ``current``."""
+        before = current.objective(w, mass)
+        return self.objective(w, mass) >= before - 1e-10 * (1.0 + abs(before))
 
-    def objective(low):
-        solved = cho_solve((low, True), w)
-        return -0.5 * mass * (np.trace(solved) + logdet_from_cholesky(low))
-
-    current = objective(lower)
-    return objective(cand_lower) >= current - 1e-10 * (1.0 + abs(current))
+    def dense(self):
+        """Sigma as a d x d matrix, exactly zero outside the blocks."""
+        out = np.zeros((self.partition.d, self.partition.d))
+        for idx, block in zip(self.groups, self.blocks):
+            out[np.ix_(idx, idx)] = block
+        return out
 
 
 def _covariance_candidate(w, k_spec, g, linkage):
-    """Group variables from W, project, and factor the candidate covariance.
+    """Group variables from W and factor the candidate covariance per block.
 
-    Returns (sigma_used, lower, partition); the partition comes from
-    cutting the agglomeration of the 1 - corr^2 distances at the requested
-    (or silhouette-selected) number of blocks.
+    The partition comes from cutting the agglomeration of the 1 - corr^2
+    distances at the requested (or silhouette-selected) number of blocks.
+    Sigma's blocks are W's diagonal blocks on it; each is factored once by
+    ``cholesky_with_jitter``, and its inverse and log-determinant come from
+    that factor.  The jitter is per block: a block that does not factor is
+    bumped by JITTER_REL times the mean of its own diagonal, and every other
+    block keeps W's entries exactly.
     """
-    d = w.shape[0]
     dist = distance_matrix(w)
     dendro = agglomerate(dist, linkage=linkage)
     if isinstance(k_spec, EqualK):
@@ -518,11 +537,13 @@ def _covariance_candidate(w, k_spec, g, linkage):
     elif isinstance(k_spec, PerGroupK):
         k = k_spec.ks[g]
     else:
-        k, _ = select_k_silhouette(dendro, dist, min(k_spec.k_max, d))
+        k, _ = select_k_silhouette(dendro, dist, min(k_spec.k_max, w.shape[0]))
     partition = cut(dendro, k)
-    projected = block_project(w, partition)
-    sigma_used, lower = cholesky_with_jitter(projected)
-    return sigma_used, lower, partition
+    groups = partition.groups()
+    factors = [cholesky_with_jitter(w[np.ix_(idx, idx)]) for idx in groups]
+    pairs = [inv_logdet_from_cholesky(lower) for _, lower in factors]
+    return _Covariance(partition, groups, [block for block, _ in factors],
+                       [inv for inv, _ in pairs], sum(logdet for _, logdet in pairs))
 
 
 def _joins(incumbent, labels, partitions):
@@ -574,11 +595,7 @@ def fit_from_state(
     z = state.z.copy()
     log_fact = gammaln(y + 1.0).sum(axis=1)
     groups, s = list(state.groups), list(state.s)
-    sigma = np.empty((G, d, d))
-    lowers = [None] * G
-    partitions = [None] * G
-    sigma_inv = [None] * G
-    logdet_sigma = [None] * G
+    covs = [None] * G  # each component's Sigma, a _Covariance
     # log det S per row: factored whenever S moves onto a new partition,
     # and carried from the S-steps in between
     logdet_s = [None] * G
@@ -593,21 +610,18 @@ def fit_from_state(
         f = np.empty((n, G))
         for g in range(G):
             w = compute_scatter(z[:, g], m[:, g], s[g], mu[g], groups[g])
-            cand_sigma, cand_lower, cand_part = _covariance_candidate(
-                w, k_spec, g, config.linkage
-            )
+            cand = _covariance_candidate(w, k_spec, g, config.linkage)
             # the first pass has no covariance yet to guard
-            if lowers[g] is None or _no_worse_fit(w, z[:, g].sum(), lowers[g], cand_lower):
-                sigma[g], lowers[g], partitions[g] = cand_sigma, cand_lower, cand_part
-            blocks = partitions[g].groups()
+            if covs[g] is None or cand.no_worse_than(covs[g], w, z[:, g].sum()):
+                covs[g] = cand
+            blocks = covs[g].groups
             if len(blocks) != len(groups[g]) or not all(map(np.array_equal, blocks, groups[g])):
                 # dropping S's entries across the new blocks never lowers a bound
                 s[g], groups[g], logdet_s[g] = reblock(s[g], groups[g], blocks), blocks, None
             if logdet_s[g] is None:
                 logdet_s[g] = logdet_blocks(s[g])
-            sigma_inv[g], logdet_sigma[g] = _block_inverses(lowers[g], groups[g])
             f[:, g] = elbo_batch(
-                y, log_c, m[:, g], s[g], mu[g], sigma_inv[g], logdet_sigma[g],
+                y, log_c, m[:, g], s[g], mu[g], covs[g].inverses, covs[g].logdet,
                 log_fact=log_fact, logdet_s=logdet_s[g], groups=groups[g],
             )
         bound, z = posterior(f, pi)
@@ -618,20 +632,23 @@ def fit_from_state(
             converged = True
             break
         prev_bound = bound
+        partitions = [cov.partition for cov in covs]
         if incumbent is not None and _joins(incumbent, np.argmax(z, axis=1) + 1, partitions):
             joined = incumbent.restart
             break
         for g in range(G):
             # f[:, g] is the bound at this same (m, S, mu, Sigma)
             m[:, g], s[g], logdet_s[g] = _sweep_batch(
-                y, log_c, m[:, g], s[g], logdet_s[g], mu[g], sigma_inv[g],
-                logdet_sigma[g], groups[g], log_fact, f[:, g], config.inner_iter,
+                y, log_c, m[:, g], s[g], logdet_s[g], mu[g], covs[g].inverses,
+                covs[g].logdet, groups[g], log_fact, f[:, g], config.inner_iter,
                 config.inner_tol, _rows_to_sweep(z[:, g]),
             )
 
     final_state = VariationalState(m=m, s=s, z=z, groups=groups)
+    # the one dense Sigma of the fit, for the model
     model = MixtureModel(
-        pi=pi, mu=mu, sigma=sigma, groupings=tuple(partitions)
+        pi=pi, mu=mu, sigma=np.stack([cov.dense() for cov in covs]),
+        groupings=tuple(cov.partition for cov in covs),
     )
     labels = np.argmax(z, axis=1) + 1
     lb = lower_bound(f, z, pi)

@@ -1,19 +1,31 @@
-"""The dense variational sweep, kept as the reference for the block-stored one.
+"""The dense variational sweep and covariance refresh, kept as the
+reference for the block-stored ones.
 
 These are the sweep, the two coordinate updates and the ELBO as they were
 when every variational covariance S was stored, factored and inverted as a
-dense d x d matrix, and the two conversions between dense stacks and
-column blocks that moved S between partitions by way of a dense (n, d, d)
-stack.  The package now stores S and Sigma^-1 per column block and moves
-blocks with ``vem.reblock``; ``tests/test_blocks.py`` checks it against
-this copy.
+dense d x d matrix; the two conversions between dense stacks and column
+blocks that moved S between partitions by way of a dense (n, d, d) stack;
+and the covariance refresh as it was when the candidate Sigma was the
+scatter projected onto its partition as a d x d matrix, factored whole,
+sliced back into blocks and guarded by dense solves.  The package now
+stores S, Sigma and Sigma^-1 per column block, moves blocks with
+``vem.reblock`` and factors each block of Sigma once;
+``tests/test_blocks.py`` checks it against this copy.
 """
 
 import numpy as np
+from scipy.linalg import cho_solve
 from scipy.special import gammaln
 
+from mplnbicluster.colgroup import agglomerate, cut, distance_matrix, select_k_silhouette
 from mplnbicluster.errors import NotPositiveDefinite
+from mplnbicluster.linalg import (
+    cholesky_with_jitter,
+    inv_logdet_from_cholesky,
+    logdet_from_cholesky,
+)
 from mplnbicluster.model import EXP_CAP
+from mplnbicluster.vem import EqualK, PerGroupK
 
 
 def blocks_from_dense(s, groups):
@@ -120,3 +132,40 @@ def sweep_dense(y, log_c, m, s, mu, sigma_inv, logdet_sigma, log_fact, f_start,
         f_cur[rows] = f_new[accepted]
         active = active[accepted & (delta >= inner_tol)]
     return m, s
+
+
+def block_project(cov, part):
+    """Zero out every covariance entry whose variables are in different groups."""
+    out = np.zeros_like(cov)
+    for members in part.groups():
+        block = np.ix_(members, members)
+        out[block] = cov[block]
+    return out
+
+
+def covariance_candidate_dense(w, k_spec, g, linkage):
+    """The candidate (Sigma, chol(Sigma), partition): W projected onto the
+    partition cut from its distances and factored as one d x d matrix."""
+    dist = distance_matrix(w)
+    dendro = agglomerate(dist, linkage=linkage)
+    if isinstance(k_spec, EqualK):
+        k = k_spec.k
+    elif isinstance(k_spec, PerGroupK):
+        k = k_spec.ks[g]
+    else:
+        k, _ = select_k_silhouette(dendro, dist, min(k_spec.k_max, w.shape[0]))
+    partition = cut(dendro, k)
+    sigma, lower = cholesky_with_jitter(block_project(w, partition))
+    return sigma, lower, partition
+
+
+def block_inverses_dense(lower, groups):
+    """Inverses of the blocks of Sigma = L L' on its own groups, sliced from
+    the dense factor, and log det Sigma."""
+    pairs = [inv_logdet_from_cholesky(lower[np.ix_(idx, idx)]) for idx in groups]
+    return [inv for inv, _ in pairs], sum(logdet for _, logdet in pairs)
+
+
+def objective_dense(w, mass, lower):
+    """-mass/2 * (tr(Sigma^-1 W) + log det Sigma) at Sigma = L L', by a dense solve."""
+    return -0.5 * mass * (np.trace(cho_solve((lower, True), w)) + logdet_from_cholesky(lower))

@@ -1,13 +1,16 @@
-"""Block-stored variational covariances against the dense reference sweep.
+"""Block-stored covariances against the dense reference sweep and refresh.
 
-The fit stores each component's S and Sigma^-1 per column block of the
-component's partition; when the partition changes, S moves onto the new
-blocks.  These tests draw random partitions (one block, all singletons, and
-mixed, d = 1 included) and check the block sweep, ELBO and scatter against
-the dense copies in ``dense_reference``; that ``vem.reblock``, which moves
-blocks from one column layout to another without a dense stack, matches
-the dense round trip exactly; that moving S never builds a dense (n, d, d)
-stack; and that moving S onto any new partition never lowers a bound.
+The fit stores each component's S, Sigma and Sigma^-1 per column block of
+the component's partition; when the partition changes, S moves onto the
+new blocks.  These tests draw random partitions (one block, all
+singletons, and mixed, d = 1 included) and check the block sweep, ELBO and
+scatter against the dense copies in ``dense_reference``; that the
+per-block covariance refresh gives the dense refresh's partition, Sigma,
+inverse, log-determinant and guard objective, and jitters only a block
+that does not factor; that ``vem.reblock``, which moves blocks from one
+column layout to another without a dense stack, matches the dense round
+trip exactly; that moving S never builds a dense (n, d, d) stack; and that
+moving S onto any new partition never lowers a bound.
 """
 
 import tracemalloc
@@ -20,15 +23,19 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from dense_reference import (
+    block_inverses_dense,
     blocks_from_dense,
+    covariance_candidate_dense,
     dense_from_blocks,
     elbo_dense,
+    objective_dense,
     s_fixed_point_dense,
     sweep_dense,
 )
 from mplnbicluster import vem
-from mplnbicluster.colgroup import ColumnPartition, block_project
+from mplnbicluster.colgroup import ColumnPartition
 from mplnbicluster.data import CountMatrix, OffsetVector
+from mplnbicluster.linalg import JITTER_REL, cholesky, inv_logdet_from_cholesky
 from mplnbicluster.model import VariationalState, elbo_batch, logdet_blocks
 from mplnbicluster.simulate import preset, sample_dataset, spec_offsets
 from mplnbicluster.vem import EqualK, FitConfig, SilhouetteK, compute_scatter, fit, reblock
@@ -70,18 +77,23 @@ def random_pd(rng, d, lead=()):
     return a @ np.swapaxes(a, -1, -2) / d + 0.5 * np.eye(d)
 
 
+def projected(x, part):
+    """``x`` (..., d, d) with the entries across ``part``'s blocks zeroed."""
+    return dense_from_blocks(blocks_from_dense(x, part.groups()), part.groups(), part.d)
+
+
 def problem(seed, part, n, s_part=None):
     """Counts, offsets, means, Sigma block-diagonal on ``part`` and S
     block-diagonal on ``s_part`` (default ``part``)."""
     rng = np.random.default_rng(seed)
     d = part.d
-    sigma = block_project(random_pd(rng, d), part)
+    sigma = projected(random_pd(rng, d), part)
     mu = rng.normal(0.5, 0.5, size=d)
     y = rng.poisson(np.exp(mu), size=(n, d)).astype(float)
     log_c = rng.normal(0.0, 0.3, size=n)
     m = np.log(y + 0.5) - log_c[:, None]
     s_part = part if s_part is None else s_part
-    s = np.stack([block_project(0.2 * random_pd(rng, d), s_part) for _ in range(n)])
+    s = np.stack([projected(0.2 * random_pd(rng, d), s_part) for _ in range(n)])
     return y, log_c, m, s, mu, sigma
 
 
@@ -106,7 +118,9 @@ def test_block_sweep_matches_dense_reference(data, n, seed, inner_iter):
     groups = part.groups()
     s_blocks = reblock(blocks_from_dense(s, s_part.groups()), s_part.groups(), groups)
     s = dense_from_blocks(s_blocks, groups, part.d)
-    inv_blocks, logdet_sigma_blocks = vem._block_inverses(np.linalg.cholesky(sigma), groups)
+    # one factor per block of Sigma, as the covariance refresh makes them
+    pairs = [inv_logdet_from_cholesky(cholesky(b)) for b in blocks_from_dense(sigma, groups)]
+    inv_blocks, logdet_sigma_blocks = [inv for inv, _ in pairs], sum(ld for _, ld in pairs)
     np.testing.assert_allclose(dense_from_blocks(inv_blocks, groups, part.d), sigma_inv, **TOL)
     assert logdet_sigma_blocks == pytest.approx(logdet_sigma, rel=1e-9, abs=1e-9)
 
@@ -152,13 +166,79 @@ def test_s_fixed_point_step_matches_dense_reference(b):
 
 
 @SETTINGS
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_block_refresh_matches_dense_reference(data, seed):
+    # differential test of the covariance refresh: per block (W's blocks on
+    # the partition, one factor each) against the dense reference (W
+    # projected to d x d, one dense factor sliced into blocks, the guard by
+    # dense solves).  The partition and Sigma must be identical; inverses,
+    # log det Sigma and the guard objective come from factors of the same
+    # numbers in another order, so they agree to 1e-9 relative plus 1e-9
+    # absolute.
+    d = data.draw(st.integers(1, 6))
+    if d >= 2 and data.draw(st.booleans()):
+        k_spec = SilhouetteK(data.draw(st.integers(2, d)))
+    else:
+        k_spec = EqualK(data.draw(st.integers(1, d)))
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.01, 100.0) * random_pd(rng, d)
+    mass = rng.uniform(0.5, 500.0)
+
+    cand = vem._covariance_candidate(w, k_spec, 0, "average")
+    sigma, lower, part = covariance_candidate_dense(w, k_spec, 0, "average")
+    assert cand.partition.k == part.k
+    assert np.array_equal(cand.partition.assign, part.assign)
+    assert [idx.tolist() for idx in cand.groups] == [idx.tolist() for idx in part.groups()]
+    assert np.array_equal(cand.dense(), sigma)
+    inverses, logdet = block_inverses_dense(lower, part.groups())
+    for inv, ref in zip(cand.inverses, inverses, strict=True):
+        np.testing.assert_allclose(inv, ref, **TOL)
+    np.testing.assert_allclose(cand.logdet, logdet, **TOL)
+    np.testing.assert_allclose(cand.objective(w, mass), objective_dense(w, mass, lower), **TOL)
+
+    # the guard's other side: the current Sigma, made from another scatter
+    # on its own partition, scored against the new W
+    w_old = random_pd(rng, d)
+    current = vem._covariance_candidate(w_old, k_spec, 0, "average")
+    _, current_lower, _ = covariance_candidate_dense(w_old, k_spec, 0, "average")
+    np.testing.assert_allclose(current.objective(w, mass),
+                               objective_dense(w, mass, current_lower), **TOL)
+
+
+def test_refresh_jitters_only_the_block_that_does_not_factor(monkeypatch):
+    # columns 0 and 1 are equal, so W's block on them is singular (and does
+    # not factor: 4 - 2 * 2 is exactly 0); the block on columns 2 and 3 is
+    # positive definite, and W is nonzero across the two blocks
+    w = np.array([[4.0, 4.0, 0.3, 0.2],
+                  [4.0, 4.0, 0.3, 0.2],
+                  [0.3, 0.3, 2.0, 0.5],
+                  [0.2, 0.2, 0.5, 1.0]])
+    cand = vem._covariance_candidate(w, EqualK(2), 0, "average")
+    assert cand.partition.assign.tolist() == [1, 1, 2, 2]
+    # the singular block is bumped by JITTER_REL times the mean of its own
+    # diagonal, and the other block keeps W's entries exactly
+    assert np.array_equal(cand.blocks[0], w[:2, :2] + JITTER_REL * 4.0 * np.eye(2))
+    assert np.array_equal(cand.blocks[1], w[2:, 2:])
+
+    # a fit whose every scatter is this W ends on the same Sigma, with exact
+    # zeros across the blocks
+    monkeypatch.setattr(vem, "compute_scatter", lambda *args: w.copy())
+    counts, offsets = two_blob_counts()
+    result = vem.fit_from_state(counts, offsets, vem.initialize(counts, offsets, 1, 0, 0),
+                                EqualK(2), FitConfig(max_em_iter=2))
+    sigma = result.model.sigma[0]
+    assert np.array_equal(sigma, cand.dense())
+    assert np.all(sigma[:2, 2:] == 0.0) and np.all(sigma[2:, :2] == 0.0)
+
+
+@SETTINGS
 @given(data=st.data(), n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
 def test_reblock_never_lowers_a_bound_and_keeps_blocks_pd(data, n, seed):
     old = data.draw(partitions())
     new = data.draw(partitions(d=old.d))
     y, log_c, m, s, mu, _ = problem(seed, old, n)
     # Sigma lives on the partition S is moved to
-    sigma = block_project(random_pd(np.random.default_rng(seed + 1), old.d), new)
+    sigma = projected(random_pd(np.random.default_rng(seed + 1), old.d), new)
     sigma_inv, logdet_sigma = dense_inverse(sigma)
     before = elbo_dense(y, log_c, m, s, mu, sigma_inv, logdet_sigma)
 
@@ -174,9 +254,9 @@ def test_reblock_keeps_in_block_entries_and_drops_the_rest():
     rng = np.random.default_rng(3)
     old = ColumnPartition(np.array([1, 1, 2, 2]), 2)
     new = ColumnPartition(np.array([1, 2, 1, 2]), 2)
-    s = np.stack([block_project(random_pd(rng, 4), old) for _ in range(3)])
+    s = np.stack([projected(random_pd(rng, 4), old) for _ in range(3)])
     moved = reblock(blocks_from_dense(s, old.groups()), old.groups(), new.groups())
-    expected = block_project(np.ones((4, 4)), old) * block_project(np.ones((4, 4)), new)
+    expected = projected(np.ones((4, 4)), old) * projected(np.ones((4, 4)), new)
     assert np.array_equal(dense_from_blocks(moved, new.groups(), 4), s * expected)
 
 
@@ -211,7 +291,7 @@ def test_reblock_returns_c_contiguous_blocks():
     rng = np.random.default_rng(4)
     old = ColumnPartition(np.array([1, 1, 2, 2, 2]), 2)
     new = ColumnPartition(np.array([1, 2, 1, 2, 2]), 2)
-    s = np.stack([block_project(random_pd(rng, 5), old) for _ in range(6)])
+    s = np.stack([projected(random_pd(rng, 5), old) for _ in range(6)])
     for block in reblock(blocks_from_dense(s, old.groups()), old.groups(), new.groups()):
         assert block.flags.c_contiguous
 

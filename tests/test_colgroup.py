@@ -8,13 +8,12 @@ import pytest
 from mplnbicluster.colgroup import (
     ColumnPartition,
     agglomerate,
-    block_project,
     cut,
     distance_matrix,
     select_k_silhouette,
     silhouette,
 )
-from mplnbicluster.errors import LengthMismatch, ZeroVariance
+from mplnbicluster.errors import ZeroVariance
 
 
 def random_dist(rng, d):
@@ -185,28 +184,6 @@ def test_block_structure_recovered_from_covariance():
         cov[i, j] = cov[j, i] = 0.6
     part = cut(agglomerate(distance_matrix(cov)), 2)
     np.testing.assert_array_equal(part.assign, [1, 1, 1, 2, 2, 2])
-
-
-# ---------------------------------------------------------------------------
-# block_project
-
-
-def test_block_project_zeros_and_idempotent():
-    rng = np.random.default_rng(61)
-    a = rng.standard_normal((5, 5))
-    cov = a @ a.T + np.eye(5)
-    part = ColumnPartition(np.array([1, 1, 2, 2, 2]), 2)
-    proj = block_project(cov, part)
-    assert proj[0, 2] == 0.0 and proj[4, 1] == 0.0  # exact zeros
-    np.testing.assert_array_equal(proj[:2, :2], cov[:2, :2])
-    np.testing.assert_array_equal(proj[2:, 2:], cov[2:, 2:])
-    np.testing.assert_array_equal(block_project(proj, part), proj)
-
-
-def test_block_project_shape_mismatch():
-    part = ColumnPartition(np.array([1, 2]), 2)
-    with pytest.raises(LengthMismatch):
-        block_project(np.eye(3), part)
 
 
 # ---------------------------------------------------------------------------

@@ -140,9 +140,41 @@ def _numpy_linalg_calls(tree):
     return found
 
 
+def _scipy_linalg_uses(tree):
+    """Line of every import of scipy.linalg or of a name from it, and of
+    every scipy.linalg.<name> reference."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.extend(node.lineno for alias in node.names
+                         if alias.name.startswith("scipy.linalg"))
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").startswith("scipy.linalg") or (
+                    node.module == "scipy" and any(a.name == "linalg" for a in node.names)):
+                found.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr == "linalg"
+              and isinstance(node.value, ast.Name) and node.value.id == "scipy"):
+            found.append(node.lineno)
+    return found
+
+
+def test_scipy_linalg_walker_finds_every_form():
+    source = """
+import scipy.linalg
+import scipy.linalg as sla
+from scipy.linalg import cho_solve
+from scipy import linalg
+x = scipy.linalg.solve(a, b)
+from scipy.special import gammaln
+import numpy.linalg
+"""
+    assert _scipy_linalg_uses(ast.parse(source)) == [2, 3, 4, 5, 6]
+
+
 def test_only_linalg_factors_or_inverts_matrices():
     # every factorization, inverse and solve goes through linalg, the one
-    # place that turns a failed factorization into NotPositiveDefinite
+    # place that turns a failed factorization into NotPositiveDefinite; no
+    # other module uses scipy.linalg at all
     forbidden = {"inv", "slogdet", "cholesky", "solve"}
     src = Path(__file__).resolve().parents[1] / "src" / "mplnbicluster"
     seen = {}
@@ -153,6 +185,8 @@ def test_only_linalg_factors_or_inverts_matrices():
         seen[path.name] = {name for name, _ in calls}
         bad = [(name, line) for name, line in calls if name in forbidden]
         assert not bad, f"{path.name} calls numpy.linalg directly: {bad}"
+        scipy_uses = _scipy_linalg_uses(ast.parse(path.read_text(), filename=str(path)))
+        assert not scipy_uses, f"{path.name} uses scipy.linalg: {scipy_uses}"
     # simulate's redraw test needs eigenvalues, not a factorization; it is
     # allowed, and finding it shows the walker sees numpy.linalg calls
     assert "eigvalsh" in seen["simulate.py"]

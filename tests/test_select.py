@@ -412,8 +412,6 @@ def test_varying_k_selects_per_component_counts():
     assert grid.best_g == 2
     ks = sorted(part.k for part in best.model.groupings)
     assert ks == [2, 3]
-    assert grid.mode == "varying"
-    assert grid.k_max == 4
     assert len(grid.cells) == 3
 
 
@@ -470,8 +468,7 @@ def test_save_grid_failed_row(tmp_path):
     cells = [cell(1, 1, -50.0), cell(2, 1, None, error="EmptyComponent: x")]
     from mplnbicluster.select import SelectionGrid
 
-    grid = SelectionGrid("equal", [1, 2], [1], None, [c for c, _ in
-                         [(cells[0], None), (cells[1], None)]])
+    grid = SelectionGrid(cells)
     path = tmp_path / "grid.csv"
     save_grid(grid, path)
     with open(path, newline="") as fh:

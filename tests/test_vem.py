@@ -659,6 +659,16 @@ def test_degenerate_inputs_fit_to_finite_outputs(case, G):
     assert np.isfinite(result.bic)
     # a start may fail (an emptied component), but every one is recorded
     assert [start[0] for start in result.starts] == list(range(config.n_starts if G > 1 else 1))
+    if case in ("all_zero", "identical_rows"):
+        # the k-means start puts a row in every component although all tie
+        assert result.starts[0][1] in ("converged", "capped")
+
+
+def test_kmeans_labels_use_every_cluster_when_rows_tie():
+    labels = vem._kmeans_labels(np.zeros((30, 4)), 2, np.random.default_rng(0))
+    assert sorted(set(labels.tolist())) == [0, 1]
+    labels = vem._kmeans_labels(np.zeros((30, 4)), 5, np.random.default_rng(0))
+    assert sorted(set(labels.tolist())) == [0, 1, 2, 3, 4]
 
 
 def test_zero_columns_are_rejected_before_any_start(monkeypatch):
@@ -897,16 +907,16 @@ def test_rows_to_sweep_skips_negligible_rows_only_on_the_partition():
 def test_every_sweep_holds_s_on_its_components_partition(monkeypatch):
     # through the partition changes of the preset-11 fit, each sweep gets S
     # on exactly the blocks of its component's Sigma (the connected parts of
-    # chol(Sigma)'s nonzero pattern), never on blocks that span two of them
+    # Sigma's nonzero pattern), never on blocks that span two of them
     counts, offsets, state, k_spec, restart = gate_run("preset11")
     sigma_blocks, swept = {}, []
-    inverses, sweep = vem._block_inverses, vem._sweep_batch
+    candidate, sweep = vem._covariance_candidate, vem._sweep_batch
 
-    def inverting(lower, groups):
-        out = inverses(lower, groups)
-        _, labels = connected_components(lower != 0.0, directed=False)
+    def refreshing(*args):
+        out = candidate(*args)
+        _, labels = connected_components(out.dense() != 0.0, directed=False)
         blocks = [np.flatnonzero(labels == c).tolist() for c in range(labels.max() + 1)]
-        sigma_blocks[id(out[0])] = sorted(blocks)
+        sigma_blocks[id(out.inverses)] = sorted(blocks)
         return out
 
     def sweeping(y, log_c, m, s, logdet_s, mu, sigma_inv, logdet_sigma, groups, *rest):
@@ -914,7 +924,7 @@ def test_every_sweep_holds_s_on_its_components_partition(monkeypatch):
                       [block.shape[1:] for block in s], sigma_blocks[id(sigma_inv)]))
         return sweep(y, log_c, m, s, logdet_s, mu, sigma_inv, logdet_sigma, groups, *rest)
 
-    monkeypatch.setattr(vem, "_block_inverses", inverting)
+    monkeypatch.setattr(vem, "_covariance_candidate", refreshing)
     monkeypatch.setattr(vem, "_sweep_batch", sweeping)
     result = fit_from_state(counts, offsets, state, k_spec, FitConfig(n_starts=1, seed=0),
                             restart=restart)
