@@ -211,10 +211,11 @@ def _require(effective, key, flag):
     return effective[key]
 
 
-def _prepare_out(effective) -> Path:
-    out = Path(_require(effective, "out", "-o/--out"))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _out_dir(effective) -> Path:
+    """The output directory.  A command checks it is given before its work
+    and makes it just before its first write, so a run that fails leaves no
+    empty directory behind."""
+    return Path(_require(effective, "out", "-o/--out"))
 
 
 def _require_file(path, kind) -> Path:
@@ -256,6 +257,7 @@ def _cmd_simulate(effective) -> int:
     spec_path = effective["spec"]
     if (preset_id is None) == (spec_path is None):
         raise UsageError("exactly one of --preset or --spec is required")
+    out = _out_dir(effective)
     if preset_id is not None:
         try:
             spec = preset(preset_id)
@@ -271,8 +273,8 @@ def _cmd_simulate(effective) -> int:
             raise UsageError(f"{spec_path}: {exc}") from None
     if effective["seed"] is not None:
         spec = dc_replace(spec, seed=effective["seed"])
-    out = _prepare_out(effective)
     counts, truth = sample_dataset(spec)
+    out.mkdir(parents=True, exist_ok=True)
     save_counts(counts, out / "counts.csv")
     save_offsets(spec_offsets(spec), out / "offsets.txt")
     save_truth(truth, out / "truth.json")
@@ -309,6 +311,7 @@ def _cmd_fit(effective) -> int:
     gmax = _require(effective, "gmax", "--gmax")
     kmax = _require(effective, "kmax", "--kmax")
     config = FitConfig(**{f.name: effective[f.name] for f in fields(FitConfig)})
+    out = _out_dir(effective)
 
     counts = _load(load_counts, counts_path, "counts")
     if effective["offsets"] is not None:
@@ -319,10 +322,10 @@ def _cmd_fit(effective) -> int:
         except (MplnError, ValueError) as exc:
             raise UsageError(str(exc)) from None
 
-    out = _prepare_out(effective)
     search = grid_search_equal_k if mode == "equal-k" else fit_varying_k
     best, grid = search(counts, offsets, gmax, kmax, config, jobs=effective["jobs"])
 
+    out.mkdir(parents=True, exist_ok=True)
     save_model(best.model, out / "model.json")
     save_result(best, out / "result.json")
     save_labels(counts.sample_ids, best.labels, out / "labels.csv")
@@ -360,6 +363,7 @@ def _expand(values, pattern, kind):
 def _cmd_evaluate(effective) -> int:
     truth_arg = _require(effective, "truth", "--truth")
     result_arg = _require(effective, "result", "--result")
+    out = _out_dir(effective)
     truth_paths = _expand(truth_arg, "truth*.json", "truth")
     result_paths = _expand(result_arg, "result*.json", "result")
     if len(truth_paths) == 1 and len(result_paths) > 1:
@@ -396,7 +400,7 @@ def _cmd_evaluate(effective) -> int:
         final = aggregate_reports(reports)
     except MplnError as exc:
         raise UsageError(f"{exc}; aggregate only replicates of a single study") from None
-    out = _prepare_out(effective)
+    out.mkdir(parents=True, exist_ok=True)
     save_report(final, out / "report.json")
     for t, matrix in enumerate(final.support_counts, start=1):
         save_support_csv(matrix, out / f"support_component_{t}.csv")
@@ -454,12 +458,13 @@ def _fmt(value) -> str:
 
 def _cmd_report(effective) -> int:
     report_arg = _require(effective, "report", "--report")
+    out = _out_dir(effective)
     paths = _expand(report_arg, "report*.json", "report")
     if not paths:
         raise UsageError("no reports given")
     rows = [_summary_row(p) for p in paths]
 
-    out = _prepare_out(effective)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_SUMMARY_COLUMNS)

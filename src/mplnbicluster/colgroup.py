@@ -82,6 +82,9 @@ def _check_distance(dist: np.ndarray) -> np.ndarray:
     dist = np.asarray(dist, dtype=float)
     if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise LengthMismatch(f"distance matrix must be square, got shape {dist.shape}")
+    # an infinite entry would read as a cluster merged away in agglomerate
+    if not np.all(np.isfinite(dist)):
+        raise ValueError("distance matrix has non-finite entries")
     if not np.allclose(dist, dist.T, atol=1e-12):
         raise ValueError("distance matrix is not symmetric")
     if np.any(np.diag(dist) != 0.0):
@@ -124,44 +127,31 @@ def agglomerate(dist: np.ndarray, linkage: str = "average") -> Dendrogram:
     dist = _check_distance(dist)
     d = dist.shape[0]
     total = 2 * d - 1
+    # symmetric, with inf on the diagonal and at every cluster merged away
+    # or not yet made: the row-major argmin is then the smallest (i, j)
+    # pair among ties, with i < j
     work = np.full((total, total), np.inf)
-    work[:d, :d] = dist
+    work[:d, :d] = np.triu(dist, 1) + np.triu(dist, 1).T
     np.fill_diagonal(work, np.inf)
     size = np.zeros(total, dtype=np.int64)
     size[:d] = 1
-    active = np.zeros(total, dtype=bool)
-    active[:d] = True
 
     merges = np.empty((d - 1, 2), dtype=np.int64)
     heights = np.empty(d - 1)
     for step in range(d - 1):
-        ids = np.flatnonzero(active)
-        sub = work[np.ix_(ids, ids)]
-        iu, ju = np.triu_indices(len(ids), k=1)
-        flat = sub[iu, ju]
-        # argmin scans the upper triangle row-major, so the first minimum is
-        # the smallest (i, j) pair among ties (ids are in ascending order).
-        best = int(np.argmin(flat))
-        a, b = int(ids[iu[best]]), int(ids[ju[best]])
-        height = work[a, b]
+        a, b = divmod(int(np.argmin(work)), total)
         new = d + step
-        others = ids[(ids != a) & (ids != b)]
-        if others.size:
-            if linkage == "single":
-                merged = np.minimum(work[a, others], work[b, others])
-            elif linkage == "complete":
-                merged = np.maximum(work[a, others], work[b, others])
-            else:
-                merged = (size[a] * work[a, others] + size[b] * work[b, others]) / (
-                    size[a] + size[b]
-                )
-            work[new, others] = merged
-            work[others, new] = merged
-        size[new] = size[a] + size[b]
-        active[a] = active[b] = False
-        active[new] = True
+        if linkage == "single":
+            merged = np.minimum(work[a], work[b])
+        elif linkage == "complete":
+            merged = np.maximum(work[a], work[b])
+        else:
+            merged = (size[a] * work[a] + size[b] * work[b]) / (size[a] + size[b])
         merges[step] = (a, b)
-        heights[step] = height
+        heights[step] = work[a, b]
+        work[new] = work[:, new] = merged
+        work[[a, b]] = work[:, [a, b]] = np.inf
+        size[new] = size[a] + size[b]
     return Dendrogram(d, merges, heights)
 
 

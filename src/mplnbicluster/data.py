@@ -27,9 +27,6 @@ from .errors import (
     ZeroLibrarySize,
 )
 
-_DELIMS = {"csv": ",", "tsv": "\t"}
-
-
 def integer(name, value, low):
     """``value`` as an int; ValueError naming ``name`` unless it is an
     integer of at least ``low``."""
@@ -143,18 +140,12 @@ def check_offsets(counts: CountMatrix, offsets: OffsetVector) -> None:
         raise LengthMismatch(f"{offsets.n} offsets for {counts.n} samples")
 
 
-def _format_of(path: str | Path, fmt: str | None) -> str:
-    if fmt is not None:
-        if fmt not in _DELIMS:
-            raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'tsv'")
-        return fmt
-    suffix = Path(path).suffix.lower()
-    if suffix == ".tsv":
-        return "tsv"
-    return "csv"
+def _delimiter(path: str | Path) -> str:
+    """Tab for a .tsv file, comma for anything else."""
+    return "\t" if Path(path).suffix.lower() == ".tsv" else ","
 
 
-def load_counts(path: str | Path, fmt: str | None = None) -> CountMatrix:
+def load_counts(path: str | Path) -> CountMatrix:
     """Read a count matrix from a delimited text file.
 
     The first row is a header: an identifier column name followed by the
@@ -164,9 +155,7 @@ def load_counts(path: str | Path, fmt: str | None = None) -> CountMatrix:
     Parameters
     ----------
     path : str or Path
-    fmt : {'csv', 'tsv'}, optional
-        Delimiter; inferred from the file suffix when omitted (.tsv means
-        tab, anything else comma).
+        A .tsv file is tab-delimited, anything else comma-delimited.
 
     Returns
     -------
@@ -181,9 +170,8 @@ def load_counts(path: str | Path, fmt: str | None = None) -> CountMatrix:
 
     Every message starts with the path.
     """
-    delim = _DELIMS[_format_of(path, fmt)]
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh, delimiter=delim))
+        rows = list(csv.reader(fh, delimiter=_delimiter(path)))
     rows = [r for r in rows if r]  # ignore blank lines
     if not rows:
         raise LengthMismatch(f"{path}: empty file")
@@ -230,11 +218,10 @@ def load_counts(path: str | Path, fmt: str | None = None) -> CountMatrix:
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def save_counts(cm: CountMatrix, path: str | Path, fmt: str | None = None) -> None:
+def save_counts(cm: CountMatrix, path: str | Path) -> None:
     """Write a count matrix in the format accepted by load_counts."""
-    delim = _DELIMS[_format_of(path, fmt)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delim)
+        writer = csv.writer(fh, delimiter=_delimiter(path))
         writer.writerow(["sample_id", *cm.var_names])
         for sid, row in zip(cm.sample_ids, cm.counts):
             writer.writerow([sid, *(int(v) for v in row)])

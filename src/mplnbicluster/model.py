@@ -1,4 +1,5 @@
-"""Mixture model parameters, variational state, and the ELBO.
+"""Mixture model parameters, variational state, a component's Sigma on its
+column blocks (``BlockSigma``), and the ELBO.
 
 Observation model: counts y_i | x_i are independent Poisson with rates
 C_i * exp(x_ij), and x_i is Gaussian with component-specific mean and
@@ -152,28 +153,67 @@ def logdet_blocks(s) -> np.ndarray:
     return sum(logdet_from_cholesky(cholesky(block)) for block in s)
 
 
+@dataclass(frozen=True)
+class BlockSigma:
+    """A component's Sigma on its partition's blocks: the diagonal blocks
+    on ``groups`` (the partition's, in label order), their inverses and
+    log det Sigma.  A dense Sigma is the one-block partition."""
+
+    partition: ColumnPartition
+    groups: tuple
+    blocks: list
+    inverses: list
+    logdet: float
+
+    @classmethod
+    def from_factors(cls, partition, factors):
+        """Sigma from one (block, lower) pair per group of ``partition``,
+        ``lower`` the block's Cholesky factor; each block's inverse and
+        log-determinant come from its factor."""
+        pairs = [inv_logdet_from_cholesky(lower) for _, lower in factors]
+        return cls(partition, partition.groups(), [block for block, _ in factors],
+                   [inv for inv, _ in pairs], sum(logdet for _, logdet in pairs))
+
+    def objective(self, w, mass):
+        """-mass/2 * (tr(Sigma^-1 W) + log det Sigma), the component's
+        weighted Gaussian objective against the scatter W; Sigma^-1 is
+        block-diagonal, so only W's blocks on the partition enter."""
+        trace = sum(np.einsum("ij,ji->", inv, w[np.ix_(idx, idx)])
+                    for idx, inv in zip(self.groups, self.inverses))
+        return -0.5 * mass * (trace + self.logdet)
+
+    def no_worse_than(self, current, w, mass):
+        """Ascent guard of the covariance refresh: whether this Sigma does
+        not lower the objective against W below its value at ``current``."""
+        before = current.objective(w, mass)
+        return self.objective(w, mass) >= before - 1e-10 * (1.0 + abs(before))
+
+    def dense(self):
+        """Sigma as a d x d matrix, exactly zero outside the blocks."""
+        out = np.zeros((self.partition.d, self.partition.d))
+        for idx, block in zip(self.groups, self.blocks):
+            out[np.ix_(idx, idx)] = block
+        return out
+
+
 def elbo_batch(
     y: np.ndarray,
     log_c: np.ndarray,
     m: np.ndarray,
     s,
     mu: np.ndarray,
-    sigma_inv,
-    logdet_sigma: float,
+    sigma: BlockSigma,
     log_fact: np.ndarray | None = None,
     logdet_s: np.ndarray | None = None,
-    *,
-    groups,
 ) -> np.ndarray:
     """F(q_ig, y_i) for all observations under one component, vectorized.
 
-    y, m: (n, d); mu: (d,).  S and Sigma^-1 are block-diagonal over the
-    column blocks ``groups`` (index arrays partitioning the columns): s
-    holds one (n, b, b) array and sigma_inv one (b, b) array per block,
-    and the quadratic, trace and log-det terms are summed over blocks.
-    log_fact is sum_j log(y_ij!) per row (computed if omitted); logdet_s
-    may be passed when the caller already has it from a factorization;
-    otherwise it comes from ``logdet_blocks``.
+    y, m: (n, d); mu: (d,).  S is stored on Sigma's column blocks: s holds
+    one (n, b, b) array per block of ``sigma.groups``, and the quadratic,
+    trace and log-det terms are summed over blocks.  log_fact is
+    sum_j log(y_ij!) per row (computed if omitted); logdet_s may be passed
+    when the caller already has it from a factorization; otherwise it
+    comes from ``logdet_blocks``.
     """
     y = np.asarray(y, dtype=float)
     if log_fact is None:
@@ -185,7 +225,7 @@ def elbo_batch(
     quad = 0.0
     trace = 0.0
     s_diag = np.empty_like(dm)
-    for idx, s_b, inv_b in zip(groups, s, sigma_inv):
+    for idx, s_b, inv_b in zip(sigma.groups, s, sigma.inverses):
         dm_b = dm[:, idx]
         quad = quad + np.einsum("ni,ij,nj->n", dm_b, inv_b, dm_b)
         trace = trace + np.einsum("ij,nji->n", inv_b, s_b)
@@ -195,7 +235,7 @@ def elbo_batch(
         -0.5 * quad
         - 0.5 * trace
         + 0.5 * logdet_s
-        - 0.5 * logdet_sigma
+        - 0.5 * sigma.logdet
         + 0.5 * d
         + np.einsum("ni,ni->n", m, y)
         + log_c * y.sum(axis=1)
@@ -212,8 +252,10 @@ def elbo_observation(
     mu: np.ndarray,
     sigma: np.ndarray,
 ) -> float:
-    """Single-observation ELBO F(q, y) under one component; S is one block."""
-    sigma_inv, logdet_sigma = inv_logdet_from_cholesky(cholesky(sigma))
+    """Single-observation ELBO F(q, y) under one component; S and Sigma
+    are one block each."""
+    sigma = np.asarray(sigma, dtype=float)
+    one_block = ColumnPartition(np.ones(sigma.shape[0], dtype=np.int64), 1)
     return float(
         elbo_batch(
             np.asarray(y, dtype=float)[None, :],
@@ -221,9 +263,7 @@ def elbo_observation(
             np.asarray(m, dtype=float)[None, :],
             [np.asarray(s, dtype=float)[None, :, :]],
             np.asarray(mu, dtype=float),
-            [sigma_inv],
-            logdet_sigma,
-            groups=(np.arange(np.size(m)),),
+            BlockSigma.from_factors(one_block, [(sigma, cholesky(sigma))]),
         )[0]
     )
 

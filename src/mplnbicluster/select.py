@@ -16,11 +16,10 @@ from __future__ import annotations
 import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from pathlib import Path
 from time import perf_counter
 from typing import Optional
 
-from .data import CountMatrix, OffsetVector, check_offsets
+from .data import CountMatrix, OffsetVector, check_offsets, integer
 from .errors import AllCellsFailed, MplnError
 from .seeding import TAG_CELL, derive_seed
 from .vem import EqualK, FitConfig, FitResult, SilhouetteK, fit
@@ -50,22 +49,27 @@ _MODE_VARYING = 1
 
 @dataclass
 class GridCell:
-    """Outcome of one grid cell; ``error`` is set when the fit failed."""
+    """Outcome of one grid cell: its fit, or the error when it failed.
+
+    ``ks`` is an equal-K cell's requested K, or the block counts a
+    silhouette cell's fit chose (none when that fit failed).  The fit's
+    variational state is dropped.
+    """
 
     g: int
-    k_label: str  # "2" for equal-K cells, "2;3" for per-component counts
-    lower_bound: Optional[float]
-    p: Optional[int]
-    bic: Optional[float]
-    converged: Optional[bool]
-    iterations: Optional[int]
+    ks: tuple
     wall_time_ms: float
+    result: Optional[FitResult] = None
     error: Optional[str] = None
-    k_sort: tuple = ()  # block counts as a tuple, for tie-breaking
+
+    @property
+    def k_label(self) -> str:
+        """"2" for equal-K cells, "2;3" for per-component counts."""
+        return ";".join(map(str, self.ks))
 
     @property
     def failed(self) -> bool:
-        return self.error is not None
+        return self.result is None
 
 
 @dataclass
@@ -75,33 +79,18 @@ class SelectionGrid:
     best_k_label: Optional[str] = None
 
 
-def _strip_state(result: FitResult) -> FitResult:
-    result.state = None
-    return result
-
-
 def _run_cell(args):
     counts, offsets, g, k_spec, config = args
-    # an equal-K cell is labelled by its request, a silhouette cell by the
-    # block counts its fit chose (none when the fit failed)
     ks = (k_spec.k,) if isinstance(k_spec, EqualK) else ()
     start = perf_counter()
     try:
         result = fit(counts, offsets, g, k_spec, config)
     except MplnError as exc:
-        elapsed = 1000.0 * (perf_counter() - start)
-        cell = GridCell(g, ";".join(map(str, ks)), None, None, None, None, None,
-                        elapsed, error=f"{type(exc).__name__}: {exc}", k_sort=ks)
-        return cell, None
+        return GridCell(g, ks, 1000.0 * (perf_counter() - start),
+                        error=f"{type(exc).__name__}: {exc}")
     elapsed = 1000.0 * (perf_counter() - start)
-    if not ks:
-        ks = tuple(part.k for part in result.model.groupings)
-    cell = GridCell(
-        g, ";".join(map(str, ks)), result.lower_bound,
-        result.model.n_free_parameters, result.bic, result.converged,
-        result.iterations, elapsed, k_sort=ks,
-    )
-    return cell, _strip_state(result)
+    result.state = None
+    return GridCell(g, ks or tuple(part.k for part in result.model.groupings), elapsed, result)
 
 
 def _run_cells(tasks, jobs):
@@ -113,21 +102,20 @@ def _run_cells(tasks, jobs):
         return list(pool.map(_run_cell, tasks))
 
 
-def _select_best(pairs):
+def _select_best(cells):
     """BIC argmax over non-failed cells, preferring converged ones.
 
-    Ties go to the smaller (G, block counts).  Returns (cell, result) or
+    Ties go to the smaller (G, block counts).  Returns the best cell or
     raises AllCellsFailed when nothing fit.
     """
-    fitted = [(cell, result) for cell, result in pairs if not cell.failed]
+    fitted = [cell for cell in cells if not cell.failed]
     if not fitted:
         raise AllCellsFailed(
-            [(f"G={cell.g} K={cell.k_label or '?'}", cell.error)
-             for cell, _ in pairs]
+            [(f"G={cell.g} K={cell.k_label or '?'}", cell.error) for cell in cells]
         )
-    converged = [(cell, result) for cell, result in fitted if cell.converged]
-    pool = converged if converged else fitted
-    return max(pool, key=lambda pair: (pair[0].bic, -pair[0].g, tuple(-k for k in pair[0].k_sort)))
+    converged = [cell for cell in fitted if cell.result.converged]
+    return max(converged or fitted,
+               key=lambda cell: (cell.result.bic, -cell.g, tuple(-k for k in cell.ks)))
 
 
 def _cell_config(config: FitConfig, g: int, k_spec) -> FitConfig:
@@ -138,15 +126,19 @@ def _cell_config(config: FitConfig, g: int, k_spec) -> FitConfig:
     return replace(config, seed=seed)
 
 
-def _check_g_max(counts, g_max):
-    """Reject fewer than 2 observations or a ``g_max`` outside 1..n before
-    any cell is built, so a bad value costs nothing however large it is."""
+def _check_search(counts, offsets, g_max, k_max, k_low, jobs):
+    """Reject fewer than 2 observations, offsets of another length, a
+    ``g_max`` outside 1..n, a ``k_max`` outside k_low..d or a ``jobs`` below
+    1 before any cell is built, so a bad value costs nothing however large
+    it is."""
     if counts.n < 2:
         raise ValueError("model selection needs at least 2 observations")
-    if g_max < 1:
-        raise ValueError("g_max must be at least 1")
-    if g_max > counts.n:
+    if integer("g_max", g_max, 1) > counts.n:
         raise ValueError(f"g_max={g_max} exceeds the number of observations {counts.n}")
+    check_offsets(counts, offsets)
+    if integer("k_max", k_max, k_low) > counts.d:
+        raise ValueError(f"k_max={k_max} exceeds the number of variables {counts.d}")
+    integer("jobs", jobs, 1)
 
 
 def _search(counts, offsets, specs, config, jobs):
@@ -154,18 +146,15 @@ def _search(counts, offsets, specs, config, jobs):
 
     Returns (best FitResult, SelectionGrid with the cells in ``specs`` order).
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if config is None:
         config = FitConfig()
     tasks = [
         (counts, offsets, g, k_spec, _cell_config(config, g, k_spec))
         for g, k_spec in specs
     ]
-    pairs = _run_cells(tasks, jobs)
-    best_cell, best_result = _select_best(pairs)
-    grid = SelectionGrid([cell for cell, _ in pairs], best_cell.g, best_cell.k_label)
-    return best_result, grid
+    cells = _run_cells(tasks, jobs)
+    best = _select_best(cells)
+    return best.result, SelectionGrid(cells, best.g, best.k_label)
 
 
 def grid_search_equal_k(
@@ -181,12 +170,7 @@ def grid_search_equal_k(
     Returns (best FitResult, SelectionGrid).  Failed cells stay in the grid
     marked with their error but are excluded from selection.
     """
-    _check_g_max(counts, g_max)
-    check_offsets(counts, offsets)
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    if k_max > counts.d:
-        raise ValueError(f"k_max={k_max} exceeds the number of variables {counts.d}")
+    _check_search(counts, offsets, g_max, k_max, 1, jobs)
     specs = [(g, EqualK(k)) for g in range(1, g_max + 1) for k in range(1, k_max + 1)]
     return _search(counts, offsets, specs, config, jobs)
 
@@ -200,12 +184,8 @@ def fit_varying_k(
     jobs: int = 1,
 ):
     """One silhouette-guided fit per G in 1..g_max; BIC compares across G."""
-    _check_g_max(counts, g_max)
-    check_offsets(counts, offsets)
-    if not 2 <= k_max <= counts.d:
-        raise ValueError(
-            f"k_max must be between 2 and d={counts.d}, got {k_max}"
-        )
+    # the silhouette needs two blocks to compare
+    _check_search(counts, offsets, g_max, k_max, 2, jobs)
     specs = [(g, SilhouetteK(k_max)) for g in range(1, g_max + 1)]
     return _search(counts, offsets, specs, config, jobs)
 
@@ -232,11 +212,11 @@ def save_grid(grid: SelectionGrid, path, include_timing: bool = True) -> None:
                     [
                         cell.g,
                         cell.k_label,
-                        repr(float(cell.lower_bound)),
-                        cell.p,
-                        repr(float(cell.bic)),
-                        "true" if cell.converged else "false",
-                        cell.iterations,
+                        repr(float(cell.result.lower_bound)),
+                        cell.result.model.n_free_parameters,
+                        repr(float(cell.result.bic)),
+                        "true" if cell.result.converged else "false",
+                        cell.result.iterations,
                         timing,
                     ]
                 )

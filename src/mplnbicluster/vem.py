@@ -5,11 +5,13 @@ bound stabilises:
 
 1. closed-form mixture weights and means, then a covariance refresh in
    which each component's scatter is grouped into variable blocks and its
-   diagonal blocks become Sigma's, each factored once for its inverse and
-   log-determinant (a dense Sigma is built only for the fitted model),
+   diagonal blocks become Sigma's: one ``model.BlockSigma``, which factors
+   each block once for its inverse and log-determinant and is what the
+   refresh's guard, the bounds and the sweeps take (a dense Sigma is built
+   only for the fitted model),
 2. the per-component evidence bounds and the responsibilities,
 3. coordinate sweeps on the per-observation Gaussian approximations,
-   whose covariances S are stored, like Sigma^-1, per column block of the
+   whose covariances S are stored, like Sigma, per column block of the
    component's partition (Sigma is block-diagonal, so the fixed point for
    S is too).  When a component's partition changes, its S moves onto the
    new blocks and drops the entries across them, which never lowers a
@@ -49,6 +51,7 @@ from .errors import AllRestartsFailed, EmptyComponent, MplnError
 from .evaluate import relabelling
 from .linalg import cholesky, cholesky_with_jitter, inv_logdet_from_cholesky
 from .model import (
+    BlockSigma,
     MixtureModel,
     VariationalState,
     bic,
@@ -194,7 +197,11 @@ def _normalize_k_spec(k_spec, G: int, d: int) -> KSpec:
 # initialization
 
 
-def _kmeans_labels(x: np.ndarray, k: int, rng: np.random.Generator, max_iter: int = 100) -> np.ndarray:
+# Lloyd iterations of the restart-0 k-means labels
+_KMEANS_ITER = 100
+
+
+def _kmeans_labels(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Plain k-means++ / Lloyd labels, deterministic given the generator;
     every cluster keeps at least one row, even when rows tie."""
     n = x.shape[0]
@@ -224,7 +231,7 @@ def _kmeans_labels(x: np.ndarray, k: int, rng: np.random.Generator, max_iter: in
         return labels
 
     labels = nearest()
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_ITER):
         for j in range(k):
             centers[j] = x[labels == j].mean(axis=0)
         new = nearest()
@@ -311,18 +318,19 @@ def newton_m_step(y, log_c, m, s_new, mu, sigma_inv):
     return m - step, step
 
 
-def _sweep_batch(y, log_c, m, s, logdet_s, mu, sigma_inv, logdet_sigma, groups,
-                 log_fact, f_start, inner_iter, inner_tol, rows=None):
+def _sweep_batch(y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start,
+                 inner_iter, inner_tol, rows=None):
     """Guarded coordinate sweeps for the observations ``rows`` of one
     component (every observation when None); the others keep their pair.
 
-    S and Sigma^-1 are stored per column block: ``s`` holds one (n, b, b)
-    array and ``sigma_inv`` one (b, b) array per index array in ``groups``.
-    ``logdet_s`` and ``f_start`` are each observation's log det S and bound
-    at the starting (m, S); every trial step is scored with the same
-    ``elbo_batch``, taking log det S' from the S-step.  Each sweep refreshes
-    every block of S by its fixed-point map and takes the Newton step on
-    that block's columns of m; the blocks are independent b x b problems.
+    S is stored on the column blocks of the component's ``sigma`` (a
+    ``BlockSigma``): ``s`` holds one (n, b, b) array per block of
+    ``sigma.groups``.  ``logdet_s`` and ``f_start`` are each observation's
+    log det S and bound at the starting (m, S); every trial step is scored
+    with the same ``elbo_batch``, taking log det S' from the S-step.  Each
+    sweep refreshes every block of S by its fixed-point map and takes the
+    Newton step on that block's columns of m; the blocks are independent
+    b x b problems.
     If an observation's bound would drop, the m-step is halved once; if it
     still drops, that observation keeps its pre-sweep pair and stops.
     Observations whose update falls below ``inner_tol`` in the sup norm also
@@ -344,15 +352,15 @@ def _sweep_batch(y, log_c, m, s, logdet_s, mu, sigma_inv, logdet_sigma, groups,
         step = np.empty_like(ma)
         s_new = []
         logdet_s_new = 0.0
-        for idx, s_b, inv_b in zip(groups, sa, sigma_inv):
+        for idx, s_b, inv_b in zip(sigma.groups, sa, sigma.inverses):
             s_b_new, logdet_b = s_fixed_point_step(la, ma[:, idx], s_b, inv_b)
             m_full[:, idx], step[:, idx] = newton_m_step(
                 ya[:, idx], la, ma[:, idx], s_b_new, mu[idx], inv_b
             )
             s_new.append(s_b_new)
             logdet_s_new = logdet_s_new + logdet_b
-        f_new = elbo_batch(ya, la, m_full, s_new, mu, sigma_inv, logdet_sigma,
-                           log_fact=fa, logdet_s=logdet_s_new, groups=groups)
+        f_new = elbo_batch(ya, la, m_full, s_new, mu, sigma, log_fact=fa,
+                           logdet_s=logdet_s_new)
         m_new = m_full
         rejected = np.zeros(active.size, dtype=bool)
         bad = np.flatnonzero(f_new < f_cur[active])
@@ -360,8 +368,7 @@ def _sweep_batch(y, log_c, m, s, logdet_s, mu, sigma_inv, logdet_sigma, groups,
             m_half = ma[bad] - 0.5 * step[bad]
             f_half = elbo_batch(
                 ya[bad], la[bad], m_half, [s_b[bad] for s_b in s_new], mu,
-                sigma_inv, logdet_sigma, log_fact=fa[bad],
-                logdet_s=logdet_s_new[bad], groups=groups,
+                sigma, log_fact=fa[bad], logdet_s=logdet_s_new[bad],
             )
             ok = f_half >= f_cur[active[bad]]
             m_new[bad[ok]] = m_half[ok]
@@ -390,21 +397,18 @@ def update_variational(y, log_c, m, s, mu, sigma, inner_iter=FitConfig.inner_ite
     Sigma treated as one dense block.  Raises NotPositiveDefinite if ``s``
     is not positive definite.
     """
-    _, lower = cholesky_with_jitter(sigma)
-    sigma_inv, logdet_sigma = inv_logdet_from_cholesky(lower)
+    one_block = ColumnPartition(np.ones(np.shape(sigma)[0], dtype=np.int64), 1)
+    sigma = BlockSigma.from_factors(one_block, [cholesky_with_jitter(sigma)])
     y = np.asarray(y, dtype=float)[None, :]
     log_c = np.atleast_1d(np.asarray(log_c, dtype=float))
     m = np.asarray(m, dtype=float)[None, :]
     s = np.asarray(s, dtype=float)[None, :, :]
     mu = np.asarray(mu, dtype=float)
-    groups = (np.arange(m.shape[1]),)
     log_fact = gammaln(y + 1.0).sum(axis=1)
     logdet_s = logdet_blocks([s])
-    f_start = elbo_batch(y, log_c, m, [s], mu, [sigma_inv], logdet_sigma,
-                         log_fact=log_fact, logdet_s=logdet_s, groups=groups)
+    f_start = elbo_batch(y, log_c, m, [s], mu, sigma, log_fact=log_fact, logdet_s=logdet_s)
     m_out, s_out, _ = _sweep_batch(
-        y, log_c, m, [s], logdet_s, mu, [sigma_inv], logdet_sigma, groups,
-        log_fact, f_start, inner_iter, inner_tol,
+        y, log_c, m, [s], logdet_s, mu, sigma, log_fact, f_start, inner_iter, inner_tol,
     )
     return m_out[0], s_out[0][0]
 
@@ -486,39 +490,6 @@ def _rows_to_sweep(z_g):
     return np.flatnonzero(z_g >= _Z_RESOLVABLE)
 
 
-@dataclass(frozen=True)
-class _Covariance:
-    """A component's Sigma: its diagonal blocks on the partition's
-    ``groups``, their inverses and log det Sigma."""
-
-    partition: ColumnPartition
-    groups: tuple
-    blocks: list
-    inverses: list
-    logdet: float
-
-    def objective(self, w, mass):
-        """-mass/2 * (tr(Sigma^-1 W) + log det Sigma), the component's
-        weighted Gaussian objective against the scatter W; Sigma^-1 is
-        block-diagonal, so only W's blocks on the partition enter."""
-        trace = sum(np.einsum("ij,ji->", inv, w[np.ix_(idx, idx)])
-                    for idx, inv in zip(self.groups, self.inverses))
-        return -0.5 * mass * (trace + self.logdet)
-
-    def no_worse_than(self, current, w, mass):
-        """Ascent guard of the covariance refresh: whether this Sigma does
-        not lower the objective against W below its value at ``current``."""
-        before = current.objective(w, mass)
-        return self.objective(w, mass) >= before - 1e-10 * (1.0 + abs(before))
-
-    def dense(self):
-        """Sigma as a d x d matrix, exactly zero outside the blocks."""
-        out = np.zeros((self.partition.d, self.partition.d))
-        for idx, block in zip(self.groups, self.blocks):
-            out[np.ix_(idx, idx)] = block
-        return out
-
-
 def _covariance_candidate(w, k_spec, g, linkage):
     """Group variables from W and factor the candidate covariance per block.
 
@@ -539,11 +510,9 @@ def _covariance_candidate(w, k_spec, g, linkage):
     else:
         k, _ = select_k_silhouette(dendro, dist, min(k_spec.k_max, w.shape[0]))
     partition = cut(dendro, k)
-    groups = partition.groups()
-    factors = [cholesky_with_jitter(w[np.ix_(idx, idx)]) for idx in groups]
-    pairs = [inv_logdet_from_cholesky(lower) for _, lower in factors]
-    return _Covariance(partition, groups, [block for block, _ in factors],
-                       [inv for inv, _ in pairs], sum(logdet for _, logdet in pairs))
+    return BlockSigma.from_factors(
+        partition, [cholesky_with_jitter(w[np.ix_(idx, idx)]) for idx in partition.groups()]
+    )
 
 
 def _joins(incumbent, labels, partitions):
@@ -595,7 +564,7 @@ def fit_from_state(
     z = state.z.copy()
     log_fact = gammaln(y + 1.0).sum(axis=1)
     groups, s = list(state.groups), list(state.s)
-    covs = [None] * G  # each component's Sigma, a _Covariance
+    covs = [None] * G  # each component's Sigma, a BlockSigma
     # log det S per row: factored whenever S moves onto a new partition,
     # and carried from the S-steps in between
     logdet_s = [None] * G
@@ -620,10 +589,8 @@ def fit_from_state(
                 s[g], groups[g], logdet_s[g] = reblock(s[g], groups[g], blocks), blocks, None
             if logdet_s[g] is None:
                 logdet_s[g] = logdet_blocks(s[g])
-            f[:, g] = elbo_batch(
-                y, log_c, m[:, g], s[g], mu[g], covs[g].inverses, covs[g].logdet,
-                log_fact=log_fact, logdet_s=logdet_s[g], groups=groups[g],
-            )
+            f[:, g] = elbo_batch(y, log_c, m[:, g], s[g], mu[g], covs[g],
+                                 log_fact=log_fact, logdet_s=logdet_s[g])
         bound, z = posterior(f, pi)
         trace.append(bound)
         if iteration == config.max_em_iter:
@@ -639,9 +606,8 @@ def fit_from_state(
         for g in range(G):
             # f[:, g] is the bound at this same (m, S, mu, Sigma)
             m[:, g], s[g], logdet_s[g] = _sweep_batch(
-                y, log_c, m[:, g], s[g], logdet_s[g], mu[g], covs[g].inverses,
-                covs[g].logdet, groups[g], log_fact, f[:, g], config.inner_iter,
-                config.inner_tol, _rows_to_sweep(z[:, g]),
+                y, log_c, m[:, g], s[g], logdet_s[g], mu[g], covs[g], log_fact,
+                f[:, g], config.inner_iter, config.inner_tol, _rows_to_sweep(z[:, g]),
             )
 
     final_state = VariationalState(m=m, s=s, z=z, groups=groups)

@@ -11,13 +11,26 @@ sliced back into blocks and guarded by dense solves.  The package now
 stores S, Sigma and Sigma^-1 per column block, moves blocks with
 ``vem.reblock`` and factors each block of Sigma once;
 ``tests/test_blocks.py`` checks it against this copy.
+
+``agglomerate_reference`` is the column agglomeration as it was when each
+merge scanned the upper triangle of the active clusters' distances;
+``tests/test_colgroup.py`` checks ``colgroup.agglomerate``, which finds
+each merge with one argmin over the whole working matrix, against it.
 """
 
 import numpy as np
 from scipy.linalg import cho_solve
 from scipy.special import gammaln
 
-from mplnbicluster.colgroup import agglomerate, cut, distance_matrix, select_k_silhouette
+from mplnbicluster.colgroup import (
+    LINKAGES,
+    Dendrogram,
+    _check_distance,
+    agglomerate,
+    cut,
+    distance_matrix,
+    select_k_silhouette,
+)
 from mplnbicluster.errors import NotPositiveDefinite
 from mplnbicluster.linalg import (
     cholesky_with_jitter,
@@ -169,3 +182,52 @@ def block_inverses_dense(lower, groups):
 def objective_dense(w, mass, lower):
     """-mass/2 * (tr(Sigma^-1 W) + log det Sigma) at Sigma = L L', by a dense solve."""
     return -0.5 * mass * (np.trace(cho_solve((lower, True), w)) + logdet_from_cholesky(lower))
+
+
+def agglomerate_reference(dist, linkage="average"):
+    """Agglomerative clustering by Lance-Williams updates over the active
+    clusters; ties go to the smallest (i, j) pair of cluster ids."""
+    if linkage not in LINKAGES:
+        raise ValueError(f"unknown linkage {linkage!r}; expected one of {LINKAGES}")
+    dist = _check_distance(dist)
+    d = dist.shape[0]
+    total = 2 * d - 1
+    work = np.full((total, total), np.inf)
+    work[:d, :d] = dist
+    np.fill_diagonal(work, np.inf)
+    size = np.zeros(total, dtype=np.int64)
+    size[:d] = 1
+    active = np.zeros(total, dtype=bool)
+    active[:d] = True
+
+    merges = np.empty((d - 1, 2), dtype=np.int64)
+    heights = np.empty(d - 1)
+    for step in range(d - 1):
+        ids = np.flatnonzero(active)
+        sub = work[np.ix_(ids, ids)]
+        iu, ju = np.triu_indices(len(ids), k=1)
+        flat = sub[iu, ju]
+        # argmin scans the upper triangle row-major, so the first minimum is
+        # the smallest (i, j) pair among ties (ids are in ascending order).
+        best = int(np.argmin(flat))
+        a, b = int(ids[iu[best]]), int(ids[ju[best]])
+        height = work[a, b]
+        new = d + step
+        others = ids[(ids != a) & (ids != b)]
+        if others.size:
+            if linkage == "single":
+                merged = np.minimum(work[a, others], work[b, others])
+            elif linkage == "complete":
+                merged = np.maximum(work[a, others], work[b, others])
+            else:
+                merged = (size[a] * work[a, others] + size[b] * work[b, others]) / (
+                    size[a] + size[b]
+                )
+            work[new, others] = merged
+            work[others, new] = merged
+        size[new] = size[a] + size[b]
+        active[a] = active[b] = False
+        active[new] = True
+        merges[step] = (a, b)
+        heights[step] = height
+    return Dendrogram(d, merges, heights)

@@ -35,8 +35,8 @@ from dense_reference import (
 from mplnbicluster import vem
 from mplnbicluster.colgroup import ColumnPartition
 from mplnbicluster.data import CountMatrix, OffsetVector
-from mplnbicluster.linalg import JITTER_REL, cholesky, inv_logdet_from_cholesky
-from mplnbicluster.model import VariationalState, elbo_batch, logdet_blocks
+from mplnbicluster.linalg import JITTER_REL, cholesky
+from mplnbicluster.model import BlockSigma, VariationalState, elbo_batch, logdet_blocks
 from mplnbicluster.simulate import preset, sample_dataset, spec_offsets
 from mplnbicluster.vem import EqualK, FitConfig, SilhouetteK, compute_scatter, fit, reblock
 
@@ -102,6 +102,13 @@ def dense_inverse(sigma):
     return 0.5 * (inv + inv.T), np.linalg.slogdet(sigma)[1]
 
 
+def sliced_sigma(part, sigma, sigma_inv, logdet_sigma):
+    """A BlockSigma on ``part`` whose inverses are the dense inverse's blocks."""
+    groups = part.groups()
+    return BlockSigma(part, groups, blocks_from_dense(sigma, groups),
+                      blocks_from_dense(sigma_inv, groups), logdet_sigma)
+
+
 @SETTINGS
 @given(data=st.data(), n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
        inner_iter=st.integers(1, 10))
@@ -119,21 +126,22 @@ def test_block_sweep_matches_dense_reference(data, n, seed, inner_iter):
     s_blocks = reblock(blocks_from_dense(s, s_part.groups()), s_part.groups(), groups)
     s = dense_from_blocks(s_blocks, groups, part.d)
     # one factor per block of Sigma, as the covariance refresh makes them
-    pairs = [inv_logdet_from_cholesky(cholesky(b)) for b in blocks_from_dense(sigma, groups)]
-    inv_blocks, logdet_sigma_blocks = [inv for inv, _ in pairs], sum(ld for _, ld in pairs)
-    np.testing.assert_allclose(dense_from_blocks(inv_blocks, groups, part.d), sigma_inv, **TOL)
-    assert logdet_sigma_blocks == pytest.approx(logdet_sigma, rel=1e-9, abs=1e-9)
+    block_sigma = BlockSigma.from_factors(
+        part, [(b, cholesky(b)) for b in blocks_from_dense(sigma, groups)]
+    )
+    np.testing.assert_allclose(dense_from_blocks(block_sigma.inverses, groups, part.d),
+                               sigma_inv, **TOL)
+    assert block_sigma.logdet == pytest.approx(logdet_sigma, rel=1e-9, abs=1e-9)
 
     f_dense = elbo_dense(y, log_c, m, s, mu, sigma_inv, logdet_sigma, log_fact)
-    f_block = elbo_batch(y, log_c, m, s_blocks, mu, inv_blocks, logdet_sigma_blocks,
-                         log_fact=log_fact, groups=groups)
+    f_block = elbo_batch(y, log_c, m, s_blocks, mu, block_sigma, log_fact=log_fact)
     np.testing.assert_allclose(f_block, f_dense, **TOL)
 
     m_ref, s_ref = sweep_dense(y, log_c, m, s, mu, sigma_inv, logdet_sigma,
                                log_fact, f_dense, inner_iter, 1e-6)
     m_out, s_out, logdet_out = vem._sweep_batch(
-        y, log_c, m, s_blocks, logdet_blocks(s_blocks), mu, inv_blocks, logdet_sigma_blocks,
-        groups, log_fact, f_block, inner_iter, 1e-6,
+        y, log_c, m, s_blocks, logdet_blocks(s_blocks), mu, block_sigma, log_fact,
+        f_block, inner_iter, 1e-6,
     )
     np.testing.assert_allclose(m_out, m_ref, **TOL)
     s_dense = dense_from_blocks(s_out, groups, part.d)
@@ -245,8 +253,8 @@ def test_reblock_never_lowers_a_bound_and_keeps_blocks_pd(data, n, seed):
     moved = reblock(blocks_from_dense(s, old.groups()), old.groups(), new.groups())
     for block in moved:
         np.linalg.cholesky(block)  # raises unless positive definite
-    after = elbo_batch(y, log_c, m, moved, mu, blocks_from_dense(sigma_inv, new.groups()),
-                       logdet_sigma, groups=new.groups())
+    after = elbo_batch(y, log_c, m, moved, mu,
+                       sliced_sigma(new, sigma, sigma_inv, logdet_sigma))
     assert np.all(after >= before - 1e-9 * (1.0 + np.abs(before)))
 
 
@@ -444,12 +452,12 @@ def test_dense_and_one_block_forms_agree(d):
     part = ColumnPartition(np.ones(d, dtype=np.int64), 1)
     y, log_c, m, s, mu, sigma = problem(7, part, 5)
     sigma_inv, logdet_sigma = dense_inverse(sigma)
-    groups = (np.arange(d),)
+    groups = part.groups()
     # with log det S given, both do the same arithmetic on the same numbers
     logdet_s = np.linalg.slogdet(s)[1]
     assert np.array_equal(
-        elbo_batch(y, log_c, m, [s], mu, [sigma_inv], logdet_sigma, logdet_s=logdet_s,
-                   groups=groups),
+        elbo_batch(y, log_c, m, [s], mu, sliced_sigma(part, sigma, sigma_inv, logdet_sigma),
+                   logdet_s=logdet_s),
         elbo_dense(y, log_c, m, s, mu, sigma_inv, logdet_sigma, logdet_s=logdet_s),
     )
     z = rng.uniform(size=5)

@@ -209,6 +209,16 @@ def test_simulate_rejects_a_negative_seed(spec_file, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_simulate_runtime_failure_leaves_no_output(tmp_path, capsys):
+    # random correlations this strong cannot make a positive-definite 6 x 6 block
+    spec = tmp_path / "spec.json"
+    save_spec(small_spec(block_sizes=((6,), (6,)), within_block_corr_range=(0.97, 0.99)), spec)
+    rc = main(["simulate", "--spec", str(spec), "-o", str(tmp_path / "o")])
+    assert rc == 1
+    assert "no positive definite correlation block" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_seed_flag_overrides_spec(spec_file, sim_dir, tmp_path):
     out = tmp_path / "seeded"
     assert main(
@@ -338,6 +348,22 @@ def test_fit_jobs_below_one_is_usage_error(sim_dir, tmp_path, capsys):
     )
     assert rc == 2
     assert "jobs must be at least 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--gmax", "0"], "g_max must be at least 1, got 0"),
+    (["--gmax", "600"], "g_max=600 exceeds the number of observations 70"),
+    (["--kmax", "99"], "k_max=99 exceeds the number of variables 6"),
+    (["--jobs", "0"], "jobs must be at least 1, got 0"),
+    (["--mode", "varying-k", "--kmax", "1"], "k_max must be at least 2, got 1"),
+], ids=["gmax0", "gmax600", "kmax99", "jobs0", "varying-kmax1"])
+def test_fit_usage_errors_leave_no_output(sim_dir, tmp_path, capsys, flags, message):
+    # the defaults below are overridden by the later flag of the same name
+    rc = main(["fit", "--counts", str(sim_dir / "counts.csv"), "--mode", "equal-k",
+               "--gmax", "1", "--kmax", "1", *flags, "-o", str(tmp_path / "o")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_fit_varying_k_labels_blocks_per_component(sim_dir, tmp_path):

@@ -4,7 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dense_reference import agglomerate_reference
 from mplnbicluster.colgroup import (
     ColumnPartition,
     agglomerate,
@@ -118,6 +121,37 @@ def test_agglomerate_rejects_bad_input():
     neg = np.array([[0.0, -0.1], [-0.1, 0.0]])
     with pytest.raises(ValueError):
         agglomerate(neg)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_agglomerate_rejects_non_finite_distances(bad):
+    # an infinite distance would read as a cluster already merged away
+    dist = np.array([[0.0, 1.0, bad], [1.0, 0.0, 0.5], [bad, 0.5, 0.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        agglomerate(dist)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(d=st.integers(1, 29), kind=st.sampled_from(["random", "tied", "equal", "integer"]),
+       linkage=st.sampled_from(["single", "complete", "average"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_agglomerate_matches_reference(d, kind, linkage, seed):
+    # one argmin over the symmetric working matrix against the scan of the
+    # active clusters' upper triangle: the same merges and heights, exactly
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        dist = random_dist(rng, d)
+    elif kind == "tied":
+        dist = np.round(random_dist(rng, d), 1)
+    elif kind == "equal":
+        dist = 1.0 - np.eye(d)
+    else:
+        dist = random_dist(rng, d)
+        dist = np.floor(5.0 * dist)
+    dendro = agglomerate(dist, linkage)
+    reference = agglomerate_reference(dist, linkage)
+    assert np.array_equal(dendro.merges, reference.merges)
+    assert np.array_equal(dendro.heights, reference.heights)
 
 
 def min_cross_distance(dist, in_a):

@@ -192,6 +192,56 @@ def test_only_linalg_factors_or_inverts_matrices():
     assert "eigvalsh" in seen["simulate.py"]
 
 
+def _callers(tree, name):
+    """Dotted name of the function (within its classes) around every call
+    of ``name`` or of ``<module>.name``; "" for a call at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Name) and func.id == name) or (
+                        isinstance(func, ast.Attribute) and func.attr == name):
+                    found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_callers_walker_finds_every_form():
+    source = """
+f(1)
+class A:
+    @classmethod
+    def make(cls):
+        return [f(x) for x in g(f(2))]
+def h():
+    def inner():
+        return linalg.f(3)
+    return inner, f
+"""
+    assert _callers(ast.parse(source), "f") == ["", "A.make", "A.make", "h.inner"]
+
+
+def test_only_block_sigma_and_the_s_step_invert_from_a_factor():
+    # Sigma's block inverses and log det have one constructor,
+    # BlockSigma.from_factors; the S-step inverts S'^-1 from its own factor
+    src = Path(__file__).resolve().parents[1] / "src" / "mplnbicluster"
+    callers = set()
+    for path in sorted(src.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        callers.update(f"{path.stem}.{scope}"
+                       for scope in _callers(tree, "inv_logdet_from_cholesky"))
+    assert callers == {"model.BlockSigma.from_factors", "vem.s_fixed_point_step"}
+
+
 def test_corr_from_cov_diagonal_scaling():
     cov = np.array([[4.0, 0.0], [0.0, 9.0]])
     np.testing.assert_array_equal(corr_from_cov(cov), np.eye(2))

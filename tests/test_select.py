@@ -1,6 +1,8 @@
 """Tests for BIC and the model-selection protocols."""
 
 import csv
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -88,43 +90,44 @@ def test_bic_penalty_monotone_in_p():
 
 
 def cell(g, k, bic_value, converged=True, error=None):
-    label = str(k) if isinstance(k, int) else ";".join(map(str, k))
     ks = (k,) if isinstance(k, int) else tuple(k)
     if error is not None:
-        return GridCell(g, label, None, None, None, None, None, 0.0,
-                        error=error, k_sort=ks)
-    return GridCell(g, label, -10.0, 3, bic_value, converged, 5, 0.0, k_sort=ks)
+        return GridCell(g, ks, 0.0, error=error)
+    # a stand-in for the FitResult with the fields selection and the CSV read
+    result = SimpleNamespace(lower_bound=-10.0, bic=bic_value, converged=converged,
+                             iterations=5, model=SimpleNamespace(n_free_parameters=3))
+    return GridCell(g, ks, 0.0, result)
 
 
 def test_select_best_prefers_higher_bic():
-    best, _ = _select_best([(cell(1, 1, -120.0), "a"), (cell(2, 1, -100.0), "b")])
+    best = _select_best([cell(1, 1, -120.0), cell(2, 1, -100.0)])
     assert (best.g, best.k_label) == (2, "1")
 
 
 def test_select_best_tie_goes_to_smaller_model():
-    best, _ = _select_best([
-        (cell(2, 2, -100.0), "a"),
-        (cell(1, 2, -100.0), "b"),
-        (cell(1, 1, -100.0), "c"),
+    best = _select_best([
+        cell(2, 2, -100.0),
+        cell(1, 2, -100.0),
+        cell(1, 1, -100.0),
     ])
     assert (best.g, best.k_label) == (1, "1")
-    best, _ = _select_best([
-        (cell(2, (3, 2), -100.0), "a"),
-        (cell(2, (2, 3), -100.0), "b"),
+    best = _select_best([
+        cell(2, (3, 2), -100.0),
+        cell(2, (2, 3), -100.0),
     ])
     assert best.k_label == "2;3"
 
 
 def test_select_best_prefers_converged():
-    best, _ = _select_best([
-        (cell(1, 1, -90.0, converged=False), "a"),
-        (cell(2, 1, -100.0, converged=True), "b"),
+    best = _select_best([
+        cell(1, 1, -90.0, converged=False),
+        cell(2, 1, -100.0, converged=True),
     ])
     assert best.g == 2
     # with no converged cell at all, fall back to the best fitted one
-    best, _ = _select_best([
-        (cell(1, 1, -90.0, converged=False), "a"),
-        (cell(2, 1, -100.0, converged=False), "b"),
+    best = _select_best([
+        cell(1, 1, -90.0, converged=False),
+        cell(2, 1, -100.0, converged=False),
     ])
     assert best.g == 1
 
@@ -132,8 +135,8 @@ def test_select_best_prefers_converged():
 def test_select_best_all_failed():
     with pytest.raises(AllCellsFailed) as err:
         _select_best([
-            (cell(1, 1, None, error="EmptyComponent: gone"), None),
-            (cell(2, 1, None, error="NotPositiveDefinite: bad"), None),
+            cell(1, 1, None, error="EmptyComponent: gone"),
+            cell(2, 1, None, error="NotPositiveDefinite: bad"),
         ])
     assert len(err.value.failures) == 2
     assert "EmptyComponent" in err.value.failures[0][1]
@@ -169,8 +172,8 @@ def test_grid_single_component_data():
     )
     assert grid.best_g == 1
     # the selection agrees with an argmax over the recorded cells
-    fitted = [c for c in grid.cells if not c.failed and c.converged]
-    recomputed = max(fitted, key=lambda c: c.bic)
+    fitted = [c for c in grid.cells if not c.failed and c.result.converged]
+    recomputed = max(fitted, key=lambda c: c.result.bic)
     assert (grid.best_g, grid.best_k_label) == (recomputed.g, recomputed.k_label)
 
 
@@ -184,9 +187,9 @@ def test_grid_reproducible_and_parallel_identical():
         assert [(c.g, c.k_label) for c in other.cells] == [
             (c.g, c.k_label) for c in grid_a.cells
         ]
-        assert [c.bic for c in other.cells] == [c.bic for c in grid_a.cells]
-        assert [c.iterations for c in other.cells] == [
-            c.iterations for c in grid_a.cells
+        assert [c.result.bic for c in other.cells] == [c.result.bic for c in grid_a.cells]
+        assert [c.result.iterations for c in other.cells] == [
+            c.result.iterations for c in grid_a.cells
         ]
     assert np.array_equal(best_a.labels, best_c.labels)
     assert best_a.bic == best_c.bic
@@ -219,8 +222,8 @@ def test_grid_workers_capped_at_cell_count(monkeypatch, g_max, k_max, workers):
     monkeypatch.setattr(select, "ProcessPoolExecutor", RecordingPool)
     _, pooled = grid_search_equal_k(counts, offsets, g_max, k_max, config=config, jobs=64)
     assert created == workers
-    assert [(c.g, c.k_label, c.bic, c.iterations) for c in pooled.cells] == [
-        (c.g, c.k_label, c.bic, c.iterations) for c in serial.cells
+    assert [(c.g, c.k_label, c.result.bic, c.result.iterations) for c in pooled.cells] == [
+        (c.g, c.k_label, c.result.bic, c.result.iterations) for c in serial.cells
     ]
 
 
@@ -333,6 +336,22 @@ def test_search_rejects_jobs_below_one_before_fitting(monkeypatch, search, jobs)
     assert calls == []
 
 
+@pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("name", ["g_max", "k_max", "jobs"])
+@pytest.mark.parametrize("search", [grid_search_equal_k, fit_varying_k],
+                         ids=["equal", "varying"])
+def test_search_rejects_non_integer_arguments_before_fitting(monkeypatch, search, name, value):
+    # True would run as 1 and 2.5 fail deep in range(); both are no count
+    counts = make_counts(np.random.default_rng(3).poisson(5.0, size=(6, 4)))
+    calls = []
+    monkeypatch.setattr(select, "fit", lambda *args, **kwargs: calls.append(args[2]))
+    args = {"g_max": 2, "k_max": 2, "jobs": 1, name: value}
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        search(counts, unit_offsets(6), args["g_max"], args["k_max"],
+               config=FitConfig(n_starts=1, max_em_iter=5, seed=0), jobs=args["jobs"])
+    assert calls == []
+
+
 def test_searches_reproduce_recorded_fits():
     # Values recorded from the searches before the sweep's guard was moved
     # onto the full per-observation bound.  The guard now compares full
@@ -375,13 +394,13 @@ def test_searches_reproduce_recorded_fits():
         assert [part.assign.tolist() for part in best.model.groupings] == [
             [1, 1, 2, 2], [1, 1, 2, 2]
         ], mode
-        assert [(c.g, c.k_label, c.iterations) for c in grid.cells] == [
+        assert [(c.g, c.k_label, c.result.iterations) for c in grid.cells] == [
             cell_[:3] for cell_ in cells
         ], mode
-        assert all(c.converged for c in grid.cells), mode
+        assert all(c.result.converged for c in grid.cells), mode
         for c, (_, _, _, lower, bic_value) in zip(grid.cells, cells):
-            assert c.lower_bound == pytest.approx(lower, rel=1e-9), mode
-            assert c.bic == pytest.approx(bic_value, rel=1e-9), mode
+            assert c.result.lower_bound == pytest.approx(lower, rel=1e-9), mode
+            assert c.result.bic == pytest.approx(bic_value, rel=1e-9), mode
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +462,10 @@ def test_save_grid_round_trip(tmp_path):
     for row, cell_ in zip(rows[1:], grid.cells):
         assert int(row[0]) == cell_.g
         assert row[1] == cell_.k_label
-        assert float(row[2]) == cell_.lower_bound  # repr round-trips exactly
-        assert int(row[3]) == cell_.p
-        assert float(row[4]) == cell_.bic
-        assert row[5] == ("true" if cell_.converged else "false")
+        assert float(row[2]) == cell_.result.lower_bound  # repr round-trips exactly
+        assert int(row[3]) == cell_.result.model.n_free_parameters
+        assert float(row[4]) == cell_.result.bic
+        assert row[5] == ("true" if cell_.result.converged else "false")
         assert float(row[7]) > 0.0
 
 

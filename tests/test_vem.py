@@ -20,6 +20,7 @@ from mplnbicluster.errors import (
 )
 from mplnbicluster.colgroup import ColumnPartition
 from mplnbicluster.model import (
+    BlockSigma,
     elbo_batch,
     elbo_observation,
     posterior,
@@ -250,9 +251,10 @@ def test_indefinite_s_with_positive_determinant_is_rejected():
     # det S = 1 > 0, so a sign test on the determinant would let it through
     s = np.diag([-1.0, -1.0, 1.0])
     y, m, mu = np.array([1.0, 2.0, 0.0]), np.zeros(3), np.zeros(3)
+    one_block = ColumnPartition(np.ones(3, dtype=np.int64), 1)
     with pytest.raises(NotPositiveDefinite):
-        elbo_batch(y[None], np.zeros(1), m[None], [s[None]], mu, [np.eye(3)], 0.0,
-                   groups=(np.arange(3),))
+        elbo_batch(y[None], np.zeros(1), m[None], [s[None]], mu,
+                   BlockSigma.from_factors(one_block, [(np.eye(3), np.eye(3))]))
     with pytest.raises(NotPositiveDefinite):
         update_variational(y, 0.0, m, s, mu, np.eye(3))
 
@@ -534,21 +536,18 @@ def test_fit_trace_final_consistency():
         counts, offsets, G=2, k_spec=EqualK(2),
         config=FitConfig(n_starts=1, max_em_iter=30, seed=8),
     )
-    from mplnbicluster.linalg import cholesky, inv_logdet_from_cholesky
-    from mplnbicluster.model import elbo_batch
+    from mplnbicluster.linalg import cholesky
     from scipy.special import gammaln
 
     y = counts.counts.astype(float)
     log_fact = gammaln(y + 1.0).sum(axis=1)
     f = np.empty((50, 2))
-    for g in range(2):
-        inv, logdet = inv_logdet_from_cholesky(cholesky(result.model.sigma[g]))
-        groups = result.state.groups[g]
+    for g, part in enumerate(result.model.groupings):
+        blocks = blocks_from_dense(result.model.sigma[g], part.groups())
+        sigma = BlockSigma.from_factors(part, [(b, cholesky(b)) for b in blocks])
         f[:, g] = elbo_batch(
-            y, offsets.log,
-            result.state.m[:, g], result.state.s[g],
-            result.model.mu[g], blocks_from_dense(inv, groups), logdet,
-            log_fact=log_fact, groups=groups,
+            y, offsets.log, result.state.m[:, g], result.state.s[g],
+            result.model.mu[g], sigma, log_fact=log_fact,
         )
     assert posterior(f, result.model.pi)[0] == pytest.approx(
         result.elbo_trace[-1], rel=1e-12
@@ -646,6 +645,8 @@ DEGENERATE = {
     "one_column": np.random.default_rng(5).poisson(4.0, size=(30, 1)),
     "identical_rows": np.tile(np.array([[3, 0, 7, 1]]), (30, 1)),
     "fewer_rows_than_columns": np.random.default_rng(6).poisson(4.0, size=(3, 6)),
+    # no latent variance: Sigma's diagonal collapses toward zero
+    "poisson_only": np.random.default_rng(7).poisson(5.0, size=(60, 6)),
 }
 
 
@@ -916,13 +917,13 @@ def test_every_sweep_holds_s_on_its_components_partition(monkeypatch):
         out = candidate(*args)
         _, labels = connected_components(out.dense() != 0.0, directed=False)
         blocks = [np.flatnonzero(labels == c).tolist() for c in range(labels.max() + 1)]
-        sigma_blocks[id(out.inverses)] = sorted(blocks)
+        sigma_blocks[id(out)] = sorted(blocks)
         return out
 
-    def sweeping(y, log_c, m, s, logdet_s, mu, sigma_inv, logdet_sigma, groups, *rest):
-        swept.append(([idx.tolist() for idx in groups],
-                      [block.shape[1:] for block in s], sigma_blocks[id(sigma_inv)]))
-        return sweep(y, log_c, m, s, logdet_s, mu, sigma_inv, logdet_sigma, groups, *rest)
+    def sweeping(y, log_c, m, s, logdet_s, mu, sigma, *rest):
+        swept.append(([idx.tolist() for idx in sigma.groups],
+                      [block.shape[1:] for block in s], sigma_blocks[id(sigma)]))
+        return sweep(y, log_c, m, s, logdet_s, mu, sigma, *rest)
 
     monkeypatch.setattr(vem, "_covariance_candidate", refreshing)
     monkeypatch.setattr(vem, "_sweep_batch", sweeping)
