@@ -19,7 +19,6 @@ wall_time_ms column of ``grid.csv``; ``--no-timestamp`` suppresses both.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import fields, replace as dc_replace
@@ -34,6 +33,7 @@ from .data import (
     read_json,
     save_counts,
     save_offsets,
+    write_csv,
     write_json,
 )
 from .errors import MplnError
@@ -288,21 +288,18 @@ def _cmd_simulate(effective) -> int:
 
 
 def _save_trace(trace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "observed_bound"])
-        for i, value in enumerate(trace):
-            writer.writerow([i, repr(float(value))])
+    rows = ((i, repr(float(value))) for i, value in enumerate(trace))
+    write_csv([["iteration", "observed_bound"], *rows], path)
 
 
 def _save_partitions(model, var_names, path) -> None:
     """Variable-to-block assignments of every component, stacked."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["variable", "component", "group"])
-        for g, partition in enumerate(model.groupings, start=1):
-            for j, name in enumerate(var_names):
-                writer.writerow([name, g, int(partition.assign[j])])
+    rows = (
+        (name, g, group)
+        for g, partition in enumerate(model.groupings, start=1)
+        for name, group in zip(var_names, partition.assign.tolist())
+    )
+    write_csv([["variable", "component", "group"], *rows], path)
 
 
 def _cmd_fit(effective) -> int:
@@ -417,43 +414,30 @@ def _cmd_evaluate(effective) -> int:
 # report
 
 
-_SUMMARY_COLUMNS = (
-    "report",
-    "n_replicates",
-    "row_ari",
-    "row_ari_sd",
-    "col_misclass",
-    "col_misclass_sd",
-    "mu_mse",
-    "mu_mse_sd",
-    "pi_mse",
-    "pi_mse_sd",
-)
+# summary column -> the EvalReport attribute it reports, which is also the
+# metric's key in the report's "sd"
+_SUMMARY = {
+    "row_ari": "row_ari",
+    "col_misclass": "col_misclass_mean",
+    "mu_mse": "mu_mse_mean",
+    "pi_mse": "pi_mse_mean",
+}
 
 
-def _summary_row(path: Path) -> dict:
+def _summary_row(path: Path) -> tuple:
+    """(label, replicates, [(mean, sd) of each _SUMMARY metric]); None
+    stands for an undefined mean or sd."""
     label = path.parent.name if path.stem == "report" and path.parent.name else path.stem
     try:
         report = load_report(path)
         sd = report.sd or {}
-        return {
-            "report": label,
-            "n_replicates": int(report.n_replicates),
-            "row_ari": none_if_nan(report.row_ari),
-            "row_ari_sd": none_if_nan(sd.get("row_ari")),
-            "col_misclass": none_if_nan(report.col_misclass_mean),
-            "col_misclass_sd": none_if_nan(sd.get("col_misclass_mean")),
-            "mu_mse": none_if_nan(report.mu_mse_mean),
-            "mu_mse_sd": none_if_nan(sd.get("mu_mse_mean")),
-            "pi_mse": none_if_nan(report.pi_mse_mean),
-            "pi_mse_sd": none_if_nan(sd.get("pi_mse_mean")),
-        }
+        metrics = [
+            (none_if_nan(getattr(report, attr)), none_if_nan(sd.get(attr)))
+            for attr in _SUMMARY.values()
+        ]
+        return label, int(report.n_replicates), metrics
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{path}: not a valid report file ({exc})") from None
-
-
-def _fmt(value) -> str:
-    return "" if value is None else f"{value:.6g}"
 
 
 def _cmd_report(effective) -> int:
@@ -464,47 +448,25 @@ def _cmd_report(effective) -> int:
         raise UsageError("no reports given")
     rows = [_summary_row(p) for p in paths]
 
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SUMMARY_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [row["report"], row["n_replicates"]]
-                + [_fmt(row[c]) for c in _SUMMARY_COLUMNS[2:]]
-            )
-
-    # plain-text twin: one row per report, metric columns as "mean (sd)"
-    def cell(row, key):
-        mean = row[key]
+    # summary.csv has a mean and an sd column per metric, its plain-text
+    # twin one "mean (sd)" column
+    def cell(mean, sd):
         if mean is None:
             return "-"
-        sd = row[key + "_sd"]
-        if sd is None:
-            return f"{mean:.4f}"
-        return f"{mean:.4f} ({sd:.4f})"
+        return f"{mean:.4f}" if sd is None else f"{mean:.4f} ({sd:.4f})"
 
-    headers = ["report", "reps", "row_ari", "col_misclass", "mu_mse", "pi_mse"]
-    table = [
-        [
-            row["report"],
-            str(row["n_replicates"]),
-            cell(row, "row_ari"),
-            cell(row, "col_misclass"),
-            cell(row, "mu_mse"),
-            cell(row, "pi_mse"),
-        ]
-        for row in rows
-    ]
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in table)) for i in range(len(headers))
-    ]
+    csv_rows = [["report", "n_replicates", *(c for m in _SUMMARY for c in (m, m + "_sd"))]]
+    table = [["report", "reps", *_SUMMARY]]
+    for label, reps, metrics in rows:
+        means_sds = ("" if v is None else f"{v:.6g}" for pair in metrics for v in pair)
+        csv_rows.append([label, reps, *means_sds])
+        table.append([label, str(reps), *(cell(mean, sd) for mean, sd in metrics)])
+    widths = [max(map(len, column)) for column in zip(*table)]
+    out.mkdir(parents=True, exist_ok=True)
+    write_csv(csv_rows, out / "summary.csv")
     with open(out / "summary.txt", "w") as fh:
-        fh.write("  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip())
-        fh.write("\n")
         for r in table:
-            fh.write("  ".join(v.ljust(widths[i]) for i, v in enumerate(r)).rstrip())
-            fh.write("\n")
+            fh.write("  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() + "\n")
     _write_run_config("report", effective, out)
     print(f"summarized {len(rows)} report(s) -> {out}")
     return 0

@@ -3,8 +3,10 @@
 Counts are stored as a dense integer matrix with named samples (rows) and
 variables (columns).  Offsets are per-sample positive multipliers of the
 Poisson rate (library-size normalizers); they enter the model on the log
-scale but are stored and exchanged on the natural scale.  Every JSON file
-the package writes or reads goes through ``write_json`` and ``read_json``.
+scale but are stored and exchanged on the natural scale.  This module owns
+the JSON and CSV formats: every JSON file the package writes or reads goes
+through ``write_json`` and ``read_json``, and every CSV table it writes
+through ``write_csv``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,19 @@ def integer(name, value, low):
     if value < low:
         raise ValueError(f"{name} must be at least {low}, got {value}")
     return int(value)
+
+
+def labels_in_range(name, values, k):
+    """``values`` as a 1-D int64 array; ValueError naming ``name`` unless
+    every value is a whole number in 1..k."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a flat list of numbers")
+    bad = np.flatnonzero(~((arr >= 1) & (arr <= k) & (arr == np.floor(arr))))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"{name} must be whole numbers in 1..{k}; entry {i} is {arr[i].item()!r}")
+    return arr.astype(np.int64)
 
 
 def write_json(payload, path: str | Path) -> None:
@@ -145,6 +160,14 @@ def _delimiter(path: str | Path) -> str:
     return "\t" if Path(path).suffix.lower() == ".tsv" else ","
 
 
+def write_csv(rows, path: str | Path) -> None:
+    """Write ``rows``, an iterable of field sequences with the header first
+    if there is one; a .tsv file is tab-delimited, anything else
+    comma-delimited."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, delimiter=_delimiter(path)).writerows(rows)
+
+
 def load_counts(path: str | Path) -> CountMatrix:
     """Read a count matrix from a delimited text file.
 
@@ -220,11 +243,8 @@ def load_counts(path: str | Path) -> CountMatrix:
 
 def save_counts(cm: CountMatrix, path: str | Path) -> None:
     """Write a count matrix in the format accepted by load_counts."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter=_delimiter(path))
-        writer.writerow(["sample_id", *cm.var_names])
-        for sid, row in zip(cm.sample_ids, cm.counts):
-            writer.writerow([sid, *(int(v) for v in row)])
+    rows = zip(cm.sample_ids, cm.counts.tolist())
+    write_csv([["sample_id", *cm.var_names], *([sid, *row] for sid, row in rows)], path)
 
 
 def compute_offsets(cm: CountMatrix, mode: str = "unit") -> OffsetVector:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .colgroup import ColumnPartition
-from .data import read_json, write_json
+from .data import read_json, write_csv, write_json
 from .errors import LengthMismatch
 
 __all__ = [
@@ -344,12 +344,7 @@ def load_report(path) -> EvalReport:
 
 def save_support_csv(counts: np.ndarray, path) -> None:
     """Plain integer matrix, one CSV row per matrix row."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in np.asarray(counts, dtype=np.int64):
-            writer.writerow([int(v) for v in row])
+    write_csv(np.asarray(counts, dtype=np.int64).tolist(), path)
 
 
 def save_support_pgm(counts: np.ndarray, path) -> None:

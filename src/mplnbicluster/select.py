@@ -13,13 +13,12 @@ serially or across a process pool.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Optional
 
-from .data import CountMatrix, OffsetVector, check_offsets, integer
+from .data import CountMatrix, OffsetVector, check_offsets, integer, write_csv
 from .errors import AllCellsFailed, MplnError
 from .seeding import TAG_CELL, derive_seed
 from .vem import EqualK, FitConfig, FitResult, SilhouetteK, fit
@@ -198,25 +197,13 @@ def save_grid(grid: SelectionGrid, path, include_timing: bool = True) -> None:
     wall_time_ms column is written as 0 so that repeated runs produce
     byte-identical files.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GRID_COLUMNS)
-        for cell in grid.cells:
-            timing = repr(float(cell.wall_time_ms)) if include_timing else "0.0"
-            if cell.failed:
-                writer.writerow(
-                    [cell.g, cell.k_label, "", "", "", "failed", "", timing]
-                )
-            else:
-                writer.writerow(
-                    [
-                        cell.g,
-                        cell.k_label,
-                        repr(float(cell.result.lower_bound)),
-                        cell.result.model.n_free_parameters,
-                        repr(float(cell.result.bic)),
-                        "true" if cell.result.converged else "false",
-                        cell.result.iterations,
-                        timing,
-                    ]
-                )
+
+    def row(cell):
+        timing = repr(float(cell.wall_time_ms)) if include_timing else "0.0"
+        if cell.failed:
+            return [cell.g, cell.k_label, "", "", "", "failed", "", timing]
+        r = cell.result
+        return [cell.g, cell.k_label, repr(float(r.lower_bound)), r.model.n_free_parameters,
+                repr(float(r.bic)), "true" if r.converged else "false", r.iterations, timing]
+
+    write_csv([GRID_COLUMNS, *map(row, grid.cells)], path)

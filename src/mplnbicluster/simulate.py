@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .colgroup import ColumnPartition
-from .data import CountMatrix, OffsetVector, integer, read_json, write_json
+from .data import CountMatrix, OffsetVector, integer, labels_in_range, read_json, write_json
 from .errors import NotPositiveDefinite
 from .model import MixtureModel, model_from_dict, model_to_dict
 from .seeding import TAG_SIM, derive_rng
@@ -134,11 +134,19 @@ class SimSpec:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """What the generator knows: row labels (1-based), partitions, model."""
+    """What the generator knows: row labels (1-based) and the model, whose
+    groupings are the column partitions."""
 
     row_labels: np.ndarray  # (n,) ints in 1..G
-    column_partitions: tuple  # G ColumnPartition
     model: MixtureModel
+
+    def __post_init__(self):
+        labels = labels_in_range("row_labels", self.row_labels, self.model.G)
+        object.__setattr__(self, "row_labels", labels)
+
+    @property
+    def column_partitions(self) -> tuple:
+        return self.model.groupings
 
 
 def _random_correlation(b: int, corr_range, rng) -> Optional[np.ndarray]:
@@ -259,11 +267,7 @@ def sample_dataset(spec: SimSpec, return_latent: bool = False):
         tuple(f"s{i + 1:0{width_n}d}" for i in range(n)),
         tuple(f"v{j + 1:0{width_d}d}" for j in range(d)),
     )
-    truth = GroundTruth(
-        row_labels=labels0 + 1,
-        column_partitions=model.groupings,
-        model=model,
-    )
+    truth = GroundTruth(row_labels=labels0 + 1, model=model)
     if return_latent:
         return counts, truth, x
     return counts, truth
@@ -365,13 +369,7 @@ def save_truth(truth: GroundTruth, path) -> None:
 
 def load_truth(path) -> GroundTruth:
     payload = read_json(path)
-    model = model_from_dict(payload["model"])
-    labels = np.asarray(payload["row_labels"], dtype=np.int64)
-    return GroundTruth(
-        row_labels=labels,
-        column_partitions=model.groupings,
-        model=model,
-    )
+    return GroundTruth(row_labels=payload["row_labels"], model=model_from_dict(payload["model"]))
 
 
 _SPEC_KEYS = frozenset(f.name for f in fields(SimSpec))

@@ -29,7 +29,6 @@ does not lower that component's weighted Gaussian objective.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass
@@ -46,7 +45,16 @@ from .colgroup import (
     distance_matrix,
     select_k_silhouette,
 )
-from .data import CountMatrix, OffsetVector, check_offsets, integer, read_json, write_json
+from .data import (
+    CountMatrix,
+    OffsetVector,
+    check_offsets,
+    integer,
+    labels_in_range,
+    read_json,
+    write_csv,
+    write_json,
+)
 from .errors import AllRestartsFailed, EmptyComponent, MplnError
 from .evaluate import relabelling
 from .linalg import cholesky, cholesky_with_jitter, inv_logdet_from_cholesky
@@ -707,10 +715,11 @@ def result_to_dict(result: FitResult) -> dict:
 
 
 def result_from_dict(payload: dict) -> FitResult:
+    model = model_from_dict(payload["model"])
     return FitResult(
-        model=model_from_dict(payload["model"]),
+        model=model,
         state=None,
-        labels=np.asarray(payload["labels"], dtype=np.int64),
+        labels=labels_in_range("labels", payload["labels"], model.G),
         elbo_trace=np.asarray(payload["elbo_trace"], dtype=float),
         lower_bound=float(payload["lower_bound"]),
         bic=float(payload["bic"]),
@@ -732,8 +741,4 @@ def load_result(path) -> FitResult:
 
 def save_labels(sample_ids, labels, path) -> None:
     """Row assignments as two-column CSV: sample_id, cluster (1-based)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "cluster"])
-        for sid, lab in zip(sample_ids, labels):
-            writer.writerow([sid, int(lab)])
+    write_csv([["sample_id", "cluster"], *zip(sample_ids, map(int, labels))], path)

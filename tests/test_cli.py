@@ -559,6 +559,37 @@ def test_evaluate_truth_against_itself_is_perfect(sim_dir, tmp_path):
     assert payload["pi_mse"] == pytest.approx([0.0, 0.0], abs=1e-3)
 
 
+@pytest.mark.parametrize("kind", ["truth", "result"])
+@pytest.mark.parametrize("bad", ["zero_based", "out_of_range", "fractional"])
+def test_evaluate_rejects_labels_outside_1_to_g(sim_dir, tmp_path, capsys, kind, bad):
+    # casting alone would keep such labels (1.5 becomes 1), and the scores
+    # would then leave out or misalign the rows they label
+    truth = load_truth(sim_dir / "truth.json")
+    save_truth(truth, tmp_path / "truth.json")
+    save_result(
+        FitResult(model=truth.model, state=None, labels=truth.row_labels,
+                  elbo_trace=np.array([-1.0]), lower_bound=-1.0, bic=-2.0,
+                  converged=True, iterations=0, restart=0),
+        tmp_path / "result.json",
+    )
+    path = tmp_path / f"{kind}.json"
+    key = "row_labels" if kind == "truth" else "labels"
+    payload = json.loads(path.read_text())
+    labels = payload[key]
+    payload[key] = {
+        "zero_based": [v - 1 for v in labels],
+        "out_of_range": [*labels[:-1], 3],
+        "fractional": [labels[0] + 0.5, *labels[1:]],
+    }[bad]
+    path.write_text(json.dumps(payload))
+    rc = main(["evaluate", "--truth", str(tmp_path / "truth.json"),
+               "--result", str(tmp_path / "result.json"), "-o", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and f"{key} must be whole numbers in 1..2" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_evaluate_mismatched_d_is_usage_error(fit_dir, tmp_path, capsys):
     other = small_spec(
         d=4,

@@ -131,6 +131,16 @@ def test_agglomerate_rejects_non_finite_distances(bad):
         agglomerate(dist)
 
 
+def test_nearly_symmetric_distances_are_rejected():
+    # 5e-6 apart, which a relative tolerance lets through; silhouette would
+    # then score the matrix and its transpose differently
+    dist = np.array([[0.0, 1.0, 0.5], [1.000005, 0.0, 0.7], [0.5, 0.7, 0.0]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        agglomerate(dist)
+    with pytest.raises(ValueError, match="not symmetric"):
+        silhouette(dist, ColumnPartition(np.array([1, 1, 2]), 2))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(d=st.integers(1, 29), kind=st.sampled_from(["random", "tied", "equal", "integer"]),
        linkage=st.sampled_from(["single", "complete", "average"]),

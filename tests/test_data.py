@@ -236,15 +236,15 @@ def test_filter_top_variable_noop_when_wide_enough():
 
 
 def _owned_names(tree):
-    """(name, line) of every json.dump / json.load reference, every name
-    imported from json, and every reference to EXP_CAP."""
+    """(name, line) of every json.* / csv.* attribute reference, every name
+    imported from json or csv, and every reference to EXP_CAP."""
     found = []
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id == "json"):
-            found.append(("json." + node.attr, node.lineno))
-        elif isinstance(node, ast.ImportFrom) and node.module == "json":
-            found.extend(("json." + alias.name, node.lineno) for alias in node.names)
+                and node.value.id in ("json", "csv")):
+            found.append((node.value.id + "." + node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module in ("json", "csv"):
+            found.extend((node.module + "." + alias.name, node.lineno) for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             found.extend((alias.name, node.lineno) for alias in node.names
                          if alias.name == "EXP_CAP")
@@ -256,9 +256,11 @@ def _owned_names(tree):
 
 
 def test_one_module_owns_the_json_files_and_one_the_exponent_cap():
-    # data writes and reads every JSON file, and model.poisson_rate is the
-    # one place that caps the exponent of a Poisson rate
-    owner = {"json.dump": "data.py", "json.load": "data.py", "EXP_CAP": "model.py"}
+    # data writes and reads every JSON file and every CSV table, and
+    # model.poisson_rate is the one place that caps the exponent of a
+    # Poisson rate
+    owner = {"json.dump": "data.py", "json.load": "data.py", "csv.writer": "data.py",
+             "csv.reader": "data.py", "EXP_CAP": "model.py"}
     src = Path(__file__).resolve().parents[1] / "src" / "mplnbicluster"
     seen = {}
     for path in sorted(src.glob("*.py")):
@@ -268,5 +270,5 @@ def test_one_module_owns_the_json_files_and_one_the_exponent_cap():
                if name in owner and owner[name] != path.name]
         assert not bad, f"{path.name} uses what another module owns: {bad}"
     # finding the owners' own uses shows the walker sees them
-    assert {"json.dump", "json.load"} <= seen["data.py"]
+    assert {"json.dump", "json.load", "csv.writer", "csv.reader"} <= seen["data.py"]
     assert "EXP_CAP" in seen["model.py"]

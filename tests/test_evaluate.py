@@ -341,8 +341,7 @@ def block_model(pi, mu, sizes_per_comp):
 def test_evaluate_fit_perfect():
     model = block_model([0.5, 0.5], [[0.0] * 4, [1.0] * 4], [(2, 2), (2, 2)])
     labels = np.array([1, 1, 1, 2, 2, 2])
-    truth = GroundTruth(row_labels=labels, column_partitions=model.groupings,
-                        model=model)
+    truth = GroundTruth(row_labels=labels, model=model)
     report = evaluate_fit(truth, model, labels)
     assert report.row_ari == 1.0
     assert report.col_misclass == (0.0, 0.0)
@@ -357,11 +356,7 @@ def test_evaluate_fit_perfect():
 def test_evaluate_fit_component_count_mismatch():
     truth_model = block_model([0.5, 0.5], [[0.0] * 4, [1.0] * 4], [(2, 2), (2, 2)])
     est_model = block_model([1.0], [[0.5] * 4], [(2, 2)])
-    truth = GroundTruth(
-        row_labels=np.array([1, 1, 2, 2]),
-        column_partitions=truth_model.groupings,
-        model=truth_model,
-    )
+    truth = GroundTruth(row_labels=np.array([1, 1, 2, 2]), model=truth_model)
     report = evaluate_fit(truth, est_model, np.array([1, 1, 1, 1]))
     assert np.isnan(report.col_misclass_mean)
     assert all(np.isnan(v) for v in report.mu_mse)
