@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .colgroup import ColumnPartition
-from .data import read_json, write_csv, write_json
+from .data import labels_in_range, read_json, write_csv, write_json
 from .errors import LengthMismatch
 
 __all__ = [
@@ -206,8 +206,10 @@ def _nanmean(values, axis=None):
 def evaluate_fit(truth, model, labels) -> EvalReport:
     """Score one fitted model against the ground truth that generated it.
 
-    ``truth`` is a GroundTruth; ``model``/``labels`` come from the fit.
+    ``truth`` is a GroundTruth; ``model``/``labels`` come from the fit, and
+    ValueError is raised unless every label is a whole number in 1..G.
     """
+    labels = labels_in_range("labels", labels, model.G)
     truth_model = truth.model
     g_true = truth_model.G
     row_ari = ari(truth.row_labels, labels)

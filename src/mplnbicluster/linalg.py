@@ -3,8 +3,9 @@
 Thin wrappers around LAPACK (via numpy) that turn factorization failures
 into package-level errors and centralize the jitter policy used by the EM
 loop, plus the one routine that turns a Cholesky factor into an inverse
-and a log-determinant.  Everything here works on dense float64 arrays;
-``cholesky`` and the factor-based routines also take stacks of matrices.
+and a log-determinant, consuming the factor.  Everything here works on
+dense float64 arrays; ``cholesky`` and the factor-based routines also take
+stacks of matrices.
 """
 
 from __future__ import annotations
@@ -39,21 +40,23 @@ def inv_logdet_from_cholesky(lower: np.ndarray):
     """Inverse and log-determinant of a = L L' from its factor L.
 
     ``lower`` is (..., b, b), lower triangular with a positive diagonal (as
-    ``cholesky`` returns it).  L^-1 is built by forward substitution, one
-    row at a time over the whole stack, and a^-1 = L^-T L^-1 is one batched
-    product, which comes out exactly symmetric.  Returns (inverse, logdet)
-    with logdet of shape (...); a single (b, b) factor gives a scalar.
+    ``cholesky`` returns it), and is consumed: L^-1 is built in its buffer
+    by forward substitution, one row at a time over the whole stack (row i
+    of L^-1 reads only row i of L and rows < i of L^-1), so callers pass a
+    factor they no longer need.  a^-1 = L^-T L^-1 is one batched product,
+    which comes out exactly symmetric.  Returns (inverse, logdet) with
+    logdet of shape (...); a single (b, b) factor gives a scalar.
     """
-    lower = np.asarray(lower, dtype=float)
-    diag = np.einsum("...jj->...j", lower)
-    w = np.zeros_like(lower)
-    for i in range(lower.shape[-1]):
+    w = np.asarray(lower, dtype=float)
+    logdet = logdet_from_cholesky(w)
+    diag = np.einsum("...jj->...j", w).copy()
+    for i in range(w.shape[-1]):
         # row i of L^-1 from rows 0..i-1, which are zero right of the diagonal
         w[..., i, :i] = -np.einsum(
-            "...k,...kj->...j", lower[..., i, :i], w[..., :i, :i]
+            "...k,...kj->...j", w[..., i, :i], w[..., :i, :i]
         ) / diag[..., i, None]
         w[..., i, i] = 1.0 / diag[..., i]
-    return np.swapaxes(w, -1, -2) @ w, logdet_from_cholesky(lower)
+    return np.swapaxes(w, -1, -2) @ w, logdet
 
 
 def corr_from_cov(cov: np.ndarray) -> np.ndarray:

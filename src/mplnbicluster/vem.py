@@ -13,7 +13,9 @@ bound stabilises:
 3. coordinate sweeps on the per-observation Gaussian approximations,
    whose covariances S are stored, like Sigma, per column block of the
    component's partition (Sigma is block-diagonal, so the fixed point for
-   S is too).  When a component's partition changes, its S moves onto the
+   S is too).  The blocks are independent problems, so a sweep stacks the
+   blocks of one size and takes one S-step and one Newton step per block
+   size.  When a component's partition changes, its S moves onto the
    new blocks and drops the entries across them, which never lowers a
    bound (``reblock``).  A sweep skips the rows whose responsibility under
    the component is below the rounding unit of 1: the M-step and the bound
@@ -290,24 +292,28 @@ def initialize(
 # variational sweeps
 
 
-def s_fixed_point_step(log_c, m, s, sigma_inv):
+def s_fixed_point_step(log_c, m, diag_s, sigma_inv):
     """One fixed-point refresh of the approximation covariances.
 
     S' = (Sigma^-1 + diag(exp(log C + m + diag(S)/2)))^-1, batched over
-    leading axes.  Returns (s_new, logdet_s_new).  The fit calls it once per
-    column block, with that block's columns of m and its blocks of S and
-    Sigma^-1.  S'^-1 is factored once; S' and log det S' both come from
-    that Cholesky factor (``inv_logdet_from_cholesky``), and S' is exactly
-    symmetric.  Raises NotPositiveDefinite if S'^-1 does not factor.
+    leading axes.  The map reads S only through its diagonal, so it takes
+    ``diag_s``, shaped like m.  Returns (s_new, logdet_s_new).  The sweep
+    calls it once per block size, on the blocks of that size stacked along
+    a leading axis: m and diag(S) are (k, rows, b) and Sigma^-1 is
+    (k, 1, b, b).  S'^-1 is factored once and freed; S' and log det S' both
+    come from that Cholesky factor (``inv_logdet_from_cholesky``, which
+    builds S' in the factor's buffer), and S' is exactly symmetric.  Raises
+    NotPositiveDefinite if S'^-1 does not factor.
     """
     m = np.asarray(m, dtype=float)
     d = m.shape[-1]
-    diag_s = np.einsum("...jj->...j", np.asarray(s, dtype=float))
     lam = poisson_rate(log_c, m, diag_s)
     a = np.broadcast_to(sigma_inv, m.shape + (d,)).copy()
     idx = np.arange(d)
     a[..., idx, idx] += lam
-    s_new, logdet_a = inv_logdet_from_cholesky(cholesky(a))
+    lower = cholesky(a)
+    del a
+    s_new, logdet_a = inv_logdet_from_cholesky(lower)
     return s_new, -logdet_a
 
 
@@ -315,8 +321,9 @@ def newton_m_step(y, log_c, m, s_new, mu, sigma_inv):
     """Full Newton update of the approximation means at fixed S'.
 
     m' = m - S' (exp(log C + m + diag(S')/2) + Sigma^-1 (m - mu) - y);
-    the returned step can be damped by the caller.  Called once per column
-    block, like ``s_fixed_point_step``.
+    the returned step can be damped by the caller.  Called once per block
+    size, like ``s_fixed_point_step``: y and m are (k, rows, b), S' is
+    (k, rows, b, b), mu (k, 1, b) and Sigma^-1 (k, b, b).
     """
     m = np.asarray(m, dtype=float)
     diag_s = np.einsum("...jj->...j", np.asarray(s_new, dtype=float))
@@ -338,7 +345,8 @@ def _sweep_batch(y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start,
     with the same ``elbo_batch``, taking log det S' from the S-step.  Each
     sweep refreshes every block of S by its fixed-point map and takes the
     Newton step on that block's columns of m; the blocks are independent
-    b x b problems.
+    b x b problems, so the blocks of one size are stacked and stepped
+    together, one S-step and one Newton step per block size.
     If an observation's bound would drop, the m-step is halved once; if it
     still drops, that observation keeps its pre-sweep pair and stops.
     Observations whose update falls below ``inner_tol`` in the sup norm also
@@ -347,26 +355,38 @@ def _sweep_batch(y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start,
     y = np.asarray(y, dtype=float)
     m = m.copy()
     s = [block.copy() for block in s]
+    diags = [np.einsum("njj->nj", block) for block in s]  # views of s
     logdet_s = np.array(logdet_s, dtype=float)
     f_cur = np.array(f_start, dtype=float)
+    # per block size: the blocks' positions, stacked columns and Sigma^-1
+    classes = []
+    for b in dict.fromkeys(idx.size for idx in sigma.groups):
+        pos = [j for j, idx in enumerate(sigma.groups) if idx.size == b]
+        classes.append((pos, np.stack([sigma.groups[j] for j in pos]),
+                        np.stack([sigma.inverses[j] for j in pos])))
     active = np.arange(m.shape[0]) if rows is None else rows
     for _ in range(inner_iter):
         if active.size == 0:
             break
         ya, la, ma = y[active], log_c[active], m[active]
-        sa = [block[active] for block in s]
         fa = log_fact[active]
         m_full = np.empty_like(ma)
         step = np.empty_like(ma)
-        s_new = []
-        logdet_s_new = 0.0
-        for idx, s_b, inv_b in zip(sigma.groups, sa, sigma.inverses):
-            s_b_new, logdet_b = s_fixed_point_step(la, ma[:, idx], s_b, inv_b)
-            m_full[:, idx], step[:, idx] = newton_m_step(
-                ya[:, idx], la, ma[:, idx], s_b_new, mu[idx], inv_b
-            )
-            s_new.append(s_b_new)
-            logdet_s_new = logdet_s_new + logdet_b
+        s_new = [None] * len(s)
+        logdet_new = [None] * len(s)
+        for pos, idx, inv in classes:
+            # ma[:, idx] is (rows, k, b); the S-step stacks the k blocks first
+            m_c = np.moveaxis(ma[:, idx], 1, 0)
+            diag_c = np.stack([diags[j][active] for j in pos])
+            s_c, logdet_c = s_fixed_point_step(la, m_c, diag_c, inv[:, None])
+            m_c_new, step_c = newton_m_step(np.moveaxis(ya[:, idx], 1, 0), la, m_c, s_c,
+                                            mu[idx][:, None], inv)
+            m_full[:, idx] = np.moveaxis(m_c_new, 0, 1)
+            step[:, idx] = np.moveaxis(step_c, 0, 1)
+            for t, j in enumerate(pos):
+                s_new[j], logdet_new[j] = s_c[t], logdet_c[t]
+        # in block order, as the bound sums it, whatever the order of the sizes
+        logdet_s_new = sum(logdet_new)
         f_new = elbo_batch(ya, la, m_full, s_new, mu, sigma, log_fact=fa,
                            logdet_s=logdet_s_new)
         m_new = m_full
@@ -383,8 +403,8 @@ def _sweep_batch(y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start,
             f_new[bad[ok]] = f_half[ok]
             rejected[bad[~ok]] = True
         delta = np.abs(m_new - ma).max(axis=1)
-        for s_b_new, s_b in zip(s_new, sa):
-            delta = np.maximum(delta, np.abs(s_b_new - s_b).max(axis=(1, 2)))
+        for s_b_new, block in zip(s_new, s):
+            delta = np.maximum(delta, np.abs(s_b_new - block[active]).max(axis=(1, 2)))
         accepted = ~rejected
         kept = active[accepted]
         m[kept] = m_new[accepted]

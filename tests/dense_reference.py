@@ -12,6 +12,13 @@ stores S, Sigma and Sigma^-1 per column block, moves blocks with
 ``vem.reblock`` and factors each block of Sigma once;
 ``tests/test_blocks.py`` checks it against this copy.
 
+``sweep_per_block`` is the block-stored sweep as it was when each column
+block took its own S-step and Newton step, with the whole S block as the
+S-step's input and the inverse built out of place
+(``inv_logdet_out_of_place``); ``tests/test_blocks.py`` checks the sweep
+that steps the blocks of one size together, and the inverse built in the
+factor's buffer, against it bit for bit.
+
 ``agglomerate_reference`` is the column agglomeration as it was when each
 merge scanned the upper triangle of the active clusters' distances;
 ``tests/test_colgroup.py`` checks ``colgroup.agglomerate``, which finds
@@ -37,7 +44,7 @@ from mplnbicluster.linalg import (
     inv_logdet_from_cholesky,
     logdet_from_cholesky,
 )
-from mplnbicluster.model import EXP_CAP
+from mplnbicluster.model import EXP_CAP, elbo_batch
 from mplnbicluster.vem import EqualK, PerGroupK
 
 
@@ -145,6 +152,87 @@ def sweep_dense(y, log_c, m, s, mu, sigma_inv, logdet_sigma, log_fact, f_start,
         f_cur[rows] = f_new[accepted]
         active = active[accepted & (delta >= inner_tol)]
     return m, s
+
+
+def inv_logdet_out_of_place(lower):
+    """Inverse and log-determinant of a = L L' from its factor L, with
+    L^-1 built in a new array; ``lower`` is left as it is."""
+    lower = np.asarray(lower, dtype=float)
+    diag = np.einsum("...jj->...j", lower)
+    w = np.zeros_like(lower)
+    for i in range(lower.shape[-1]):
+        w[..., i, :i] = -np.einsum(
+            "...k,...kj->...j", lower[..., i, :i], w[..., :i, :i]
+        ) / diag[..., i, None]
+        w[..., i, i] = 1.0 / diag[..., i]
+    return np.swapaxes(w, -1, -2) @ w, logdet_from_cholesky(lower)
+
+
+def s_fixed_point_per_block(log_c, m, s, sigma_inv):
+    """The S-step of one block from its whole (rows, b, b) S."""
+    diag_s = np.einsum("...jj->...j", s)
+    lam = np.exp(np.minimum(log_c[..., None] + m + 0.5 * diag_s, EXP_CAP))
+    d = m.shape[-1]
+    a = np.broadcast_to(sigma_inv, m.shape + (d,)).copy()
+    idx = np.arange(d)
+    a[..., idx, idx] += lam
+    s_new, logdet_a = inv_logdet_out_of_place(np.linalg.cholesky(a))
+    return s_new, -logdet_a
+
+
+def sweep_per_block(y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start,
+                    inner_iter, inner_tol, rows=None):
+    """Guarded sweeps for one component with S on ``sigma``'s blocks, one
+    S-step and one Newton step per block; returns (m, s, logdet_s)."""
+    m = m.copy()
+    s = [block.copy() for block in s]
+    logdet_s = np.array(logdet_s, dtype=float)
+    f_cur = np.array(f_start, dtype=float)
+    active = np.arange(m.shape[0]) if rows is None else rows
+    for _ in range(inner_iter):
+        if active.size == 0:
+            break
+        ya, la, ma = y[active], log_c[active], m[active]
+        sa = [block[active] for block in s]
+        fa = log_fact[active]
+        m_full = np.empty_like(ma)
+        step = np.empty_like(ma)
+        s_new = []
+        logdet_s_new = 0.0
+        for idx, s_b, inv_b in zip(sigma.groups, sa, sigma.inverses):
+            s_b_new, logdet_b = s_fixed_point_per_block(la, ma[:, idx], s_b, inv_b)
+            m_full[:, idx], step[:, idx] = newton_m_dense(
+                ya[:, idx], la, ma[:, idx], s_b_new, mu[idx], inv_b
+            )
+            s_new.append(s_b_new)
+            logdet_s_new = logdet_s_new + logdet_b
+        f_new = elbo_batch(ya, la, m_full, s_new, mu, sigma, log_fact=fa,
+                           logdet_s=logdet_s_new)
+        m_new = m_full
+        rejected = np.zeros(active.size, dtype=bool)
+        bad = np.flatnonzero(f_new < f_cur[active])
+        if bad.size:
+            m_half = ma[bad] - 0.5 * step[bad]
+            f_half = elbo_batch(
+                ya[bad], la[bad], m_half, [s_b[bad] for s_b in s_new], mu,
+                sigma, log_fact=fa[bad], logdet_s=logdet_s_new[bad],
+            )
+            ok = f_half >= f_cur[active[bad]]
+            m_new[bad[ok]] = m_half[ok]
+            f_new[bad[ok]] = f_half[ok]
+            rejected[bad[~ok]] = True
+        delta = np.abs(m_new - ma).max(axis=1)
+        for s_b_new, s_b in zip(s_new, sa):
+            delta = np.maximum(delta, np.abs(s_b_new - s_b).max(axis=(1, 2)))
+        accepted = ~rejected
+        kept = active[accepted]
+        m[kept] = m_new[accepted]
+        for block, s_b_new in zip(s, s_new):
+            block[kept] = s_b_new[accepted]
+        logdet_s[kept] = logdet_s_new[accepted]
+        f_cur[kept] = f_new[accepted]
+        active = active[accepted & (delta >= inner_tol)]
+    return m, s, logdet_s
 
 
 def block_project(cov, part):

@@ -353,6 +353,18 @@ def test_evaluate_fit_perfect():
     assert report.n_replicates == 1
 
 
+@pytest.mark.parametrize("shift", [lambda labels: labels - 1, lambda labels: labels + 5,
+                                   lambda labels: labels + 0.5])
+def test_evaluate_fit_rejects_labels_outside_one_to_g(shift):
+    # 0-based, too-large and fractional labels name no component; scored,
+    # they read as a perfect or a swapped fit
+    model = block_model([0.5, 0.5], [[0.0] * 4, [1.0] * 4], [(2, 2), (2, 2)])
+    labels = np.array([1, 1, 1, 2, 2, 2])
+    truth = GroundTruth(row_labels=labels, model=model)
+    with pytest.raises(ValueError, match="labels must be whole numbers in 1..2"):
+        evaluate_fit(truth, model, shift(labels))
+
+
 def test_evaluate_fit_component_count_mismatch():
     truth_model = block_model([0.5, 0.5], [[0.0] * 4, [1.0] * 4], [(2, 2), (2, 2)])
     est_model = block_model([1.0], [[0.5] * 4], [(2, 2)])

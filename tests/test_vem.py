@@ -152,7 +152,8 @@ def test_k_spec_validation():
 def test_s_fixed_point_worked_example():
     # standard cell: C=1, m=0, S=1, Sigma=1 -> S' = 1 / (1 + e^0.5)
     s_new, logdet = s_fixed_point_step(
-        np.zeros(1), np.zeros((1, 1)), np.ones((1, 1, 1)), np.ones((1, 1))
+        np.zeros(1), np.zeros((1, 1)), np.einsum("...jj->...j", np.ones((1, 1, 1))),
+        np.ones((1, 1)),
     )
     expected = 1.0 / (1.0 + np.exp(0.5))
     assert s_new[0, 0, 0] == pytest.approx(expected, abs=1e-12)
@@ -165,7 +166,8 @@ def test_s_fixed_point_rejects_indefinite_precision():
     # error, so callers need no numpy exception of their own
     with pytest.raises(NotPositiveDefinite):
         s_fixed_point_step(
-            np.zeros(1), np.zeros((1, 2)), np.eye(2)[None], -10.0 * np.eye(2)
+            np.zeros(1), np.zeros((1, 2)), np.einsum("...jj->...j", np.eye(2)[None]),
+            -10.0 * np.eye(2),
         )
 
 
@@ -194,7 +196,8 @@ def test_s_fixed_point_diagonal_structure():
         diag = rng.uniform(0.5, 2.0, size=d)
         s = np.diag(rng.uniform(0.1, 0.5, size=d))[None]
         log_c = rng.normal(size=1)
-        s_new, _ = s_fixed_point_step(log_c, m, s, np.diag(1.0 / diag))
+        s_new, _ = s_fixed_point_step(log_c, m, np.einsum("...jj->...j", s),
+                                      np.diag(1.0 / diag))
         lam = np.exp(log_c[0] + m[0] + 0.5 * np.diag(s[0]))
         expected = 1.0 / (1.0 / diag + lam)
         assert np.allclose(np.diag(s_new[0]), expected, atol=1e-12)
@@ -844,16 +847,17 @@ def gate_run(case):
 
 @functools.lru_cache(maxsize=None)
 def gate_fit(case, every_row):
-    """The fit of a GATE_CASES entry and the number of rows handed to the
-    S-step.  With ``every_row`` the row choice returns every row: that is
+    """The fit of a GATE_CASES entry and the number of (row, block) pairs
+    handed to the S-steps.  With ``every_row`` the row choice returns every row: that is
     the reference for the gate."""
     counts, offsets, state, k_spec, restart = gate_run(case)
     rows = []
     original = vem.s_fixed_point_step
 
-    def counting(log_c, m, s, sigma_inv):
-        rows.append(m.shape[0])
-        return original(log_c, m, s, sigma_inv)
+    def counting(log_c, m, diag_s, sigma_inv):
+        # one call steps the blocks of one size: count rows x blocks
+        rows.append(m[..., 0].size)
+        return original(log_c, m, diag_s, sigma_inv)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(vem, "s_fixed_point_step", counting)
