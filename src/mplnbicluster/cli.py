@@ -4,7 +4,9 @@ Each subcommand reads its parameters from three layers — built-in
 defaults, an optional flat JSON config file (``--config``), and command
 line flags — where later layers win.  The fully resolved parameter set is
 archived as ``run_config.json`` next to the outputs, and that file can be
-fed back via ``--config`` to replay the run.
+fed back via ``--config`` to replay the run.  A ``fit`` file written when
+each EM pass ran an inner loop of variational steps holds that loop's two
+keys, and exits 2 on them as unknown: the one-step sweep cannot replay it.
 
 Exit codes are a stable contract for scripting: 0 on success, 1 on a
 runtime failure (e.g. every grid cell failed), 2 on a usage or

@@ -10,21 +10,24 @@ bound stabilises:
    refresh's guard, the bounds and the sweeps take (a dense Sigma is built
    only for the fitted model),
 2. the per-component evidence bounds and the responsibilities,
-3. coordinate sweeps on the per-observation Gaussian approximations,
-   whose covariances S are stored, like Sigma, per column block of the
-   component's partition (Sigma is block-diagonal, so the fixed point for
-   S is too).  The blocks are independent problems, so a sweep stacks the
-   blocks of one size and takes one S-step and one Newton step per block
-   size.  When a component's partition changes, its S moves onto the
-   new blocks and drops the entries across them, which never lowers a
-   bound (``reblock``).  A sweep skips the rows whose responsibility under
-   the component is below the rounding unit of 1: the M-step and the bound
-   weigh such a pair by nothing they can resolve, and a coordinate left
-   as it is never lowers the bound, so each pass still ascends.
+3. one guarded step per pass on the per-observation Gaussian
+   approximations, whose covariances S are stored, like Sigma, per column
+   block of the component's partition (Sigma is block-diagonal, so the
+   fixed point for S is too).  The blocks are independent problems, so a
+   sweep stacks the blocks of one size and takes one S-step and one Newton
+   step per block size.  Sigma moves on every pass, so the step is not
+   iterated: any step that lowers no bound keeps each pass an ascent with
+   the same stationary points (a partial E-step, Neal & Hinton 1998).  When
+   a component's partition changes, its S moves onto the new blocks and
+   drops the entries across them, which never lowers a bound
+   (``reblock``).  A sweep skips the rows whose responsibility under the
+   component is below the rounding unit of 1: the M-step and the bound
+   weigh such a pair by nothing they can resolve, and a coordinate left as
+   it is never lowers the bound, so each pass still ascends.
 
 Every substep is guarded so the quantity traced in ``elbo_trace`` — the
 log-sum-exp bound ``sum_i log sum_g pi_g exp(F_ig)`` — never decreases:
-sweeps fall back to a halved step and then to the previous iterate per
+a sweep falls back to a halved step and then to the previous iterate per
 observation, and a covariance/grouping candidate is only accepted when it
 does not lower that component's weighted Gaussian objective.
 """
@@ -105,21 +108,18 @@ class FitConfig:
 
     max_em_iter: int = 500
     elbo_rel_tol: float = 1e-6
-    inner_iter: int = 10
-    inner_tol: float = 1e-6
     n_starts: int = 5
     linkage: str = "average"
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, low in (("max_em_iter", 1), ("inner_iter", 1), ("n_starts", 1), ("seed", 0)):
+        for name, low in (("max_em_iter", 1), ("n_starts", 1), ("seed", 0)):
             object.__setattr__(self, name, integer(name, getattr(self, name), low))
-        for name in ("elbo_rel_tol", "inner_tol"):
-            value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            # the comparison is False for NaN as well
-            if not (real and 0.0 < value < math.inf):
-                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+        tol = self.elbo_rel_tol
+        real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+        # the comparison is False for NaN as well
+        if not (real and 0.0 < tol < math.inf):
+            raise ValueError(f"elbo_rel_tol must be a finite positive number, got {tol!r}")
         if self.linkage not in LINKAGES:
             raise ValueError(
                 f"linkage must be one of {LINKAGES}, got {self.linkage!r}"
@@ -333,97 +333,78 @@ def newton_m_step(y, log_c, m, s_new, mu, sigma_inv):
     return m - step, step
 
 
-def _sweep_batch(y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start,
-                 inner_iter, inner_tol, rows=None):
-    """Guarded coordinate sweeps for the observations ``rows`` of one
+def _sweep_batch(y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start, rows=None):
+    """One guarded coordinate step for the observations ``rows`` of one
     component (every observation when None); the others keep their pair.
 
     S is stored on the column blocks of the component's ``sigma`` (a
     ``BlockSigma``): ``s`` holds one (n, b, b) array per block of
     ``sigma.groups``.  ``logdet_s`` and ``f_start`` are each observation's
-    log det S and bound at the starting (m, S); every trial step is scored
-    with the same ``elbo_batch``, taking log det S' from the S-step.  Each
-    sweep refreshes every block of S by its fixed-point map and takes the
+    log det S and bound at the starting (m, S); the trial step is scored
+    with the same ``elbo_batch``, taking log det S' from the S-step.  The
+    step refreshes every block of S by its fixed-point map and takes the
     Newton step on that block's columns of m; the blocks are independent
     b x b problems, so the blocks of one size are stacked and stepped
     together, one S-step and one Newton step per block size.
     If an observation's bound would drop, the m-step is halved once; if it
-    still drops, that observation keeps its pre-sweep pair and stops.
-    Observations whose update falls below ``inner_tol`` in the sup norm also
-    stop.  Returns (m, s, logdet_s) as copies; inputs are untouched.
+    still drops, that observation keeps its pair.  Returns (m, s, logdet_s)
+    as copies; inputs are untouched.
     """
     y = np.asarray(y, dtype=float)
     m = m.copy()
     s = [block.copy() for block in s]
-    diags = [np.einsum("njj->nj", block) for block in s]  # views of s
     logdet_s = np.array(logdet_s, dtype=float)
-    f_cur = np.array(f_start, dtype=float)
-    # per block size: the blocks' positions, stacked columns and Sigma^-1
-    classes = []
+    rows = np.arange(m.shape[0]) if rows is None else rows
+    ya, la, ma, fa, f_old = y[rows], log_c[rows], m[rows], log_fact[rows], f_start[rows]
+    m_new = np.empty_like(ma)
+    step = np.empty_like(ma)
+    s_new = [None] * len(s)
+    logdet_new = [None] * len(s)
     for b in dict.fromkeys(idx.size for idx in sigma.groups):
+        # the blocks of size b: their positions, stacked columns and Sigma^-1
         pos = [j for j, idx in enumerate(sigma.groups) if idx.size == b]
-        classes.append((pos, np.stack([sigma.groups[j] for j in pos]),
-                        np.stack([sigma.inverses[j] for j in pos])))
-    active = np.arange(m.shape[0]) if rows is None else rows
-    for _ in range(inner_iter):
-        if active.size == 0:
-            break
-        ya, la, ma = y[active], log_c[active], m[active]
-        fa = log_fact[active]
-        m_full = np.empty_like(ma)
-        step = np.empty_like(ma)
-        s_new = [None] * len(s)
-        logdet_new = [None] * len(s)
-        for pos, idx, inv in classes:
-            # ma[:, idx] is (rows, k, b); the S-step stacks the k blocks first
-            m_c = np.moveaxis(ma[:, idx], 1, 0)
-            diag_c = np.stack([diags[j][active] for j in pos])
-            s_c, logdet_c = s_fixed_point_step(la, m_c, diag_c, inv[:, None])
-            m_c_new, step_c = newton_m_step(np.moveaxis(ya[:, idx], 1, 0), la, m_c, s_c,
-                                            mu[idx][:, None], inv)
-            m_full[:, idx] = np.moveaxis(m_c_new, 0, 1)
-            step[:, idx] = np.moveaxis(step_c, 0, 1)
-            for t, j in enumerate(pos):
-                s_new[j], logdet_new[j] = s_c[t], logdet_c[t]
-        # in block order, as the bound sums it, whatever the order of the sizes
-        logdet_s_new = sum(logdet_new)
-        f_new = elbo_batch(ya, la, m_full, s_new, mu, sigma, log_fact=fa,
-                           logdet_s=logdet_s_new)
-        m_new = m_full
-        rejected = np.zeros(active.size, dtype=bool)
-        bad = np.flatnonzero(f_new < f_cur[active])
-        if bad.size:
-            m_half = ma[bad] - 0.5 * step[bad]
-            f_half = elbo_batch(
-                ya[bad], la[bad], m_half, [s_b[bad] for s_b in s_new], mu,
-                sigma, log_fact=fa[bad], logdet_s=logdet_s_new[bad],
-            )
-            ok = f_half >= f_cur[active[bad]]
-            m_new[bad[ok]] = m_half[ok]
-            f_new[bad[ok]] = f_half[ok]
-            rejected[bad[~ok]] = True
-        delta = np.abs(m_new - ma).max(axis=1)
-        for s_b_new, block in zip(s_new, s):
-            delta = np.maximum(delta, np.abs(s_b_new - block[active]).max(axis=(1, 2)))
-        accepted = ~rejected
-        kept = active[accepted]
-        m[kept] = m_new[accepted]
-        for block, s_b_new in zip(s, s_new):
-            block[kept] = s_b_new[accepted]
-        logdet_s[kept] = logdet_s_new[accepted]
-        f_cur[kept] = f_new[accepted]
-        active = active[accepted & (delta >= inner_tol)]
+        idx = np.stack([sigma.groups[j] for j in pos])
+        inv = np.stack([sigma.inverses[j] for j in pos])
+        # ma[:, idx] is (rows, k, b); the S-step stacks the k blocks first
+        m_c = np.moveaxis(ma[:, idx], 1, 0)
+        diag_c = np.stack([np.einsum("njj->nj", s[j])[rows] for j in pos])
+        s_c, logdet_c = s_fixed_point_step(la, m_c, diag_c, inv[:, None])
+        m_c_new, step_c = newton_m_step(np.moveaxis(ya[:, idx], 1, 0), la, m_c, s_c,
+                                        mu[idx][:, None], inv)
+        m_new[:, idx] = np.moveaxis(m_c_new, 0, 1)
+        step[:, idx] = np.moveaxis(step_c, 0, 1)
+        for t, j in enumerate(pos):
+            s_new[j], logdet_new[j] = s_c[t], logdet_c[t]
+    # in block order, as the bound sums it, whatever the order of the sizes
+    logdet_s_new = sum(logdet_new)
+    f_new = elbo_batch(ya, la, m_new, s_new, mu, sigma, log_fact=fa, logdet_s=logdet_s_new)
+    keep = np.ones(rows.size, dtype=bool)
+    bad = np.flatnonzero(f_new < f_old)
+    if bad.size:
+        m_half = ma[bad] - 0.5 * step[bad]
+        f_half = elbo_batch(
+            ya[bad], la[bad], m_half, [s_b[bad] for s_b in s_new], mu,
+            sigma, log_fact=fa[bad], logdet_s=logdet_s_new[bad],
+        )
+        ok = f_half >= f_old[bad]
+        m_new[bad[ok]] = m_half[ok]
+        keep[bad[~ok]] = False
+    kept = rows[keep]
+    m[kept] = m_new[keep]
+    for block, s_b_new in zip(s, s_new):
+        block[kept] = s_b_new[keep]
+    logdet_s[kept] = logdet_s_new[keep]
     return m, s, logdet_s
 
 
-def update_variational(y, log_c, m, s, mu, sigma, inner_iter=FitConfig.inner_iter,
-                       inner_tol=FitConfig.inner_tol):
+def update_variational(y, log_c, m, s, mu, sigma, inner_iter=10, inner_tol=1e-6):
     """Refresh one observation's Gaussian approximation under one component.
 
-    ``y``, ``m`` are length-d vectors, ``s`` is (d, d); returns the updated
-    (m, s) pair after at most ``inner_iter`` guarded sweeps, with S and
-    Sigma treated as one dense block.  Raises NotPositiveDefinite if ``s``
-    is not positive definite.
+    ``y``, ``m`` are length-d vectors, ``s`` is (d, d); with S and Sigma
+    treated as one dense block, repeats the fit's guarded step until a step
+    moves no entry of m or S by ``inner_tol`` (a rejected step moves
+    nothing), at most ``inner_iter`` times, and returns the (m, s) pair.
+    Raises NotPositiveDefinite if ``s`` is not positive definite.
     """
     one_block = ColumnPartition(np.ones(np.shape(sigma)[0], dtype=np.int64), 1)
     sigma = BlockSigma.from_factors(one_block, [cholesky_with_jitter(sigma)])
@@ -434,11 +415,15 @@ def update_variational(y, log_c, m, s, mu, sigma, inner_iter=FitConfig.inner_ite
     mu = np.asarray(mu, dtype=float)
     log_fact = gammaln(y + 1.0).sum(axis=1)
     logdet_s = logdet_blocks([s])
-    f_start = elbo_batch(y, log_c, m, [s], mu, sigma, log_fact=log_fact, logdet_s=logdet_s)
-    m_out, s_out, _ = _sweep_batch(
-        y, log_c, m, [s], logdet_s, mu, sigma, log_fact, f_start, inner_iter, inner_tol,
-    )
-    return m_out[0], s_out[0][0]
+    for _ in range(inner_iter):
+        f = elbo_batch(y, log_c, m, [s], mu, sigma, log_fact=log_fact, logdet_s=logdet_s)
+        m_new, (s_new,), logdet_s = _sweep_batch(y, log_c, m, [s], logdet_s, mu, sigma,
+                                                 log_fact, f)
+        moved = max(np.abs(m_new - m).max(), np.abs(s_new - s).max())
+        m, s = m_new, s_new
+        if moved < inner_tol:
+            break
+    return m[0], s[0]
 
 
 def reblock(s, old_groups, new_groups):
@@ -571,8 +556,9 @@ def fit_from_state(
 
     Each pass refreshes pi and mu, then each component's covariance, then
     evaluates the bounds and responsibilities and, unless the loop stops
-    there, runs the guarded sweeps.  The first pass adopts every covariance
-    unguarded, since there is none yet.  The trace records the observed-data
+    there, takes one guarded sweep (``_sweep_batch``, a single variational
+    step) per component.  The first pass adopts every covariance unguarded,
+    since there is none yet.  The trace records the observed-data
     bound once per pass; the loop stops when its change falls below
     ``elbo_rel_tol`` relative to max(1, |bound|), or after ``max_em_iter``
     iterations.  Given an ``incumbent`` (an earlier start's result), it also
@@ -635,7 +621,7 @@ def fit_from_state(
             # f[:, g] is the bound at this same (m, S, mu, Sigma)
             m[:, g], s[g], logdet_s[g] = _sweep_batch(
                 y, log_c, m[:, g], s[g], logdet_s[g], mu[g], covs[g], log_fact,
-                f[:, g], config.inner_iter, config.inner_tol, _rows_to_sweep(z[:, g]),
+                f[:, g], _rows_to_sweep(z[:, g]),
             )
 
     final_state = VariationalState(m=m, s=s, z=z, groups=groups)

@@ -10,9 +10,10 @@ inverse, log-determinant and guard objective, and jitters only a block
 that does not factor; that ``vem.reblock``, which moves blocks from one
 column layout to another without a dense stack, matches the dense round
 trip exactly; that moving S never builds a dense (n, d, d) stack; and that
-moving S onto any new partition never lowers a bound.  The sweep steps the
-blocks of one size together; ``dense_reference.sweep_per_block``, one step
-per block, is its exact reference.
+moving S onto any new partition never lowers a bound.  The sweep is one
+step that steps the blocks of one size together; the first iteration of
+``dense_reference.sweep_per_block``, one step per block, is its exact
+reference.
 """
 
 import tracemalloc
@@ -115,9 +116,8 @@ def sliced_sigma(part, sigma, sigma_inv, logdet_sigma):
 
 
 @SETTINGS
-@given(data=st.data(), n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
-       inner_iter=st.integers(1, 10))
-def test_block_sweep_matches_dense_reference(data, n, seed, inner_iter):
+@given(data=st.data(), n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_block_sweep_matches_dense_reference(data, n, seed):
     # Sigma is block-diagonal on `part`; S, as right before a partition
     # change, on another partition of the same columns
     part = data.draw(partitions())
@@ -142,11 +142,12 @@ def test_block_sweep_matches_dense_reference(data, n, seed, inner_iter):
     f_block = elbo_batch(y, log_c, m, s_blocks, mu, block_sigma, log_fact=log_fact)
     np.testing.assert_allclose(f_block, f_dense, **TOL)
 
+    # the sweep is one step: the reference's first iteration
     m_ref, s_ref = sweep_dense(y, log_c, m, s, mu, sigma_inv, logdet_sigma,
-                               log_fact, f_dense, inner_iter, 1e-6)
+                               log_fact, f_dense, 1, 1e-6)
     m_out, s_out, logdet_out = vem._sweep_batch(
         y, log_c, m, s_blocks, logdet_blocks(s_blocks), mu, block_sigma, log_fact,
-        f_block, inner_iter, 1e-6,
+        f_block,
     )
     np.testing.assert_allclose(m_out, m_ref, **TOL)
     s_dense = dense_from_blocks(s_out, groups, part.d)
@@ -178,9 +179,10 @@ def test_s_fixed_point_step_matches_dense_reference(b):
     assert np.array_equal(s_new, np.swapaxes(s_new, -1, -2))
 
 
-def check_sweep_against_per_block(part, n, seed, inner_iter, gated):
-    """Run ``vem._sweep_batch`` and the per-block reference on one problem
-    and require the same m, S blocks and log det S, bit for bit."""
+def check_sweep_against_per_block(part, n, seed, gated):
+    """Run ``vem._sweep_batch`` and one iteration of the per-block reference
+    on one problem and require the same m, S blocks and log det S, bit for
+    bit."""
     y, log_c, m, s, mu, sigma = problem(seed, part, n)
     groups = part.groups()
     s_blocks = blocks_from_dense(s, groups)
@@ -194,10 +196,9 @@ def check_sweep_against_per_block(part, n, seed, inner_iter, gated):
     rows = None
     if gated:
         rows = np.flatnonzero(np.random.default_rng(seed).uniform(size=n) < 0.6)
-    args = (y, log_c, m, s_blocks, logdet_s, mu, block_sigma, log_fact, f_start,
-            inner_iter, 1e-6, rows)
-    m_out, s_out, logdet_out = vem._sweep_batch(*args)
-    m_ref, s_ref, logdet_ref = sweep_per_block(*args)
+    args = (y, log_c, m, s_blocks, logdet_s, mu, block_sigma, log_fact, f_start)
+    m_out, s_out, logdet_out = vem._sweep_batch(*args, rows)
+    m_ref, s_ref, logdet_ref = sweep_per_block(*args, 1, 1e-6, rows)
     assert np.array_equal(m_out, m_ref)
     assert len(s_out) == len(s_ref)
     for block, ref in zip(s_out, s_ref):
@@ -207,12 +208,12 @@ def check_sweep_against_per_block(part, n, seed, inner_iter, gated):
 
 @SETTINGS
 @given(data=st.data(), n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
-       inner_iter=st.integers(1, 10), gated=st.booleans())
-def test_size_class_sweep_matches_per_block_reference(data, n, seed, inner_iter, gated):
+       gated=st.booleans())
+def test_size_class_sweep_matches_per_block_reference(data, n, seed, gated):
     # exact differential test: stepping the blocks of one size together does
     # each block's arithmetic on the same numbers, and log det S' is summed
     # over the blocks in block order, so nothing may differ in any bit
-    check_sweep_against_per_block(data.draw(partitions()), n, seed, inner_iter, gated)
+    check_sweep_against_per_block(data.draw(partitions()), n, seed, gated)
 
 
 @pytest.mark.parametrize("gated", [False, True])
@@ -221,7 +222,7 @@ def test_size_class_sweep_matches_per_block_reference_on_mixed_sizes(gated):
     # size, the blocks are in another order than the partition's
     part = ColumnPartition(np.array([1, 2, 3, 2, 4, 5, 1, 2, 5, 4, 6, 5]), 6)
     assert [idx.size for idx in part.groups()] == [2, 3, 1, 2, 3, 1]
-    check_sweep_against_per_block(part, 12, 5, 10, gated)
+    check_sweep_against_per_block(part, 12, 5, gated)
 
 
 @SETTINGS
@@ -237,9 +238,9 @@ def test_inverse_in_the_factor_buffer_matches_out_of_place(b, lead, seed):
 
 
 def test_preset4_sweep_steps_its_ten_blocks_in_one_call(monkeypatch):
-    # preset 4 has ten blocks of five columns: each inner iteration makes one
-    # S-step and one Newton step on a (10, rows, 5) stack where the per-block
-    # reference makes ten of each, and the two sweeps agree bit for bit
+    # preset 4 has ten blocks of five columns: the sweep makes one S-step
+    # and one Newton step on a (10, rows, 5) stack where the per-block
+    # reference makes ten of each, and the two agree bit for bit
     spec = replace(preset(4), n=200)
     counts, _ = sample_dataset(spec)
     offsets = spec_offsets(spec)
@@ -277,16 +278,38 @@ def test_preset4_sweep_steps_its_ten_blocks_in_one_call(monkeypatch):
     monkeypatch.setattr(vem, "s_fixed_point_step", counting)
     monkeypatch.setattr(vem, "newton_m_step", counting_newton)
     monkeypatch.setattr(dense_reference, "s_fixed_point_per_block", counting_ref)
-    args = (y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start, 10, 1e-6)
+    args = (y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start)
     m_out, s_out, _ = vem._sweep_batch(*args)
-    m_ref, s_ref, _ = sweep_per_block(*args)
-    assert len(shapes) > 1
+    m_ref, s_ref, _ = sweep_per_block(*args, 1, 1e-6)
+    assert len(shapes) == 1
     assert newton_calls == shapes
     assert all(shape[0] == 10 and shape[2] == 5 for shape in shapes)
     assert len(ref_calls) == 10 * len(shapes)
     assert [shape[1] for shape in shapes] == [shape[0] for shape in ref_calls[::10]]
     assert np.array_equal(m_out, m_ref)
     assert all(np.array_equal(a, b) for a, b in zip(s_out, s_ref, strict=True))
+
+
+def test_preset4_fit_takes_one_s_step_per_component_per_pass(monkeypatch):
+    # each EM pass takes one variational step per component, not a loop of
+    # them: with preset 4's one block size, that is one S-step on a
+    # (10, rows, 5) stack per component for every pass that sweeps
+    spec = replace(preset(4), n=200)
+    counts, _ = sample_dataset(spec)
+    shapes = []
+    s_step = vem.s_fixed_point_step
+
+    def counting(log_c, m, diag_s, sigma_inv):
+        shapes.append(m.shape)
+        return s_step(log_c, m, diag_s, sigma_inv)
+
+    monkeypatch.setattr(vem, "s_fixed_point_step", counting)
+    result = fit(counts, spec_offsets(spec), 2, EqualK(10),
+                 FitConfig(max_em_iter=4, n_starts=1, seed=0))
+    # every pass but the last sweeps, and the last ends the loop
+    assert result.iterations == 4
+    assert len(shapes) == result.iterations * 2
+    assert all(shape[0] == 10 and 0 < shape[1] <= 200 and shape[2] == 5 for shape in shapes)
 
 
 @SETTINGS

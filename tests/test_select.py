@@ -369,6 +369,18 @@ def test_searches_reproduce_recorded_fits():
     # -3697.678113859224 -> -3697.6827522351964.  The row labels are the same
     # split renamed (equal-K) or unchanged (varying-K), and the partitions
     # and selections are unchanged.
+    #
+    # All entries were re-recorded when each EM pass began to take one
+    # variational step per component instead of up to ten.  Selections, row
+    # labels and partitions are unchanged.  G=2, K=2 (both searches): 12 ->
+    # 13 iterations, bound -1798.5727128183867 -> -1798.570510551088, BIC
+    # -3697.6827522351964 -> -3697.6783477005993.  G=1, K=1: bound
+    # -1853.6947270557548 -> -1853.6948990764517, BIC -3774.414338510458 ->
+    # -3774.414682551852.  G=1, K=2: bound -1881.7932506683196 ->
+    # -1881.79333492277, BIC -3811.4614187644597 -> -3811.4615872733607.
+    # G=2, K=1: bound -1794.5226034037776 -> -1794.5231447619358, BIC
+    # -3727.8824673482345 -> -3727.883550064551.  The iteration counts of
+    # these three cells are unchanged.
     counts, offsets, _ = two_component_block_data(seed=9, n=120, d=4, sizes=(2, 2))
     config = FitConfig(n_starts=2, max_em_iter=80, seed=3)
     labels = (
@@ -377,14 +389,14 @@ def test_searches_reproduce_recorded_fits():
     )
     recorded = {
         "equal": (grid_search_equal_k, 2, (2, "2"), labels, [
-            (1, "1", 8, -1853.6947270557548, -3774.414338510458),
-            (1, "2", 5, -1881.7932506683196, -3811.4614187644597),
-            (2, "1", 13, -1794.5226034037776, -3727.8824673482345),
-            (2, "2", 12, -1798.5727128183867, -3697.6827522351964),
+            (1, "1", 8, -1853.6948990764517, -3774.414682551852),
+            (1, "2", 5, -1881.79333492277, -3811.4615872733607),
+            (2, "1", 13, -1794.5231447619358, -3727.883550064551),
+            (2, "2", 13, -1798.570510551088, -3697.6783477005993),
         ]),
         "varying": (fit_varying_k, 3, (2, "2;2"), labels, [
-            (1, "2", 5, -1881.7932506683196, -3811.4614187644597),
-            (2, "2;2", 12, -1798.5727128183867, -3697.6827522351964),
+            (1, "2", 5, -1881.79333492277, -3811.4615872733607),
+            (2, "2;2", 13, -1798.570510551088, -3697.6783477005993),
         ]),
     }
     for mode, (search, k_max, selected, row_labels, cells) in recorded.items():

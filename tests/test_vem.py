@@ -1,7 +1,7 @@
 """Tests for the variational EM engine."""
 
 import functools
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -66,12 +66,14 @@ def unit_offsets(n):
 
 def test_config_defaults():
     config = FitConfig()
+    assert [f.name for f in fields(FitConfig)] == [
+        "max_em_iter", "elbo_rel_tol", "n_starts", "linkage", "seed",
+    ]
     assert config.max_em_iter == 500
     assert config.elbo_rel_tol == 1e-6
-    assert config.inner_iter == 10
-    assert config.inner_tol == 1e-6
     assert config.n_starts == 5
     assert config.linkage == "average"
+    assert config.seed == 0
 
 
 @pytest.mark.parametrize(
@@ -79,9 +81,9 @@ def test_config_defaults():
     [
         {"max_em_iter": 0},
         {"elbo_rel_tol": 0.0},
-        {"inner_iter": 0},
-        {"inner_tol": -1e-6},
+        {"elbo_rel_tol": -1e-6},
         {"n_starts": 0},
+        {"seed": -1},
         {"linkage": "ward"},
     ],
 )
@@ -93,8 +95,8 @@ def test_config_validation(kwargs):
 @pytest.mark.parametrize(
     "field, value",
     [("elbo_rel_tol", float("nan")), ("elbo_rel_tol", float("inf")),
-     ("inner_tol", float("nan")), ("inner_tol", True), ("max_em_iter", 2.5),
-     ("max_em_iter", True), ("inner_iter", 3.0), ("n_starts", False),
+     ("elbo_rel_tol", 0.0), ("elbo_rel_tol", True), ("max_em_iter", 2.5),
+     ("max_em_iter", True), ("n_starts", 3.0), ("n_starts", False),
      ("seed", 1.5), ("seed", -1)],
 )
 def test_config_rejects_bad_field_values(field, value):
