@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import fields, replace as dc_replace
 from datetime import datetime, timezone
@@ -119,6 +120,12 @@ _HELP = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative number, exponent form included, is an option's value
+        # and not another option (argparse before 3.13 reads -1e-6 as one)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # surface argparse's own complaints through the UsageError path so
     # main() can return 2 instead of the parser calling sys.exit itself
     def error(self, message):

@@ -164,18 +164,15 @@ def cut(dendro: Dendrogram, k: int) -> ColumnPartition:
     d = dendro.n_leaves
     if not 1 <= k <= d:
         raise ValueError(f"k={k} out of range 1..{d}")
-    current = np.arange(d, dtype=np.int64)
-    for step in range(d - k):
-        a, b = dendro.merges[step]
-        new = d + step
-        current[(current == a) | (current == b)] = new
-    labels = np.zeros(d, dtype=np.int64)
-    seen: dict[int, int] = {}
-    for j in range(d):
-        cid = int(current[j])
-        if cid not in seen:
-            seen[cid] = len(seen) + 1
-        labels[j] = seen[cid]
+    # each leaf's cluster: follow the parent links of the first d - k merges
+    parent = np.arange(2 * d - 1)
+    parent[dendro.merges[: d - k].ravel()] = np.repeat(np.arange(d, 2 * d - k), 2)
+    while not np.array_equal(parent[parent], parent):
+        parent = parent[parent]
+    _, first, inverse = np.unique(parent[:d], return_index=True, return_inverse=True)
+    rank = np.empty(k, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(1, k + 1)
+    labels = rank[inverse.reshape(-1)]
     return ColumnPartition(labels, k)
 
 

@@ -15,7 +15,6 @@ from math import comb
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .colgroup import ColumnPartition
 from .data import labels_in_range, read_json, write_csv, write_json
@@ -102,6 +101,9 @@ def align_components(truth_labels, est_labels, g: int) -> np.ndarray:
         raise LengthMismatch(
             f"label vectors differ: {truth_labels.shape} vs {est_labels.shape}"
         )
+    # imported here so that fitting never loads scipy
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(_overlap(truth_labels, est_labels, g), maximize=True)
     perm = np.empty(g, dtype=np.int64)
     perm[rows] = cols
@@ -121,6 +123,8 @@ def column_misclassification(truth: ColumnPartition, est: ColumnPartition) -> fl
             f"{truth.assign.shape[0]} vs {est.assign.shape[0]}"
         )
     d = truth.assign.shape[0]
+    from scipy.optimize import linear_sum_assignment
+
     agreement = _overlap(truth.assign, est.assign, max(truth.k, est.k))
     rows, cols = linear_sum_assignment(agreement, maximize=True)
     matched = agreement[rows, cols].sum()

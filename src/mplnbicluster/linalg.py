@@ -4,8 +4,8 @@ Thin wrappers around LAPACK (via numpy) that turn factorization failures
 into package-level errors and centralize the jitter policy used by the EM
 loop, plus the one routine that turns a Cholesky factor into an inverse
 and a log-determinant, consuming the factor.  Everything here works on
-dense float64 arrays; ``cholesky`` and the factor-based routines also take
-stacks of matrices.
+dense float64 arrays; ``cholesky``, ``cholesky_with_jitter`` and the
+factor-based routines also take stacks of matrices.
 """
 
 from __future__ import annotations
@@ -77,19 +77,28 @@ def corr_from_cov(cov: np.ndarray) -> np.ndarray:
 
 
 def cholesky_with_jitter(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factor with the EM jitter policy.
+    """Cholesky factors with the EM jitter policy, for one matrix or a stack.
 
-    Tries a plain factorization; on failure adds JITTER_REL * mean(diag)
-    to the diagonal and retries once.  Returns (matrix_used, lower_factor)
-    so callers keep working with the (possibly jittered) matrix that was
-    actually factored.  Raises NotPositiveDefinite if the retry fails too.
-    The covariance refresh calls it once per diagonal block of Sigma, so a
-    bump touches only a block that failed, scaled by its own diagonal.
+    Factors the whole (..., b, b) input at once.  Only if that fails is
+    each matrix factored on its own: one that fails gets JITTER_REL *
+    mean(its diagonal) added to its diagonal and is retried once, and the
+    others keep their entries exactly.  Returns (matrices_used, factors) so
+    callers keep working with the (possibly jittered) matrices that were
+    actually factored; when nothing was bumped, the first is the input
+    array itself.  Raises NotPositiveDefinite if a retry fails too.  The
+    covariance refresh passes the diagonal blocks of Sigma, one stack per
+    block size, so a bump touches only a block that failed.
     """
     a = np.asarray(a, dtype=float)
     try:
         return a, cholesky(a)
     except NotPositiveDefinite:
         pass
-    bumped = a + JITTER_REL * float(np.mean(np.diag(a))) * np.eye(a.shape[0])
-    return bumped, cholesky(bumped)
+    used, lower = a.copy(), np.empty_like(a)
+    for i in np.ndindex(a.shape[:-2]):
+        try:
+            lower[i] = cholesky(a[i])
+        except NotPositiveDefinite:
+            used[i] = a[i] + JITTER_REL * float(np.mean(np.diag(a[i]))) * np.eye(a.shape[-1])
+            lower[i] = cholesky(used[i])
+    return used, lower

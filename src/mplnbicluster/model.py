@@ -10,11 +10,11 @@ the evidence lower bound of that single observation under component g.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln
 
 from .colgroup import ColumnPartition
 from .data import read_json, write_json
@@ -146,6 +146,14 @@ class VariationalState:
         return self.m.shape[1]
 
 
+def log_factorial(y) -> np.ndarray:
+    """sum_j log(y_ij!) per row of a count matrix: log Gamma(y + 1) is
+    taken once per distinct count, by ``math.lgamma``."""
+    values, inverse = np.unique(np.asarray(y, dtype=float), return_inverse=True)
+    table = np.array([math.lgamma(v + 1.0) for v in values.tolist()])
+    return table[inverse.reshape(np.shape(y))].sum(axis=1)
+
+
 def logdet_blocks(s) -> np.ndarray:
     """log det S per observation for S stored as (n, b, b) blocks: the sum
     of the blocks' log-determinants, each from its Cholesky factor, so an S
@@ -153,34 +161,80 @@ def logdet_blocks(s) -> np.ndarray:
     return sum(logdet_from_cholesky(cholesky(block)) for block in s)
 
 
+def size_classes(groups):
+    """The blocks of ``groups`` by size, sizes in order of first
+    appearance: per size, the blocks' positions in ``groups`` and their
+    (k, b) stacked column indices."""
+    sizes = [idx.size for idx in groups]
+    positions = [tuple(j for j, size in enumerate(sizes) if size == b)
+                 for b in dict.fromkeys(sizes)]
+    return [(pos, np.stack([groups[j] for j in pos])) for pos in positions]
+
+
+@dataclass(frozen=True)
+class SizeClass:
+    """The blocks of one size of a ``BlockSigma``: their positions in its
+    ``groups``, their (k, b) column indices and their (k, b, b) inverses."""
+
+    positions: tuple
+    columns: np.ndarray
+    inverses: np.ndarray
+
+
+def in_block_order(classes, per_class):
+    """One list in block order from one length-k sequence per size class:
+    entry t of class c goes to block ``c.positions[t]``."""
+    out = [None] * sum(len(c.positions) for c in classes)
+    for c, values in zip(classes, per_class, strict=True):
+        for j, value in zip(c.positions, values, strict=True):
+            out[j] = value
+    return out
+
+
 @dataclass(frozen=True)
 class BlockSigma:
     """A component's Sigma on its partition's blocks: the diagonal blocks
-    on ``groups`` (the partition's, in label order), their inverses and
-    log det Sigma.  A dense Sigma is the one-block partition."""
+    on ``groups`` (the partition's, in label order), the blocks of each
+    size with their inverses stacked (``classes``) and log det Sigma.  A
+    dense Sigma is the one-block partition."""
 
     partition: ColumnPartition
     groups: tuple
     blocks: list
-    inverses: list
+    classes: tuple
     logdet: float
 
     @classmethod
     def from_factors(cls, partition, factors):
-        """Sigma from one (block, lower) pair per group of ``partition``,
-        ``lower`` the block's Cholesky factor; each block's inverse and
-        log-determinant come from its factor."""
-        pairs = [inv_logdet_from_cholesky(lower) for _, lower in factors]
-        return cls(partition, partition.groups(), [block for block, _ in factors],
-                   [inv for inv, _ in pairs], sum(logdet for _, logdet in pairs))
+        """Sigma from one (blocks, lower) pair per size class of the
+        partition's groups, in ``size_classes`` order: the class's (k, b, b)
+        stack of blocks and their Cholesky factors.  Each class's inverses
+        and log-determinants come from one factor-based inversion of its
+        stack; log det Sigma is summed in block order."""
+        groups = partition.groups()
+        classes, logdets = [], []
+        for (pos, columns), (_, lower) in zip(size_classes(groups), factors, strict=True):
+            inverses, logdet = inv_logdet_from_cholesky(lower)
+            classes.append(SizeClass(pos, columns, inverses))
+            logdets.append(logdet)
+        classes = tuple(classes)
+        blocks = in_block_order(classes, [stack for stack, _ in factors])
+        return cls(partition, groups, blocks, classes, sum(in_block_order(classes, logdets)))
+
+    @property
+    def inverses(self):
+        """Sigma^-1's blocks in block order, views of the classes' stacks."""
+        return in_block_order(self.classes, [c.inverses for c in self.classes])
 
     def objective(self, w, mass):
         """-mass/2 * (tr(Sigma^-1 W) + log det Sigma), the component's
         weighted Gaussian objective against the scatter W; Sigma^-1 is
-        block-diagonal, so only W's blocks on the partition enter."""
-        trace = sum(np.einsum("ij,ji->", inv, w[np.ix_(idx, idx)])
-                    for idx, inv in zip(self.groups, self.inverses))
-        return -0.5 * mass * (trace + self.logdet)
+        block-diagonal, so only W's blocks on the partition enter, one
+        stack per size class.  The trace is summed in block order."""
+        traces = [np.einsum("kij,kji->k", c.inverses,
+                            w[c.columns[:, :, None], c.columns[:, None, :]])
+                  for c in self.classes]
+        return -0.5 * mass * (sum(in_block_order(self.classes, traces)) + self.logdet)
 
     def no_worse_than(self, current, w, mass):
         """Ascent guard of the covariance refresh: whether this Sigma does
@@ -217,7 +271,7 @@ def elbo_batch(
     """
     y = np.asarray(y, dtype=float)
     if log_fact is None:
-        log_fact = gammaln(y + 1.0).sum(axis=1)
+        log_fact = log_factorial(y)
     if logdet_s is None:
         logdet_s = logdet_blocks(s)
     d = m.shape[1]
@@ -254,8 +308,8 @@ def elbo_observation(
 ) -> float:
     """Single-observation ELBO F(q, y) under one component; S and Sigma
     are one block each."""
-    sigma = np.asarray(sigma, dtype=float)
-    one_block = ColumnPartition(np.ones(sigma.shape[0], dtype=np.int64), 1)
+    sigma = np.asarray(sigma, dtype=float)[None]
+    one_block = ColumnPartition(np.ones(sigma.shape[-1], dtype=np.int64), 1)
     return float(
         elbo_batch(
             np.asarray(y, dtype=float)[None, :],

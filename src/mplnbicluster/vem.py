@@ -6,9 +6,9 @@ bound stabilises:
 1. closed-form mixture weights and means, then a covariance refresh in
    which each component's scatter is grouped into variable blocks and its
    diagonal blocks become Sigma's: one ``model.BlockSigma``, which factors
-   each block once for its inverse and log-determinant and is what the
-   refresh's guard, the bounds and the sweeps take (a dense Sigma is built
-   only for the fitted model),
+   the blocks of each size as one stack for their inverses and
+   log-determinants and is what the refresh's guard, the bounds and the
+   sweeps take (a dense Sigma is built only for the fitted model),
 2. the per-component evidence bounds and the responsibilities,
 3. one guarded step per pass on the per-observation Gaussian
    approximations, whose covariances S are stored, like Sigma, per column
@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import gammaln
 
 from .colgroup import (
     LINKAGES,
@@ -69,12 +68,15 @@ from .model import (
     VariationalState,
     bic,
     elbo_batch,
+    in_block_order,
+    log_factorial,
     logdet_blocks,
     lower_bound,
     model_from_dict,
     model_to_dict,
     poisson_rate,
     posterior,
+    size_classes,
 )
 from .seeding import TAG_INIT, derive_rng
 
@@ -344,8 +346,8 @@ def _sweep_batch(y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start, rows=No
     with the same ``elbo_batch``, taking log det S' from the S-step.  The
     step refreshes every block of S by its fixed-point map and takes the
     Newton step on that block's columns of m; the blocks are independent
-    b x b problems, so the blocks of one size are stacked and stepped
-    together, one S-step and one Newton step per block size.
+    b x b problems, so the blocks of one size are stepped together, one
+    S-step and one Newton step per size class of ``sigma``.
     If an observation's bound would drop, the m-step is halved once; if it
     still drops, that observation keeps its pair.  Returns (m, s, logdet_s)
     as copies; inputs are untouched.
@@ -358,25 +360,22 @@ def _sweep_batch(y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start, rows=No
     ya, la, ma, fa, f_old = y[rows], log_c[rows], m[rows], log_fact[rows], f_start[rows]
     m_new = np.empty_like(ma)
     step = np.empty_like(ma)
-    s_new = [None] * len(s)
-    logdet_new = [None] * len(s)
-    for b in dict.fromkeys(idx.size for idx in sigma.groups):
-        # the blocks of size b: their positions, stacked columns and Sigma^-1
-        pos = [j for j, idx in enumerate(sigma.groups) if idx.size == b]
-        idx = np.stack([sigma.groups[j] for j in pos])
-        inv = np.stack([sigma.inverses[j] for j in pos])
+    s_new, logdet_new = [], []
+    for c in sigma.classes:
+        idx = c.columns
         # ma[:, idx] is (rows, k, b); the S-step stacks the k blocks first
         m_c = np.moveaxis(ma[:, idx], 1, 0)
-        diag_c = np.stack([np.einsum("njj->nj", s[j])[rows] for j in pos])
-        s_c, logdet_c = s_fixed_point_step(la, m_c, diag_c, inv[:, None])
+        diag_c = np.stack([np.einsum("njj->nj", s[j])[rows] for j in c.positions])
+        s_c, logdet_c = s_fixed_point_step(la, m_c, diag_c, c.inverses[:, None])
         m_c_new, step_c = newton_m_step(np.moveaxis(ya[:, idx], 1, 0), la, m_c, s_c,
-                                        mu[idx][:, None], inv)
+                                        mu[idx][:, None], c.inverses)
         m_new[:, idx] = np.moveaxis(m_c_new, 0, 1)
         step[:, idx] = np.moveaxis(step_c, 0, 1)
-        for t, j in enumerate(pos):
-            s_new[j], logdet_new[j] = s_c[t], logdet_c[t]
+        s_new.append(s_c)
+        logdet_new.append(logdet_c)
+    s_new = in_block_order(sigma.classes, s_new)
     # in block order, as the bound sums it, whatever the order of the sizes
-    logdet_s_new = sum(logdet_new)
+    logdet_s_new = sum(in_block_order(sigma.classes, logdet_new))
     f_new = elbo_batch(ya, la, m_new, s_new, mu, sigma, log_fact=fa, logdet_s=logdet_s_new)
     keep = np.ones(rows.size, dtype=bool)
     bad = np.flatnonzero(f_new < f_old)
@@ -406,14 +405,15 @@ def update_variational(y, log_c, m, s, mu, sigma, inner_iter=10, inner_tol=1e-6)
     nothing), at most ``inner_iter`` times, and returns the (m, s) pair.
     Raises NotPositiveDefinite if ``s`` is not positive definite.
     """
-    one_block = ColumnPartition(np.ones(np.shape(sigma)[0], dtype=np.int64), 1)
+    sigma = np.asarray(sigma, dtype=float)[None]
+    one_block = ColumnPartition(np.ones(sigma.shape[-1], dtype=np.int64), 1)
     sigma = BlockSigma.from_factors(one_block, [cholesky_with_jitter(sigma)])
     y = np.asarray(y, dtype=float)[None, :]
     log_c = np.atleast_1d(np.asarray(log_c, dtype=float))
     m = np.asarray(m, dtype=float)[None, :]
     s = np.asarray(s, dtype=float)[None, :, :]
     mu = np.asarray(mu, dtype=float)
-    log_fact = gammaln(y + 1.0).sum(axis=1)
+    log_fact = log_factorial(y)
     logdet_s = logdet_blocks([s])
     for _ in range(inner_iter):
         f = elbo_batch(y, log_c, m, [s], mu, sigma, log_fact=log_fact, logdet_s=logdet_s)
@@ -480,12 +480,14 @@ def m_step_mu(z: np.ndarray, m: np.ndarray) -> np.ndarray:
 def compute_scatter(z_g, m_g, s_g, mu_g, groups):
     """Weighted second-moment matrix W_g around the component mean.
 
-    ``s_g`` holds one (n, b, b) array per column block in ``groups``, and
-    each block's weighted mean lands on that block of W.
+    The mean part is one BLAS product.  ``s_g`` holds one (n, b, b) array
+    per column block in ``groups``, and each block's weighted mean lands on
+    that block of W; these sums stay in ``einsum``'s row order, which is
+    the same for 1 x 1 blocks as for one dense block.
     """
     mass = z_g.sum()
     dm = m_g - mu_g
-    w = np.einsum("n,ni,nj->ij", z_g, dm, dm)
+    w = (dm * z_g[:, None]).T @ dm
     for idx, s_b in zip(groups, s_g):
         w[np.ix_(idx, idx)] += np.einsum("n,nij->ij", z_g, s_b)
     w = w / mass
@@ -508,11 +510,12 @@ def _covariance_candidate(w, k_spec, g, linkage):
 
     The partition comes from cutting the agglomeration of the 1 - corr^2
     distances at the requested (or silhouette-selected) number of blocks.
-    Sigma's blocks are W's diagonal blocks on it; each is factored once by
-    ``cholesky_with_jitter``, and its inverse and log-determinant come from
-    that factor.  The jitter is per block: a block that does not factor is
-    bumped by JITTER_REL times the mean of its own diagonal, and every other
-    block keeps W's entries exactly.
+    Sigma's blocks are W's diagonal blocks on it; the blocks of each size
+    are stacked and factored by one ``cholesky_with_jitter`` call, and their
+    inverses and log-determinants come from those factors.  The jitter is
+    per block: a block that does not factor is bumped by JITTER_REL times
+    the mean of its own diagonal, and every other block keeps W's entries
+    exactly.
     """
     dist = distance_matrix(w)
     dendro = agglomerate(dist, linkage=linkage)
@@ -523,9 +526,10 @@ def _covariance_candidate(w, k_spec, g, linkage):
     else:
         k, _ = select_k_silhouette(dendro, dist, min(k_spec.k_max, w.shape[0]))
     partition = cut(dendro, k)
-    return BlockSigma.from_factors(
-        partition, [cholesky_with_jitter(w[np.ix_(idx, idx)]) for idx in partition.groups()]
-    )
+    # W's diagonal blocks of each size as one (k, b, b) stack
+    stacks = [w[cols[:, :, None], cols[:, None, :]]
+              for _, cols in size_classes(partition.groups())]
+    return BlockSigma.from_factors(partition, [cholesky_with_jitter(stack) for stack in stacks])
 
 
 def _joins(incumbent, labels, partitions):
@@ -576,7 +580,7 @@ def fit_from_state(
 
     m = state.m.copy()
     z = state.z.copy()
-    log_fact = gammaln(y + 1.0).sum(axis=1)
+    log_fact = log_factorial(y)
     groups, s = list(state.groups), list(state.s)
     covs = [None] * G  # each component's Sigma, a BlockSigma
     # log det S per row: factored whenever S moves onto a new partition,

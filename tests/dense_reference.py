@@ -22,7 +22,16 @@ factor's buffer, against it bit for bit.
 ``agglomerate_reference`` is the column agglomeration as it was when each
 merge scanned the upper triangle of the active clusters' distances;
 ``tests/test_colgroup.py`` checks ``colgroup.agglomerate``, which finds
-each merge with one argmin over the whole working matrix, against it.
+each merge with one argmin over the whole working matrix, against it, and
+``cut_reference``, the cut as it was when it relabelled the leaves merge
+by merge in a Python loop, against ``colgroup.cut``.
+
+``scatter_three_operand`` is the scatter as it was when W's mean part was
+one three-operand ``einsum``; ``vem.compute_scatter`` takes it as one BLAS
+product.  ``inverses_per_block`` is Sigma's inverse as it was when each
+block was factored and inverted on its own; ``model.BlockSigma`` now
+factors and inverts the blocks of each size as one stack, and
+``block_sigma`` builds one from a list of blocks.
 """
 
 import numpy as np
@@ -31,6 +40,7 @@ from scipy.special import gammaln
 
 from mplnbicluster.colgroup import (
     LINKAGES,
+    ColumnPartition,
     Dendrogram,
     _check_distance,
     agglomerate,
@@ -40,11 +50,12 @@ from mplnbicluster.colgroup import (
 )
 from mplnbicluster.errors import NotPositiveDefinite
 from mplnbicluster.linalg import (
+    cholesky,
     cholesky_with_jitter,
     inv_logdet_from_cholesky,
     logdet_from_cholesky,
 )
-from mplnbicluster.model import EXP_CAP, elbo_batch
+from mplnbicluster.model import EXP_CAP, BlockSigma, elbo_batch, size_classes
 from mplnbicluster.vem import EqualK, PerGroupK
 
 
@@ -235,6 +246,31 @@ def sweep_per_block(y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start,
     return m, s, logdet_s
 
 
+def scatter_three_operand(z_g, m_g, s_g, mu_g, groups):
+    """W_g with its mean part as ``np.einsum("n,ni,nj->ij", z_g, dm, dm)``."""
+    mass = z_g.sum()
+    dm = m_g - mu_g
+    w = np.einsum("n,ni,nj->ij", z_g, dm, dm)
+    for idx, s_b in zip(groups, s_g):
+        w[np.ix_(idx, idx)] += np.einsum("n,nij->ij", z_g, s_b)
+    w = w / mass
+    return 0.5 * (w + w.T)
+
+
+def inverses_per_block(blocks):
+    """Sigma^-1's blocks and log det Sigma, each block factored and inverted
+    on its own, the log-determinants summed in block order."""
+    pairs = [inv_logdet_from_cholesky(cholesky(block)) for block in blocks]
+    return [inv for inv, _ in pairs], sum(logdet for _, logdet in pairs)
+
+
+def block_sigma(part, blocks):
+    """``BlockSigma`` on ``part`` from Sigma's diagonal blocks, one per group
+    in label order: the blocks of each size stacked and factored."""
+    stacks = [np.stack([blocks[j] for j in pos]) for pos, _ in size_classes(part.groups())]
+    return BlockSigma.from_factors(part, [(stack, cholesky(stack)) for stack in stacks])
+
+
 def block_project(cov, part):
     """Zero out every covariance entry whose variables are in different groups."""
     out = np.zeros_like(cov)
@@ -319,3 +355,19 @@ def agglomerate_reference(dist, linkage="average"):
         merges[step] = (a, b)
         heights[step] = height
     return Dendrogram(d, merges, heights)
+
+
+def cut_reference(dendro, k):
+    """Partition into k groups by replaying the first d - k merges over the
+    leaves' cluster ids, then labelling the clusters 1..k by first
+    occurrence along the variable axis."""
+    d = dendro.n_leaves
+    current = np.arange(d, dtype=np.int64)
+    for step in range(d - k):
+        a, b = dendro.merges[step]
+        current[(current == a) | (current == b)] = d + step
+    labels = np.zeros(d, dtype=np.int64)
+    seen = {}
+    for j in range(d):
+        labels[j] = seen.setdefault(int(current[j]), len(seen) + 1)
+    return ColumnPartition(labels, k)

@@ -474,7 +474,8 @@ def test_simulate_config_rejects_a_list_for_the_spec(tmp_path, capsys):
 @pytest.mark.parametrize(
     "key, value",
     [("elbo_rel_tol", "nan"), ("elbo_rel_tol", "inf"), ("elbo_rel_tol", "-0.5"),
-     ("elbo_rel_tol", "0"), ("seed", "-3"), ("max_em_iter", "0"), ("n_starts", "0")],
+     ("elbo_rel_tol", "-1e-6"), ("elbo_rel_tol", "0"), ("seed", "-3"), ("max_em_iter", "0"),
+     ("n_starts", "0")],
 )
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_fit_rejects_bad_fit_config_values(sim_dir, tmp_path, capsys, key, value, source):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_reference import agglomerate_reference
+from dense_reference import agglomerate_reference, cut_reference
 from mplnbicluster.colgroup import (
     ColumnPartition,
     agglomerate,
@@ -162,6 +162,21 @@ def test_agglomerate_matches_reference(d, kind, linkage, seed):
     reference = agglomerate_reference(dist, linkage)
     assert np.array_equal(dendro.merges, reference.merges)
     assert np.array_equal(dendro.heights, reference.heights)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(d=st.integers(1, 29), tied=st.booleans(),
+       linkage=st.sampled_from(["single", "complete", "average"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_cut_matches_reference_at_every_k(d, tied, linkage, seed):
+    # following parent links and relabelling by first occurrence gives the
+    # merge-by-merge replay's labels exactly, for every number of groups
+    dist = random_dist(np.random.default_rng(seed), d)
+    dendro = agglomerate(np.round(dist, 1) if tied else dist, linkage)
+    for k in range(1, d + 1):
+        part = cut(dendro, k)
+        assert part.k == k
+        assert np.array_equal(part.assign, cut_reference(dendro, k).assign)
 
 
 def min_cross_distance(dist, in_a):

@@ -8,6 +8,7 @@ import pytest
 
 from mplnbicluster.errors import NotPositiveDefinite, ZeroVariance
 from mplnbicluster.linalg import (
+    JITTER_REL,
     cholesky,
     cholesky_with_jitter,
     corr_from_cov,
@@ -291,3 +292,34 @@ def test_jitter_rescues_semidefinite():
 def test_jitter_gives_up_on_indefinite():
     with pytest.raises(NotPositiveDefinite):
         cholesky_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+def test_jitter_returns_its_input_when_nothing_is_bumped():
+    stack = np.stack([np.eye(2), 2.0 * np.eye(2)])
+    used, lower = cholesky_with_jitter(stack)
+    assert used is stack
+    assert np.array_equal(lower, np.linalg.cholesky(stack))
+
+
+def test_jitter_on_a_stack_bumps_only_the_singular_block():
+    rng = np.random.default_rng(17)
+    stack = np.stack([random_pd(rng, 3) for _ in range(4)])
+    singular = np.array([[4.0, 4.0, 2.0], [4.0, 4.0, 2.0], [2.0, 2.0, 1.0]])
+    stack[2] = singular
+    before = stack.copy()
+    used, lower = cholesky_with_jitter(stack)
+    assert np.array_equal(stack, before)  # the input is left as it is
+    for t in (0, 1, 3):
+        assert np.array_equal(used[t], stack[t])
+        assert np.array_equal(lower[t], np.linalg.cholesky(stack[t]))
+    assert np.array_equal(used[2], singular + JITTER_REL * 3.0 * np.eye(3))
+    assert np.array_equal(lower[2], np.linalg.cholesky(used[2]))
+    # a stack of one is the single-matrix call
+    one_used, one_lower = cholesky_with_jitter(singular)
+    assert np.array_equal(one_used, used[2]) and np.array_equal(one_lower, lower[2])
+
+
+def test_jitter_on_a_stack_gives_up_on_an_indefinite_block():
+    stack = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])])
+    with pytest.raises(NotPositiveDefinite):
+        cholesky_with_jitter(stack)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from mplnbicluster.model import (
     count_free_parameters,
     elbo_observation,
     load_model,
+    log_factorial,
     lower_bound,
     model_from_dict,
     model_to_dict,
@@ -22,6 +25,31 @@ from mplnbicluster.model import (
 )
 
 E_HALF = float(np.exp(0.5))
+
+
+# ---------------------------------------------------------------------------
+# log y! and the scipy-free import
+
+
+def test_log_factorial_matches_gammaln():
+    # every count 0..10^6, with repeats, in rows of uneven content
+    y = np.arange(10**6 + 1).reshape(-1, 1)
+    np.testing.assert_allclose(log_factorial(y), gammaln(y + 1.0)[:, 0], rtol=1e-14, atol=0)
+    rng = np.random.default_rng(5)
+    counts = rng.integers(0, 10**6, size=(200, 7)) * rng.integers(0, 2, size=(200, 7))
+    np.testing.assert_allclose(log_factorial(counts), gammaln(counts + 1.0).sum(axis=1),
+                               rtol=1e-14, atol=0)
+    assert log_factorial(np.zeros((3, 0))).shape == (3,)
+
+
+def test_importing_the_cli_loads_no_scipy_special_or_optimize():
+    # fitting never needs scipy: log y! comes from math.lgamma, and only
+    # evaluate's assignment functions import scipy.optimize, when called
+    code = ("import sys, mplnbicluster.cli; "
+            "print(sorted(m for m in ('scipy.special', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.sparse.csgraph import connected_components
 
-from dense_reference import blocks_from_dense, dense_from_blocks
+from dense_reference import block_sigma, blocks_from_dense, dense_from_blocks
 from restart_reference import fit_every_start
 from mplnbicluster.data import CountMatrix, OffsetVector, write_json
 from mplnbicluster.errors import (
@@ -23,6 +23,7 @@ from mplnbicluster.model import (
     BlockSigma,
     elbo_batch,
     elbo_observation,
+    log_factorial,
     posterior,
 )
 from mplnbicluster.simulate import preset, sample_dataset, spec_offsets
@@ -259,7 +260,7 @@ def test_indefinite_s_with_positive_determinant_is_rejected():
     one_block = ColumnPartition(np.ones(3, dtype=np.int64), 1)
     with pytest.raises(NotPositiveDefinite):
         elbo_batch(y[None], np.zeros(1), m[None], [s[None]], mu,
-                   BlockSigma.from_factors(one_block, [(np.eye(3), np.eye(3))]))
+                   BlockSigma.from_factors(one_block, [(np.eye(3)[None], np.eye(3)[None])]))
     with pytest.raises(NotPositiveDefinite):
         update_variational(y, 0.0, m, s, mu, np.eye(3))
 
@@ -541,15 +542,11 @@ def test_fit_trace_final_consistency():
         counts, offsets, G=2, k_spec=EqualK(2),
         config=FitConfig(n_starts=1, max_em_iter=30, seed=8),
     )
-    from mplnbicluster.linalg import cholesky
-    from scipy.special import gammaln
-
     y = counts.counts.astype(float)
-    log_fact = gammaln(y + 1.0).sum(axis=1)
+    log_fact = log_factorial(y)
     f = np.empty((50, 2))
     for g, part in enumerate(result.model.groupings):
-        blocks = blocks_from_dense(result.model.sigma[g], part.groups())
-        sigma = BlockSigma.from_factors(part, [(b, cholesky(b)) for b in blocks])
+        sigma = block_sigma(part, blocks_from_dense(result.model.sigma[g], part.groups()))
         f[:, g] = elbo_batch(
             y, offsets.log, result.state.m[:, g], result.state.s[g],
             result.model.mu[g], sigma, log_fact=log_fact,
