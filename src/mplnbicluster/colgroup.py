@@ -85,7 +85,7 @@ def _check_distance(dist: np.ndarray) -> np.ndarray:
     # an infinite entry would read as a cluster merged away in agglomerate
     if not np.all(np.isfinite(dist)):
         raise ValueError("distance matrix has non-finite entries")
-    if not np.allclose(dist, dist.T, rtol=0.0, atol=1e-12):
+    if not np.all(np.abs(dist - dist.T) <= 1e-12):
         raise ValueError("distance matrix is not symmetric")
     if np.any(np.diag(dist) != 0.0):
         raise ValueError("distance matrix diagonal must be exactly zero")

@@ -3,9 +3,11 @@
 Thin wrappers around LAPACK (via numpy) that turn factorization failures
 into package-level errors and centralize the jitter policy used by the EM
 loop, plus the one routine that turns a Cholesky factor into an inverse
-and a log-determinant, consuming the factor.  Everything here works on
-dense float64 arrays; ``cholesky``, ``cholesky_with_jitter`` and the
-factor-based routines also take stacks of matrices.
+and a log-determinant: one backward pass over the factor's columns that
+writes the inverse into the factor's own buffer, with no L^-1 and no Gram
+product.  Everything here works on dense float64 arrays; ``cholesky``,
+``cholesky_with_jitter`` and the factor-based routines also take stacks of
+matrices.
 """
 
 from __future__ import annotations
@@ -40,23 +42,32 @@ def inv_logdet_from_cholesky(lower: np.ndarray):
     """Inverse and log-determinant of a = L L' from its factor L.
 
     ``lower`` is (..., b, b), lower triangular with a positive diagonal (as
-    ``cholesky`` returns it), and is consumed: L^-1 is built in its buffer
-    by forward substitution, one row at a time over the whole stack (row i
-    of L^-1 reads only row i of L and rows < i of L^-1), so callers pass a
-    factor they no longer need.  a^-1 = L^-T L^-1 is one batched product,
-    which comes out exactly symmetric.  Returns (inverse, logdet) with
-    logdet of shape (...); a single (b, b) factor gives a scalar.
+    ``cholesky`` returns it), and is consumed: Z = a^-1 is built in its
+    buffer, so callers pass a factor they no longer need.  From L' Z = L^-1,
+    whose diagonal is 1/L_jj and whose upper triangle is zero, the columns
+    of Z follow from the last one back, for j = b-1 down to 0:
+
+        Z[j+1:, j] = -Z[j+1:, j+1:] L[j+1:, j] / L_jj
+        Z[j, j]    = (1/L_jj - L[j+1:, j] . Z[j+1:, j]) / L_jj
+
+    over the whole stack at once.  Step j reads only column j of L, which it
+    overwrites last, and the block Z[j+1:, j+1:] of earlier steps; each new
+    column is mirrored into row j, so Z comes out exactly symmetric.
+    Returns (inverse, logdet) with logdet of shape (...); a single (b, b)
+    factor gives a scalar.
     """
-    w = np.asarray(lower, dtype=float)
-    logdet = logdet_from_cholesky(w)
-    diag = np.einsum("...jj->...j", w).copy()
-    for i in range(w.shape[-1]):
-        # row i of L^-1 from rows 0..i-1, which are zero right of the diagonal
-        w[..., i, :i] = -np.einsum(
-            "...k,...kj->...j", w[..., i, :i], w[..., :i, :i]
-        ) / diag[..., i, None]
-        w[..., i, i] = 1.0 / diag[..., i]
-    return np.swapaxes(w, -1, -2) @ w, logdet
+    z = np.asarray(lower, dtype=float)
+    logdet = logdet_from_cholesky(z)
+    diag = np.einsum("...jj->...j", z).copy()
+    for j in range(z.shape[-1] - 1, -1, -1):
+        col, l_jj = z[..., j + 1:, j], diag[..., j]
+        # Z[j+1:, j+1:] is symmetric, so its product with col sums its rows
+        z_col = np.einsum("...ki,...k->...i", z[..., j + 1:, j + 1:], col)
+        z_col /= -l_jj[..., None]
+        z[..., j, j + 1:] = z_col
+        z[..., j, j] = (1.0 / l_jj - np.einsum("...k,...k->...", col, z_col)) / l_jj
+        z[..., j + 1:, j] = z_col
+    return z, logdet
 
 
 def corr_from_cov(cov: np.ndarray) -> np.ndarray:

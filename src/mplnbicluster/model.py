@@ -264,7 +264,8 @@ def elbo_batch(
 
     y, m: (n, d); mu: (d,).  S is stored on Sigma's column blocks: s holds
     one (n, b, b) array per block of ``sigma.groups``, and the quadratic,
-    trace and log-det terms are summed over blocks.  log_fact is
+    trace and log-det terms are summed over blocks, each block's quadratic
+    form and trace taken by BLAS products.  log_fact is
     sum_j log(y_ij!) per row (computed if omitted); logdet_s may be passed
     when the caller already has it from a factorization; otherwise it
     comes from ``logdet_blocks``.
@@ -274,15 +275,17 @@ def elbo_batch(
         log_fact = log_factorial(y)
     if logdet_s is None:
         logdet_s = logdet_blocks(s)
-    d = m.shape[1]
+    n, d = m.shape
     dm = m - mu
     quad = 0.0
     trace = 0.0
     s_diag = np.empty_like(dm)
     for idx, s_b, inv_b in zip(sigma.groups, s, sigma.inverses):
         dm_b = dm[:, idx]
-        quad = quad + np.einsum("ni,ij,nj->n", dm_b, inv_b, dm_b)
-        trace = trace + np.einsum("ij,nji->n", inv_b, s_b)
+        quad = quad + np.einsum("ni,ni->n", dm_b @ inv_b, dm_b)
+        # tr(Sigma_b^-1 S_b) as one matrix-vector product: Sigma_b^-1 is
+        # exactly symmetric; b * b, not -1, so that n = 0 rows reshape
+        trace = trace + s_b.reshape(n, idx.size ** 2) @ inv_b.ravel()
         s_diag[:, idx] = np.einsum("njj->nj", s_b)
     rate = poisson_rate(log_c, m, s_diag)
     return (

@@ -302,17 +302,19 @@ def s_fixed_point_step(log_c, m, diag_s, sigma_inv):
     ``diag_s``, shaped like m.  Returns (s_new, logdet_s_new).  The sweep
     calls it once per block size, on the blocks of that size stacked along
     a leading axis: m and diag(S) are (k, rows, b) and Sigma^-1 is
-    (k, 1, b, b).  S'^-1 is factored once and freed; S' and log det S' both
-    come from that Cholesky factor (``inv_logdet_from_cholesky``, which
-    builds S' in the factor's buffer), and S' is exactly symmetric.  Raises
-    NotPositiveDefinite if S'^-1 does not factor.
+    (k, 1, b, b).  The rates are added to S'^-1's diagonal through a
+    strided view of each flattened b x b matrix; S'^-1 is factored once and
+    freed, and S' and log det S' both come from that Cholesky factor
+    (``inv_logdet_from_cholesky``, one backward pass that builds S' in the
+    factor's buffer), so the step holds two (k, rows, b, b) arrays at a
+    time and S' is exactly symmetric.  Raises NotPositiveDefinite if S'^-1
+    does not factor.
     """
     m = np.asarray(m, dtype=float)
     d = m.shape[-1]
     lam = poisson_rate(log_c, m, diag_s)
     a = np.broadcast_to(sigma_inv, m.shape + (d,)).copy()
-    idx = np.arange(d)
-    a[..., idx, idx] += lam
+    a.reshape(m.shape[:-1] + (d * d,))[..., ::d + 1] += lam
     lower = cholesky(a)
     del a
     s_new, logdet_a = inv_logdet_from_cholesky(lower)
@@ -509,23 +511,29 @@ def _covariance_candidate(w, k_spec, g, linkage):
     """Group variables from W and factor the candidate covariance per block.
 
     The partition comes from cutting the agglomeration of the 1 - corr^2
-    distances at the requested (or silhouette-selected) number of blocks.
-    Sigma's blocks are W's diagonal blocks on it; the blocks of each size
-    are stacked and factored by one ``cholesky_with_jitter`` call, and their
-    inverses and log-determinants come from those factors.  The jitter is
-    per block: a block that does not factor is bumped by JITTER_REL times
-    the mean of its own diagonal, and every other block keeps W's entries
-    exactly.
+    distances at the requested (or silhouette-selected) number of blocks;
+    a requested single block is the one partition any cut gives, so it is
+    built without the distances and the tree.  Sigma's blocks are W's
+    diagonal blocks on it; the blocks of each size are stacked and factored
+    by one ``cholesky_with_jitter`` call, and their inverses and
+    log-determinants come from those factors.  The jitter is per block: a
+    block that does not factor is bumped by JITTER_REL times the mean of
+    its own diagonal, and every other block keeps W's entries exactly.
     """
-    dist = distance_matrix(w)
-    dendro = agglomerate(dist, linkage=linkage)
     if isinstance(k_spec, EqualK):
         k = k_spec.k
     elif isinstance(k_spec, PerGroupK):
         k = k_spec.ks[g]
     else:
-        k, _ = select_k_silhouette(dendro, dist, min(k_spec.k_max, w.shape[0]))
-    partition = cut(dendro, k)
+        k = None
+    if k == 1:
+        partition = ColumnPartition(np.ones(w.shape[0], dtype=np.int64), 1)
+    else:
+        dist = distance_matrix(w)
+        dendro = agglomerate(dist, linkage=linkage)
+        if k is None:
+            k, _ = select_k_silhouette(dendro, dist, min(k_spec.k_max, w.shape[0]))
+        partition = cut(dendro, k)
     # W's diagonal blocks of each size as one (k, b, b) stack
     stacks = [w[cols[:, :, None], cols[:, None, :]]
               for _, cols in size_classes(partition.groups())]

@@ -14,10 +14,22 @@ stores S, Sigma and Sigma^-1 per column block, moves blocks with
 
 ``sweep_per_block`` is the block-stored sweep as it was when each column
 block took its own S-step and Newton step, with the whole S block as the
-S-step's input and the inverse built out of place
-(``inv_logdet_out_of_place``); ``tests/test_blocks.py`` checks the sweep
-that steps the blocks of one size together, and the inverse built in the
-factor's buffer, against it bit for bit.
+S-step's input; ``tests/test_blocks.py`` checks the sweep that steps the
+blocks of one size together against it bit for bit.  Both invert with the
+package's kernel, since that test checks the stacking, not the inverse.
+
+``inv_logdet_forward_gram`` is the inverse from a Cholesky factor as it was
+when L^-1 was built by forward substitution and a^-1 taken as the Gram
+product L^-T L^-1; ``linalg.inv_logdet_from_cholesky`` now writes a^-1
+straight from L in one backward pass.  ``elbo_einsum`` is the block-stored
+bound as it was when each block's quadratic form and trace were
+unoptimised ``einsum`` contractions; ``model.elbo_batch`` takes them as
+BLAS products, and so does ``elbo_dense``.  ``tests/test_blocks.py``
+checks both new forms against these within written tolerances.
+
+``covariance_candidate_by_cut`` is the covariance refresh's candidate as it
+was when a single requested block was also found by agglomerating the
+distances and cutting the tree.
 
 ``agglomerate_reference`` is the column agglomeration as it was when each
 merge scanned the upper triangle of the active clusters' distances;
@@ -82,10 +94,10 @@ def elbo_dense(y, log_c, m, s, mu, sigma_inv, logdet_sigma, log_fact=None, logde
         sign, logdet_s = np.linalg.slogdet(s)
         if np.any(sign <= 0):
             raise NotPositiveDefinite("variational covariance is not positive definite")
-    d = m.shape[1]
+    n, d = m.shape
     dm = m - mu
-    quad = np.einsum("ni,ij,nj->n", dm, sigma_inv, dm)
-    trace = np.einsum("ij,nji->n", sigma_inv, s)
+    quad = np.einsum("ni,ni->n", dm @ sigma_inv, dm)
+    trace = s.reshape(n, d * d) @ sigma_inv.ravel()
     s_diag = np.einsum("njj->nj", s)
     rate = np.exp(np.minimum(log_c[:, None] + m + 0.5 * s_diag, EXP_CAP))
     return (
@@ -165,9 +177,11 @@ def sweep_dense(y, log_c, m, s, mu, sigma_inv, logdet_sigma, log_fact, f_start,
     return m, s
 
 
-def inv_logdet_out_of_place(lower):
-    """Inverse and log-determinant of a = L L' from its factor L, with
-    L^-1 built in a new array; ``lower`` is left as it is."""
+def inv_logdet_forward_gram(lower):
+    """Inverse and log-determinant of a = L L' from its factor L: L^-1 by
+    forward substitution, one row at a time over the whole stack, in a new
+    array, then a^-1 = L^-T L^-1 as one batched product; ``lower`` is left
+    as it is."""
     lower = np.asarray(lower, dtype=float)
     diag = np.einsum("...jj->...j", lower)
     w = np.zeros_like(lower)
@@ -187,7 +201,7 @@ def s_fixed_point_per_block(log_c, m, s, sigma_inv):
     a = np.broadcast_to(sigma_inv, m.shape + (d,)).copy()
     idx = np.arange(d)
     a[..., idx, idx] += lam
-    s_new, logdet_a = inv_logdet_out_of_place(np.linalg.cholesky(a))
+    s_new, logdet_a = inv_logdet_from_cholesky(np.linalg.cholesky(a))
     return s_new, -logdet_a
 
 
@@ -246,6 +260,34 @@ def sweep_per_block(y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start,
     return m, s, logdet_s
 
 
+def elbo_einsum(y, log_c, m, s, mu, sigma, log_fact, logdet_s):
+    """``model.elbo_batch`` with each block's quadratic form and trace as
+    unoptimised ``einsum`` contractions; S on ``sigma``'s blocks."""
+    y = np.asarray(y, dtype=float)
+    d = m.shape[1]
+    dm = m - mu
+    quad = 0.0
+    trace = 0.0
+    s_diag = np.empty_like(dm)
+    for idx, s_b, inv_b in zip(sigma.groups, s, sigma.inverses):
+        dm_b = dm[:, idx]
+        quad = quad + np.einsum("ni,ij,nj->n", dm_b, inv_b, dm_b)
+        trace = trace + np.einsum("ij,nji->n", inv_b, s_b)
+        s_diag[:, idx] = np.einsum("njj->nj", s_b)
+    rate = np.exp(np.minimum(log_c[:, None] + m + 0.5 * s_diag, EXP_CAP))
+    return (
+        -0.5 * quad
+        - 0.5 * trace
+        + 0.5 * logdet_s
+        - 0.5 * sigma.logdet
+        + 0.5 * d
+        + np.einsum("ni,ni->n", m, y)
+        + log_c * y.sum(axis=1)
+        - rate.sum(axis=1)
+        - log_fact
+    )
+
+
 def scatter_three_operand(z_g, m_g, s_g, mu_g, groups):
     """W_g with its mean part as ``np.einsum("n,ni,nj->ij", z_g, dm, dm)``."""
     mass = z_g.sum()
@@ -294,6 +336,16 @@ def covariance_candidate_dense(w, k_spec, g, linkage):
     partition = cut(dendro, k)
     sigma, lower = cholesky_with_jitter(block_project(w, partition))
     return sigma, lower, partition
+
+
+def covariance_candidate_by_cut(w, k_spec, g, linkage):
+    """``vem._covariance_candidate`` with every partition, a single block
+    included, cut from the agglomeration of W's distances (as the dense
+    refresh cuts it)."""
+    _, _, partition = covariance_candidate_dense(w, k_spec, g, linkage)
+    stacks = [w[cols[:, :, None], cols[:, None, :]]
+              for _, cols in size_classes(partition.groups())]
+    return BlockSigma.from_factors(partition, [cholesky_with_jitter(stack) for stack in stacks])
 
 
 def block_inverses_dense(lower, groups):
