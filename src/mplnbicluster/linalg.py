@@ -2,9 +2,11 @@
 
 Thin wrappers around LAPACK (via numpy) that turn factorization failures
 into package-level errors and centralize the jitter policy used by the EM
-loop, plus the one routine that turns a Cholesky factor into an inverse
-and a log-determinant: one backward pass over the factor's columns that
-writes the inverse into the factor's own buffer, with no L^-1 and no Gram
+loop, plus the routines that turn a stack of positive-definite matrices
+into inverses and log-determinants.  Those hold the stack with the batch
+axis last, as a (b, b, N) array, so that each step of the factorization
+and of the one backward pass that writes the inverse is a single
+contiguous vector op over all N matrices, with no L^-1 and no Gram
 product.  Everything here works on dense float64 arrays; ``cholesky``,
 ``cholesky_with_jitter`` and the factor-based routines also take stacks of
 matrices.
@@ -38,36 +40,87 @@ def logdet_from_cholesky(lower: np.ndarray):
     return 2.0 * np.log(np.einsum("...jj->...j", lower)).sum(axis=-1)
 
 
-def inv_logdet_from_cholesky(lower: np.ndarray):
-    """Inverse and log-determinant of a = L L' from its factor L.
+def _inverse_from_factor(z):
+    """a^-1 in place of a = L L', for a (b, b, N) stack with the batch axis
+    last whose lower triangle holds L (its upper triangle is overwritten).
 
-    ``lower`` is (..., b, b), lower triangular with a positive diagonal (as
-    ``cholesky`` returns it), and is consumed: Z = a^-1 is built in its
-    buffer, so callers pass a factor they no longer need.  From L' Z = L^-1,
-    whose diagonal is 1/L_jj and whose upper triangle is zero, the columns
-    of Z follow from the last one back, for j = b-1 down to 0:
+    From L' Z = L^-1, whose diagonal is 1/L_jj and whose upper triangle is
+    zero, the columns of Z follow from the last one back, for j = b-1 down
+    to 0:
 
         Z[j+1:, j] = -Z[j+1:, j+1:] L[j+1:, j] / L_jj
         Z[j, j]    = (1/L_jj - L[j+1:, j] . Z[j+1:, j]) / L_jj
 
-    over the whole stack at once.  Step j reads only column j of L, which it
-    overwrites last, and the block Z[j+1:, j+1:] of earlier steps; each new
-    column is mirrored into row j, so Z comes out exactly symmetric.
-    Returns (inverse, logdet) with logdet of shape (...); a single (b, b)
-    factor gives a scalar.
+    Step j reads only column j of L, which it overwrites last, and the
+    block Z[j+1:, j+1:] of earlier steps; each new column is mirrored into
+    row j, so Z comes out exactly symmetric.  Every step is one vector op
+    over the whole contiguous batch axis.
     """
-    z = np.asarray(lower, dtype=float)
-    logdet = logdet_from_cholesky(z)
-    diag = np.einsum("...jj->...j", z).copy()
-    for j in range(z.shape[-1] - 1, -1, -1):
-        col, l_jj = z[..., j + 1:, j], diag[..., j]
+    diag = np.einsum("jjN->jN", z).copy()
+    for j in range(z.shape[0] - 1, -1, -1):
+        col, l_jj = z[j + 1:, j], diag[j]
         # Z[j+1:, j+1:] is symmetric, so its product with col sums its rows
-        z_col = np.einsum("...ki,...k->...i", z[..., j + 1:, j + 1:], col)
-        z_col /= -l_jj[..., None]
-        z[..., j, j + 1:] = z_col
-        z[..., j, j] = (1.0 / l_jj - np.einsum("...k,...k->...", col, z_col)) / l_jj
-        z[..., j + 1:, j] = z_col
-    return z, logdet
+        z_col = np.einsum("kiN,kN->iN", z[j + 1:, j + 1:], col)
+        z_col /= -l_jj
+        z[j, j + 1:] = z_col
+        z[j, j] = (1.0 / l_jj - np.einsum("kN,kN->N", col, z_col)) / l_jj
+        z[j + 1:, j] = z_col
+
+
+def inv_logdet_batch_last(a: np.ndarray):
+    """Inverse and log-determinant of every matrix of a (b, b, N) stack of
+    symmetric positive-definite matrices held with the batch axis last.
+
+    ``a`` is consumed: a left-looking Cholesky factorization writes L into
+    its lower triangle, column by column,
+
+        a[j:, j] -= L[j:, :j] L[j, :j],  L_jj = sqrt(a_jj),  L[j+1:, j] /= L_jj,
+
+    and the backward pass of ``_inverse_from_factor`` then builds a^-1 in
+    the same buffer.  Only the lower triangle of ``a`` is read.  With the
+    batch axis last, each of the b steps of either recurrence is one
+    contiguous vector op over all N matrices at once, where LAPACK's
+    batched ``cholesky`` copies each small matrix in and out and factors it
+    on its own; for the S-step's thousands of 5 x 5 blocks that layout is
+    most of the cost.  Raises NotPositiveDefinite if any pivot is not
+    > 0: wherever ``cholesky`` raises, and also on a NaN entry of the lower
+    triangle, which reaches a pivot (LAPACK lets it through as a NaN
+    factor).  Returns (inverse, logdet): the (b, b, N) inverse, exactly
+    symmetric, in ``a``'s buffer and logdet of shape (N,).
+    """
+    for j in range(a.shape[0]):
+        if j:
+            a[j:, j] -= np.einsum("ikN,kN->iN", a[j:, :j], a[j, :j])
+        pivot = a[j, j]
+        # written so that NaN fails: every comparison with it is False
+        if not np.all(pivot > 0.0):
+            raise NotPositiveDefinite(f"a matrix of a stack of shape {a.shape} "
+                                      "is not positive definite")
+        np.sqrt(pivot, out=pivot)
+        a[j + 1:, j] /= pivot
+    logdet = logdet_from_cholesky(np.moveaxis(a, -1, 0))
+    _inverse_from_factor(a)
+    return a, logdet
+
+
+def inv_logdet_from_cholesky(lower: np.ndarray):
+    """Inverse and log-determinant of a = L L' from its factor L.
+
+    ``lower`` is (..., b, b), lower triangular with a positive diagonal (as
+    ``cholesky`` returns it), and is consumed: Z = a^-1 is written into its
+    buffer, so callers pass a factor they no longer need.  The stack is
+    moved to the batch-last layout, inverted by the backward pass of
+    ``_inverse_from_factor`` (the same code ``inv_logdet_batch_last``
+    runs) and moved back.  Returns (inverse, logdet) with logdet of shape
+    (...); a single (b, b) factor gives a scalar.
+    """
+    lower = np.asarray(lower, dtype=float)
+    logdet = logdet_from_cholesky(lower)
+    b = lower.shape[-1]
+    z = np.moveaxis(lower.reshape(-1, b, b), 0, -1).copy()
+    _inverse_from_factor(z)
+    lower[...] = np.moveaxis(z, -1, 0).reshape(lower.shape)
+    return lower, logdet
 
 
 def corr_from_cov(cov: np.ndarray) -> np.ndarray:

@@ -61,7 +61,7 @@ from .data import (
 )
 from .errors import AllRestartsFailed, EmptyComponent, MplnError
 from .evaluate import relabelling
-from .linalg import cholesky, cholesky_with_jitter, inv_logdet_from_cholesky
+from .linalg import cholesky_with_jitter, inv_logdet_batch_last
 from .model import (
     BlockSigma,
     MixtureModel,
@@ -302,23 +302,25 @@ def s_fixed_point_step(log_c, m, diag_s, sigma_inv):
     ``diag_s``, shaped like m.  Returns (s_new, logdet_s_new).  The sweep
     calls it once per block size, on the blocks of that size stacked along
     a leading axis: m and diag(S) are (k, rows, b) and Sigma^-1 is
-    (k, 1, b, b).  The rates are added to S'^-1's diagonal through a
-    strided view of each flattened b x b matrix; S'^-1 is factored once and
-    freed, and S' and log det S' both come from that Cholesky factor
-    (``inv_logdet_from_cholesky``, one backward pass that builds S' in the
-    factor's buffer), so the step holds two (k, rows, b, b) arrays at a
-    time and S' is exactly symmetric.  Raises NotPositiveDefinite if S'^-1
-    does not factor.
+    (k, 1, b, b).  S'^-1 is built with the batch axis last, as one
+    (b, b, k * rows) array: Sigma^-1 broadcast over the rows, plus the
+    rates on its diagonal.  ``inv_logdet_batch_last`` factors and inverts
+    that stack in its own buffer, each step one vector op over all k * rows
+    blocks, and S' is handed back as (k, rows, b, b) after one transpose.
+    So the step holds two such arrays at a time, and S' is exactly
+    symmetric.  Raises NotPositiveDefinite if S'^-1 does not factor.
     """
     m = np.asarray(m, dtype=float)
-    d = m.shape[-1]
+    lead, d = m.shape[:-1], m.shape[-1]
+    count = math.prod(lead)
     lam = poisson_rate(log_c, m, diag_s)
-    a = np.broadcast_to(sigma_inv, m.shape + (d,)).copy()
-    a.reshape(m.shape[:-1] + (d * d,))[..., ::d + 1] += lam
-    lower = cholesky(a)
-    del a
-    s_new, logdet_a = inv_logdet_from_cholesky(lower)
-    return s_new, -logdet_a
+    a = np.empty((d, d) + lead)
+    a[...] = np.moveaxis(np.broadcast_to(sigma_inv, lead + (d, d)), (-2, -1), (0, 1))
+    a = a.reshape(d, d, count)
+    a.reshape(d * d, count)[::d + 1] += np.moveaxis(lam, -1, 0).reshape(d, count)
+    s_new, logdet_a = inv_logdet_batch_last(a)
+    s_new = np.moveaxis(s_new.reshape((d, d) + lead), (0, 1), (-2, -1))
+    return np.ascontiguousarray(s_new), -logdet_a.reshape(lead)
 
 
 def newton_m_step(y, log_c, m, s_new, mu, sigma_inv):
@@ -351,13 +353,11 @@ def _sweep_batch(y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start, rows=No
     b x b problems, so the blocks of one size are stepped together, one
     S-step and one Newton step per size class of ``sigma``.
     If an observation's bound would drop, the m-step is halved once; if it
-    still drops, that observation keeps its pair.  Returns (m, s, logdet_s)
-    as copies; inputs are untouched.
+    still drops, that observation keeps its pair.  The kept observations'
+    m, S and log det S are written in place into ``m``, the blocks of ``s``
+    and ``logdet_s``, which the caller owns; returns (m, s, logdet_s).
     """
     y = np.asarray(y, dtype=float)
-    m = m.copy()
-    s = [block.copy() for block in s]
-    logdet_s = np.array(logdet_s, dtype=float)
     rows = np.arange(m.shape[0]) if rows is None else rows
     ya, la, ma, fa, f_old = y[rows], log_c[rows], m[rows], log_fact[rows], f_start[rows]
     m_new = np.empty_like(ma)
@@ -412,18 +412,17 @@ def update_variational(y, log_c, m, s, mu, sigma, inner_iter=10, inner_tol=1e-6)
     sigma = BlockSigma.from_factors(one_block, [cholesky_with_jitter(sigma)])
     y = np.asarray(y, dtype=float)[None, :]
     log_c = np.atleast_1d(np.asarray(log_c, dtype=float))
-    m = np.asarray(m, dtype=float)[None, :]
-    s = np.asarray(s, dtype=float)[None, :, :]
+    m = np.array(m, dtype=float)[None, :]
+    s = np.array(s, dtype=float)[None, :, :]
     mu = np.asarray(mu, dtype=float)
     log_fact = log_factorial(y)
     logdet_s = logdet_blocks([s])
     for _ in range(inner_iter):
         f = elbo_batch(y, log_c, m, [s], mu, sigma, log_fact=log_fact, logdet_s=logdet_s)
-        m_new, (s_new,), logdet_s = _sweep_batch(y, log_c, m, [s], logdet_s, mu, sigma,
-                                                 log_fact, f)
-        moved = max(np.abs(m_new - m).max(), np.abs(s_new - s).max())
-        m, s = m_new, s_new
-        if moved < inner_tol:
+        # the step writes in place; the copies are the moved-check's reference
+        m_old, s_old = m.copy(), s.copy()
+        _sweep_batch(y, log_c, m, [s], logdet_s, mu, sigma, log_fact, f)
+        if max(np.abs(m - m_old).max(), np.abs(s - s_old).max()) < inner_tol:
             break
     return m[0], s[0]
 
@@ -586,6 +585,7 @@ def fit_from_state(
     check_offsets(counts, offsets)
     k_spec = _normalize_k_spec(k_spec, G, d)
 
+    # the sweeps write m and S in place, into the fit's own copies
     m = state.m.copy()
     z = state.z.copy()
     log_fact = log_factorial(y)
@@ -630,11 +630,15 @@ def fit_from_state(
             joined = incumbent.restart
             break
         for g in range(G):
-            # f[:, g] is the bound at this same (m, S, mu, Sigma)
-            m[:, g], s[g], logdet_s[g] = _sweep_batch(
-                y, log_c, m[:, g], s[g], logdet_s[g], mu[g], covs[g], log_fact,
-                f[:, g], _rows_to_sweep(z[:, g]),
-            )
+            if iteration == 0:
+                # the fit's own S, copied here rather than on entry: the
+                # first scatter sums the caller's blocks in an order that
+                # depends on their memory layout
+                s[g] = [block.copy() for block in s[g]]
+            # f[:, g] is the bound at this same (m, S, mu, Sigma); the step
+            # writes into the fit's own m, S and log det S
+            _sweep_batch(y, log_c, m[:, g], s[g], logdet_s[g], mu[g], covs[g], log_fact,
+                         f[:, g], _rows_to_sweep(z[:, g]))
 
     final_state = VariationalState(m=m, s=s, z=z, groups=groups)
     # the one dense Sigma of the fit, for the model

@@ -16,7 +16,13 @@ stores S, Sigma and Sigma^-1 per column block, moves blocks with
 block took its own S-step and Newton step, with the whole S block as the
 S-step's input; ``tests/test_blocks.py`` checks the sweep that steps the
 blocks of one size together against it bit for bit.  Both invert with the
-package's kernel, since that test checks the stacking, not the inverse.
+package's kernel, ``linalg.inv_logdet_batch_last`` on each block's own
+stack, since that test checks the stacking, not the inverse.
+
+``inv_logdet_lapack`` is the S-step's inverse as it was before that kernel:
+LAPACK's batched Cholesky, one factorization per matrix, then the backward
+pass in the (..., b, b) layout.  ``tests/test_linalg.py`` checks the
+batch-last kernel against it within written tolerances.
 
 ``inv_logdet_forward_gram`` is the inverse from a Cholesky factor as it was
 when L^-1 was built by forward substitution and a^-1 taken as the Gram
@@ -64,6 +70,7 @@ from mplnbicluster.errors import NotPositiveDefinite
 from mplnbicluster.linalg import (
     cholesky,
     cholesky_with_jitter,
+    inv_logdet_batch_last,
     inv_logdet_from_cholesky,
     logdet_from_cholesky,
 )
@@ -193,16 +200,35 @@ def inv_logdet_forward_gram(lower):
     return np.swapaxes(w, -1, -2) @ w, logdet_from_cholesky(lower)
 
 
+def inv_logdet_lapack(a):
+    """Inverse and log-determinant of a (..., b, b) stack of positive-definite
+    matrices as the S-step took them before the batch-last kernel: LAPACK's
+    batched Cholesky, then a^-1 by the backward pass over the factor's
+    columns in the (..., b, b) layout; ``a`` is left as it is."""
+    z = np.linalg.cholesky(a)
+    logdet = logdet_from_cholesky(z)
+    diag = np.einsum("...jj->...j", z).copy()
+    for j in range(z.shape[-1] - 1, -1, -1):
+        col, l_jj = z[..., j + 1:, j], diag[..., j]
+        z_col = np.einsum("...ki,...k->...i", z[..., j + 1:, j + 1:], col)
+        z_col /= -l_jj[..., None]
+        z[..., j, j + 1:] = z_col
+        z[..., j, j] = (1.0 / l_jj - np.einsum("...k,...k->...", col, z_col)) / l_jj
+        z[..., j + 1:, j] = z_col
+    return z, logdet
+
+
 def s_fixed_point_per_block(log_c, m, s, sigma_inv):
-    """The S-step of one block from its whole (rows, b, b) S."""
+    """The S-step of one block from its whole (rows, b, b) S, its S'^-1
+    factored and inverted by the package's kernel on that block alone."""
     diag_s = np.einsum("...jj->...j", s)
     lam = np.exp(np.minimum(log_c[..., None] + m + 0.5 * diag_s, EXP_CAP))
     d = m.shape[-1]
     a = np.broadcast_to(sigma_inv, m.shape + (d,)).copy()
     idx = np.arange(d)
     a[..., idx, idx] += lam
-    s_new, logdet_a = inv_logdet_from_cholesky(np.linalg.cholesky(a))
-    return s_new, -logdet_a
+    s_new, logdet_a = inv_logdet_batch_last(np.moveaxis(a, 0, -1).copy())
+    return np.ascontiguousarray(np.moveaxis(s_new, -1, 0)), -logdet_a
 
 
 def sweep_per_block(y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start,

@@ -204,6 +204,13 @@ def test_s_fixed_point_step_matches_dense_reference(b):
     assert np.array_equal(s_new, np.swapaxes(s_new, -1, -2))
 
 
+def own_copies(args):
+    """``_sweep_batch``'s arguments with copies of the m, S blocks and log
+    det S it writes in place, so that a reference can take the originals."""
+    y, log_c, m, s, logdet_s, *rest = args
+    return (y, log_c, m.copy(), [block.copy() for block in s], logdet_s.copy(), *rest)
+
+
 def check_sweep_against_per_block(part, n, seed, gated):
     """Run ``vem._sweep_batch`` and one iteration of the per-block reference
     on one problem and require the same m, S blocks and log det S, bit for
@@ -220,7 +227,7 @@ def check_sweep_against_per_block(part, n, seed, gated):
     if gated:
         rows = np.flatnonzero(np.random.default_rng(seed).uniform(size=n) < 0.6)
     args = (y, log_c, m, s_blocks, logdet_s, mu, block_sigma, log_fact, f_start)
-    m_out, s_out, logdet_out = vem._sweep_batch(*args, rows)
+    m_out, s_out, logdet_out = vem._sweep_batch(*own_copies(args), rows)
     m_ref, s_ref, logdet_ref = sweep_per_block(*args, 1, 1e-6, rows)
     assert np.array_equal(m_out, m_ref)
     assert len(s_out) == len(s_ref)
@@ -313,7 +320,7 @@ def test_preset4_sweep_steps_its_ten_blocks_in_one_call(monkeypatch):
     monkeypatch.setattr(vem, "newton_m_step", counting_newton)
     monkeypatch.setattr(dense_reference, "s_fixed_point_per_block", counting_ref)
     args = (y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start)
-    m_out, s_out, _ = vem._sweep_batch(*args)
+    m_out, s_out, _ = vem._sweep_batch(*own_copies(args))
     m_ref, s_ref, _ = sweep_per_block(*args, 1, 1e-6)
     assert len(shapes) == 1
     assert newton_calls == shapes
@@ -542,10 +549,12 @@ def test_fit_peak_memory_stays_below_one_dense_s():
     # S is stored per column block from the start state to the result, so
     # a fit on ten blocks of five columns never holds a dense (n, G, d, d)
     # S; tracemalloc sees numpy's allocations.  The sweep reads S's
-    # diagonals, not copies of its blocks, and the S-step frees S'^-1 once
-    # factored and builds S' in the factor's buffer with no Gram product,
-    # which keeps the peak at about 0.38 of one dense S; copying whole
-    # blocks into the S-step's stacks reads about 0.59
+    # diagonals, not copies of its blocks, and writes the kept rows into the
+    # fit's own S blocks; the S-step factors and inverts S'^-1 in its own
+    # batch-last buffer with no Gram product and hands S' back after one
+    # transpose.  That keeps the peak at about 0.32 of one dense S (about
+    # 0.37 if each sweep copies the component's S); copying whole blocks
+    # into the S-step's stacks reads about 0.59
     spec = replace(preset(4), n=200)
     counts, _ = sample_dataset(spec)
     offsets = spec_offsets(spec)

@@ -174,6 +174,24 @@ def test_s_fixed_point_rejects_indefinite_precision():
         )
 
 
+@pytest.mark.parametrize("shape", [(10, 0, 5), (3, 4, 1)], ids=["no_rows", "b1"])
+def test_s_fixed_point_step_shapes_on_a_stack(shape):
+    # a sweep whose component has no resolvable rows steps (k, 0, b) stacks;
+    # 1 x 1 blocks are the scalar formula
+    k, rows, b = shape
+    rng = np.random.default_rng(2)
+    m = rng.normal(size=shape)
+    diag_s = rng.uniform(0.1, 0.5, size=shape)
+    log_c = rng.normal(size=rows)
+    sigma_inv = np.broadcast_to(2.0 * np.eye(b), (k, 1, b, b))
+    s_new, logdet = s_fixed_point_step(log_c, m, diag_s, sigma_inv)
+    assert s_new.shape == (k, rows, b, b) and logdet.shape == (k, rows)
+    if b == 1:
+        expected = 1.0 / (2.0 + np.exp(log_c + m[..., 0] + 0.5 * diag_s[..., 0]))
+        np.testing.assert_allclose(s_new[..., 0, 0], expected, rtol=1e-15)
+        np.testing.assert_allclose(logdet, np.log(expected), rtol=1e-14)
+
+
 def test_newton_m_worked_example():
     # y=1, S'=0.5, C=1, mu=0, Sigma=1, m=0 -> m' = -0.5 (e^0.25 - 1)
     m_new, step = newton_m_step(
@@ -500,6 +518,33 @@ def test_fit_deterministic():
     assert a.lower_bound == b.lower_bound
     assert a.bic == b.bic
     assert np.array_equal(a.model.mu, b.model.mu)
+
+
+@pytest.mark.parametrize("blocks", ["singletons", "one_block"])
+def test_fit_leaves_the_callers_state_unchanged(blocks):
+    # the sweeps write m and S in place, into the fit's own copies: with a
+    # partition equal to the start's blocks nothing is re-blocked, so the
+    # first sweep would otherwise write into the caller's S
+    counts, offsets, _ = two_group_dataset(seed=21, n=40)
+    n, d = counts.n, counts.d
+    state = initialize(counts, offsets, 2, 0, 1)
+    if blocks == "singletons":
+        k_spec = EqualK(d)
+    else:
+        k_spec = EqualK(1)
+        state = replace(state, s=tuple((np.broadcast_to(0.1 * np.eye(d), (n, d, d)).copy(),)
+                                       for _ in range(2)),
+                        groups=((np.arange(d),),) * 2)
+    before = (state.m.copy(), state.z.copy(),
+              [[block.copy() for block in s_g] for s_g in state.s])
+    result = fit_from_state(counts, offsets, state, k_spec, FitConfig(max_em_iter=5))
+    assert result.iterations == 5
+    assert np.array_equal(state.m, before[0]) and np.array_equal(state.z, before[1])
+    for s_g, ref_g in zip(state.s, before[2], strict=True):
+        assert all(np.array_equal(block, ref) for block, ref in zip(s_g, ref_g, strict=True))
+    # and the fit moved its own copies
+    assert not np.array_equal(result.state.m, state.m)
+    assert not np.shares_memory(result.state.s[0][0], state.s[0][0])
 
 
 def test_fit_bic_matches_definition():
