@@ -133,13 +133,11 @@ def agglomerate(dist: np.ndarray, linkage: str = "average") -> Dendrogram:
     work = np.full((total, total), np.inf)
     work[:d, :d] = np.triu(dist, 1) + np.triu(dist, 1).T
     np.fill_diagonal(work, np.inf)
-    size = np.zeros(total, dtype=np.int64)
-    size[:d] = 1
-
-    merges = np.empty((d - 1, 2), dtype=np.int64)
-    heights = np.empty(d - 1)
+    flat = work.ravel()
+    size = [1] * d + [0] * (d - 1)
+    merges, heights = [], []
     for step in range(d - 1):
-        a, b = divmod(int(np.argmin(work)), total)
+        a, b = divmod(int(flat.argmin()), total)
         new = d + step
         if linkage == "single":
             merged = np.minimum(work[a], work[b])
@@ -147,10 +145,11 @@ def agglomerate(dist: np.ndarray, linkage: str = "average") -> Dendrogram:
             merged = np.maximum(work[a], work[b])
         else:
             merged = (size[a] * work[a] + size[b] * work[b]) / (size[a] + size[b])
-        merges[step] = (a, b)
-        heights[step] = work[a, b]
+        merges.append((a, b))
+        heights.append(work[a, b])
         work[new] = work[:, new] = merged
-        work[[a, b]] = work[:, [a, b]] = np.inf
+        work[a] = work[b] = np.inf
+        work[:, a] = work[:, b] = np.inf
         size[new] = size[a] + size[b]
     return Dendrogram(d, merges, heights)
 

@@ -26,13 +26,19 @@ JITTER_REL = 1e-8
 def cholesky(a: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor L with a = L L'.
 
-    Raises NotPositiveDefinite if the factorization fails.
+    Raises NotPositiveDefinite if the factorization fails or a diagonal
+    entry of L is not > 0: LAPACK returns a NaN factor for a NaN on or
+    below the diagonal instead of failing.
     """
     a = np.asarray(a, dtype=float)
     try:
-        return np.linalg.cholesky(a)
+        lower = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"matrix of shape {a.shape} is not positive definite") from exc
+    # written so that NaN fails: every comparison with it is False
+    if not np.all(np.einsum("...jj->...j", lower) > 0.0):
+        raise NotPositiveDefinite(f"matrix of shape {a.shape} is not positive definite")
+    return lower
 
 
 def logdet_from_cholesky(lower: np.ndarray):
@@ -83,10 +89,14 @@ def inv_logdet_batch_last(a: np.ndarray):
     batched ``cholesky`` copies each small matrix in and out and factors it
     on its own; for the S-step's thousands of 5 x 5 blocks that layout is
     most of the cost.  Raises NotPositiveDefinite if any pivot is not
-    > 0: wherever ``cholesky`` raises, and also on a NaN entry of the lower
-    triangle, which reaches a pivot (LAPACK lets it through as a NaN
-    factor).  Returns (inverse, logdet): the (b, b, N) inverse, exactly
-    symmetric, in ``a``'s buffer and logdet of shape (N,).
+    > 0, wherever ``cholesky`` raises: a NaN entry of the lower triangle
+    reaches a pivot and fails too.  Returns (inverse, logdet): the
+    (b, b, N) inverse, exactly symmetric, in ``a``'s buffer and logdet of
+    shape (N,).  A matrix's results depend on N in their last bits: with
+    N = 1 the batch axis drops out of the ``einsum`` contractions, which
+    then sum in another order, and from b = 4 up a matrix inverted alone
+    and inside a stack can differ by up to about 1e-15 of its largest
+    entry.
     """
     for j in range(a.shape[0]):
         if j:

@@ -15,7 +15,8 @@ bound stabilises:
    block of the component's partition (Sigma is block-diagonal, so the
    fixed point for S is too).  The blocks are independent problems, so a
    sweep stacks the blocks of one size and takes one S-step and one Newton
-   step per block size.  Sigma moves on every pass, so the step is not
+   step per block size, in buffers the fit owns, so that a pass reuses the
+   last pass's pages.  Sigma moves on every pass, so the step is not
    iterated: any step that lowers no bound keeps each pass an ascent with
    the same stationary points (a partial E-step, Neal & Hinton 1998).  When
    a component's partition changes, its S moves onto the new blocks and
@@ -294,7 +295,7 @@ def initialize(
 # variational sweeps
 
 
-def s_fixed_point_step(log_c, m, diag_s, sigma_inv):
+def s_fixed_point_step(log_c, m, diag_s, sigma_inv, a=None, s_new=None):
     """One fixed-point refresh of the approximation covariances.
 
     S' = (Sigma^-1 + diag(exp(log C + m + diag(S)/2)))^-1, batched over
@@ -302,25 +303,28 @@ def s_fixed_point_step(log_c, m, diag_s, sigma_inv):
     ``diag_s``, shaped like m.  Returns (s_new, logdet_s_new).  The sweep
     calls it once per block size, on the blocks of that size stacked along
     a leading axis: m and diag(S) are (k, rows, b) and Sigma^-1 is
-    (k, 1, b, b).  S'^-1 is built with the batch axis last, as one
-    (b, b, k * rows) array: Sigma^-1 broadcast over the rows, plus the
-    rates on its diagonal.  ``inv_logdet_batch_last`` factors and inverts
-    that stack in its own buffer, each step one vector op over all k * rows
-    blocks, and S' is handed back as (k, rows, b, b) after one transpose.
-    So the step holds two such arrays at a time, and S' is exactly
-    symmetric.  Raises NotPositiveDefinite if S'^-1 does not factor.
+    (k, 1, b, b).  S'^-1 is built with the batch axis last, in ``a``, a
+    C-contiguous (b, b, k * rows) array: Sigma^-1 broadcast over the rows,
+    plus the rates on its diagonal.  ``inv_logdet_batch_last`` factors and
+    inverts that stack in ``a``, each step one vector op over all k * rows
+    blocks, and one transpose writes S' into ``s_new``, a C-contiguous
+    (k, rows, b, b) array.  So the step holds two such arrays at a time;
+    the sweep hands it both from the fit's workspace, and either is
+    allocated here when not given.  S' is exactly symmetric.  Raises
+    NotPositiveDefinite if S'^-1 does not factor.
     """
     m = np.asarray(m, dtype=float)
     lead, d = m.shape[:-1], m.shape[-1]
     count = math.prod(lead)
+    a = np.empty((d, d, count)) if a is None else a
+    s_new = np.empty(lead + (d, d)) if s_new is None else s_new
     lam = poisson_rate(log_c, m, diag_s)
-    a = np.empty((d, d) + lead)
-    a[...] = np.moveaxis(np.broadcast_to(sigma_inv, lead + (d, d)), (-2, -1), (0, 1))
-    a = a.reshape(d, d, count)
+    a.reshape((d, d) + lead)[...] = np.moveaxis(
+        np.broadcast_to(sigma_inv, lead + (d, d)), (-2, -1), (0, 1))
     a.reshape(d * d, count)[::d + 1] += np.moveaxis(lam, -1, 0).reshape(d, count)
-    s_new, logdet_a = inv_logdet_batch_last(a)
-    s_new = np.moveaxis(s_new.reshape((d, d) + lead), (0, 1), (-2, -1))
-    return np.ascontiguousarray(s_new), -logdet_a.reshape(lead)
+    inv, logdet_a = inv_logdet_batch_last(a)
+    s_new[...] = np.moveaxis(inv.reshape((d, d) + lead), (0, 1), (-2, -1))
+    return s_new, -logdet_a.reshape(lead)
 
 
 def newton_m_step(y, log_c, m, s_new, mu, sigma_inv):
@@ -339,7 +343,18 @@ def newton_m_step(y, log_c, m, s_new, mu, sigma_inv):
     return m - step, step
 
 
-def _sweep_batch(y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start, rows=None):
+def _carve(work, key, shape):
+    """A C-contiguous ``shape`` view on the start of the flat float64
+    buffer ``work[key]``, replaced by a larger one when it holds too few;
+    its entries are as the last user left them."""
+    size = math.prod(shape)
+    if key not in work or work[key].size < size:
+        work[key] = np.empty(size)
+    return work[key][:size].reshape(shape)
+
+
+def _sweep_batch(y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start, rows=None,
+                 work=None):
     """One guarded coordinate step for the observations ``rows`` of one
     component (every observation when None); the others keep their pair.
 
@@ -356,19 +371,30 @@ def _sweep_batch(y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start, rows=No
     still drops, that observation keeps its pair.  The kept observations'
     m, S and log det S are written in place into ``m``, the blocks of ``s``
     and ``logdet_s``, which the caller owns; returns (m, s, logdet_s).
+    The S-step's arrays are carved from the workspace ``work``, a dict of
+    flat buffers (``_carve``): ``work[0]`` holds the S'^-1 stack, which
+    each size class consumes in its own step, and ``work[1 + c]`` holds
+    class c's S', which the trial bounds read after every class has
+    stepped.  The fit passes one workspace to all its sweeps, so a pass
+    reuses the pages of the last; without one (None) the sweep starts an
+    empty one, which allocates each array afresh.
     """
     y = np.asarray(y, dtype=float)
     rows = np.arange(m.shape[0]) if rows is None else rows
+    work = {} if work is None else work
     ya, la, ma, fa, f_old = y[rows], log_c[rows], m[rows], log_fact[rows], f_start[rows]
     m_new = np.empty_like(ma)
     step = np.empty_like(ma)
     s_new, logdet_new = [], []
-    for c in sigma.classes:
+    for i, c in enumerate(sigma.classes):
         idx = c.columns
+        k, b = idx.shape
         # ma[:, idx] is (rows, k, b); the S-step stacks the k blocks first
         m_c = np.moveaxis(ma[:, idx], 1, 0)
         diag_c = np.stack([np.einsum("njj->nj", s[j])[rows] for j in c.positions])
-        s_c, logdet_c = s_fixed_point_step(la, m_c, diag_c, c.inverses[:, None])
+        s_c, logdet_c = s_fixed_point_step(la, m_c, diag_c, c.inverses[:, None],
+                                           _carve(work, 0, (b, b, k * rows.size)),
+                                           _carve(work, 1 + i, (k, rows.size, b, b)))
         m_c_new, step_c = newton_m_step(np.moveaxis(ya[:, idx], 1, 0), la, m_c, s_c,
                                         mu[idx][:, None], c.inverses)
         m_new[:, idx] = np.moveaxis(m_c_new, 0, 1)
@@ -594,6 +620,10 @@ def fit_from_state(
     # log det S per row: factored whenever S moves onto a new partition,
     # and carried from the S-steps in between
     logdet_s = [None] * G
+    # the sweeps' S-step buffers (``_sweep_batch``), shared by the
+    # components, whose sweeps run one after another, and reused by every
+    # pass instead of faulting in fresh pages; they die with the fit
+    work = {}
     trace = []
     prev_bound = -np.inf
     converged = False
@@ -638,7 +668,7 @@ def fit_from_state(
             # f[:, g] is the bound at this same (m, S, mu, Sigma); the step
             # writes into the fit's own m, S and log det S
             _sweep_batch(y, log_c, m[:, g], s[g], logdet_s[g], mu[g], covs[g], log_fact,
-                         f[:, g], _rows_to_sweep(z[:, g]))
+                         f[:, g], _rows_to_sweep(z[:, g]), work)
 
     final_state = VariationalState(m=m, s=s, z=z, groups=groups)
     # the one dense Sigma of the fit, for the model

@@ -20,7 +20,10 @@ products, and the inverse from a factor is one backward pass; each must stay
 within a written tolerance of its earlier form (the three-operand
 ``einsum``, the ``einsum`` contractions, forward substitution with a Gram
 product).  A requested single block is built without the column tree, and
-the fit must equal the one that cuts the tree, bit for bit.
+the fit must equal the one that cuts the tree, bit for bit.  The fit owns
+the S-step's buffers: every pass after the first reuses them, they lower a
+sweep's transient peak and die with the fit, and a dirty, larger workspace
+changes no bit of a fit.
 """
 
 import tracemalloc
@@ -304,9 +307,9 @@ def test_preset4_sweep_steps_its_ten_blocks_in_one_call(monkeypatch):
     s_step, newton, ref_step = (vem.s_fixed_point_step, vem.newton_m_step,
                                 dense_reference.s_fixed_point_per_block)
 
-    def counting(log_c, m, diag_s, sigma_inv):
+    def counting(log_c, m, diag_s, sigma_inv, *buffers):
         shapes.append(m.shape)
-        return s_step(log_c, m, diag_s, sigma_inv)
+        return s_step(log_c, m, diag_s, sigma_inv, *buffers)
 
     def counting_newton(*args):
         newton_calls.append(args[2].shape)
@@ -340,9 +343,9 @@ def test_preset4_fit_takes_one_s_step_per_component_per_pass(monkeypatch):
     shapes = []
     s_step = vem.s_fixed_point_step
 
-    def counting(log_c, m, diag_s, sigma_inv):
+    def counting(log_c, m, diag_s, sigma_inv, *buffers):
         shapes.append(m.shape)
-        return s_step(log_c, m, diag_s, sigma_inv)
+        return s_step(log_c, m, diag_s, sigma_inv, *buffers)
 
     monkeypatch.setattr(vem, "s_fixed_point_step", counting)
     result = fit(counts, spec_offsets(spec), 2, EqualK(10),
@@ -550,11 +553,13 @@ def test_fit_peak_memory_stays_below_one_dense_s():
     # a fit on ten blocks of five columns never holds a dense (n, G, d, d)
     # S; tracemalloc sees numpy's allocations.  The sweep reads S's
     # diagonals, not copies of its blocks, and writes the kept rows into the
-    # fit's own S blocks; the S-step factors and inverts S'^-1 in its own
-    # batch-last buffer with no Gram product and hands S' back after one
-    # transpose.  That keeps the peak at about 0.32 of one dense S (about
-    # 0.37 if each sweep copies the component's S); copying whole blocks
-    # into the S-step's stacks reads about 0.59
+    # fit's own S blocks; the S-step factors and inverts S'^-1 in a
+    # batch-last buffer with no Gram product and writes S' out with one
+    # transpose.  That keeps the peak at about 0.36 of one dense S, with the
+    # fit holding those two buffers from pass to pass (0.32 when each
+    # S-step allocated its own, and 0.37 when each sweep also copied the
+    # component's S); copying whole blocks into the S-step's stacks reads
+    # about 0.59
     spec = replace(preset(4), n=200)
     counts, _ = sample_dataset(spec)
     offsets = spec_offsets(spec)
@@ -567,6 +572,120 @@ def test_fit_peak_memory_stays_below_one_dense_s():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * dense_s_bytes
+
+
+def preset4_fit_data(n=200):
+    spec = replace(preset(4), n=n)
+    counts, _ = sample_dataset(spec)
+    return counts, spec_offsets(spec)
+
+
+def test_every_pass_after_the_first_reuses_the_s_step_buffers(monkeypatch):
+    # the fit owns the S-step's arrays: from the second pass on, every
+    # S-step builds S'^-1 in, and writes S' into, the same two buffers
+    counts, offsets = preset4_fit_data()
+    buffers = []
+    s_step = vem.s_fixed_point_step
+
+    def spying(log_c, m, diag_s, sigma_inv, a, s_new):
+        buffers.append((a.base, s_new.base))
+        return s_step(log_c, m, diag_s, sigma_inv, a, s_new)
+
+    monkeypatch.setattr(vem, "s_fixed_point_step", spying)
+    result = fit(counts, offsets, 2, EqualK(10), FitConfig(n_starts=1, max_em_iter=5, seed=0))
+    # one class per component, so two S-steps per pass that sweeps
+    assert len(buffers) == 2 * result.iterations
+    later = buffers[2:]
+    assert later and all(a is later[0][0] and s is later[0][1] for a, s in later)
+    assert later[0][0] is not later[0][1]
+
+
+def test_reused_buffers_lower_a_sweeps_transient_peak(monkeypatch):
+    # tracemalloc's peak during a sweep above what was held before it, in
+    # units of the bytes of its class's (b, b, k * rows) stack.  A sweep
+    # that allocates its S-step's two arrays reads 3.73 and 3.70 on the two
+    # components; with the fit's buffers, from the second pass on, 2.73 and
+    # 2.70
+    counts, offsets = preset4_fit_data()
+    ratios = []
+    sweep = vem._sweep_batch
+
+    def measuring(*args):
+        (c,) = args[6].classes
+        unit = c.columns.size * c.columns.shape[1] * args[9].size * 8
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = sweep(*args)
+        ratios.append((tracemalloc.get_traced_memory()[1] - held) / unit)
+        return out
+
+    monkeypatch.setattr(vem, "_sweep_batch", measuring)
+    tracemalloc.start()
+    try:
+        fit(counts, offsets, 2, EqualK(10), FitConfig(n_starts=1, max_em_iter=4, seed=0))
+    finally:
+        tracemalloc.stop()
+    assert len(ratios) == 8
+    assert max(ratios[2:]) < 3.2
+
+
+def test_the_s_step_buffers_die_with_the_fit():
+    # a fit leaves under 64 KB more traced memory than it found: 27 KB
+    # measured on the first fit of a process (31 KB before the fit owned
+    # its buffers), then about 13 KB per fit, numpy's own caches.  Each of
+    # the two buffers it held is about 300 KB, and a workspace kept from
+    # one fit to the next would keep both
+    counts, offsets = preset4_fit_data()
+    config = FitConfig(n_starts=1, max_em_iter=3, seed=0)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        fit(counts, offsets, 2, EqualK(10), config)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 64 * 1024
+
+
+def test_a_dirty_larger_workspace_gives_the_same_fit(monkeypatch):
+    # restart 2 of this silhouette fit sweeps mixed block sizes through
+    # several partitions, each size class with its own S'; a workspace
+    # filled with NaN and larger than any sweep needs, shared by every
+    # sweep, and a fresh workspace per sweep give the fit's own result,
+    # bit for bit
+    spec = replace(preset(11), n=200)
+    counts, _ = sample_dataset(spec)
+    offsets = spec_offsets(spec)
+    n, d = counts.n, counts.d
+    sweep = vem._sweep_batch
+    classes = []
+
+    def run(work):
+        def sweeping(*args):
+            classes.append(len(args[6].classes))
+            return sweep(*args[:-1], work())
+        monkeypatch.setattr(vem, "_sweep_batch", sweeping)
+        state = vem.initialize(counts, offsets, 2, 0, 2)
+        return vem.fit_from_state(counts, offsets, state, SilhouetteK(5),
+                                  FitConfig(n_starts=1, seed=0), restart=2)
+
+    plain = vem.fit_from_state(counts, offsets, vem.initialize(counts, offsets, 2, 0, 2),
+                               SilhouetteK(5), FitConfig(n_starts=1, seed=0), restart=2)
+    fresh = run(lambda: None)
+    assert max(classes) > 1
+    dirty = {key: np.full(n * d * d, np.nan) for key in range(d + 1)}
+    held = dict(dirty)
+    reused = run(lambda: dirty)
+    # large enough for every sweep, so no buffer was replaced
+    assert all(dirty[key] is held[key] for key in held)
+    for other in (fresh, reused):
+        assert np.array_equal(other.elbo_trace, plain.elbo_trace)
+        assert other.bic == plain.bic
+        assert np.array_equal(other.labels, plain.labels)
+        assert np.array_equal(other.state.m, plain.state.m)
+        for g in range(2):
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(other.state.s[g], plain.state.s[g], strict=True))
 
 
 def test_store_blocks_moves_s_without_a_dense_stack():

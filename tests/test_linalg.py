@@ -18,6 +18,7 @@ from mplnbicluster.linalg import (
     inv_logdet_batch_last,
     inv_logdet_from_cholesky,
 )
+from mplnbicluster.model import logdet_blocks
 
 
 def random_pd(rng, d, scale=1.0):
@@ -187,12 +188,56 @@ def test_batch_last_inverse_rejects_one_indefinite_member():
 @pytest.mark.parametrize("where", [(2, 0), (3, 3)], ids=["below", "diagonal"])
 def test_batch_last_inverse_rejects_one_nan_member(where):
     # a NaN below the diagonal reaches a later pivot, and a NaN pivot fails
-    # the check; LAPACK's factorization lets both through as NaN factors
+    # the check; LAPACK's factorization lets both through as NaN factors,
+    # which ``cholesky`` checks for on the factor's diagonal
     a = pd_stack(np.random.default_rng(3), 4, 6)
     a[(4,) + where] = a[(4,) + where[::-1]] = np.nan
-    assert np.isnan(cholesky(a)[4]).any()
+    assert np.isnan(np.linalg.cholesky(a)[4]).any()
+    with pytest.raises(NotPositiveDefinite):
+        cholesky(a)
     with pytest.raises(NotPositiveDefinite):
         inv_logdet_batch_last(batch_last(a))
+
+
+def test_log_determinants_reject_a_nan_member():
+    # a NaN off-diagonal pair in one identity of the stack gave log dets
+    # [0, 0, nan, 0] before ``cholesky`` checked its factor's diagonal
+    a = np.broadcast_to(np.eye(3), (4, 3, 3)).copy()
+    a[2, 1, 0] = a[2, 0, 1] = np.nan
+    with pytest.raises(NotPositiveDefinite):
+        logdet_blocks([a])
+
+
+def test_jitter_does_not_adopt_a_nan_scatter():
+    # a NaN on the diagonal fails the factor, the bump keeps the NaN, and the
+    # retry fails too; before, the NaN factor came back unbumped
+    w = random_pd(np.random.default_rng(49), 4)
+    w[2, 2] = np.nan
+    with pytest.raises(NotPositiveDefinite):
+        cholesky_with_jitter(w)
+    with pytest.raises(NotPositiveDefinite):
+        cholesky_with_jitter(np.stack([random_pd(np.random.default_rng(50), 4), w]))
+
+
+# With one matrix in the stack (N = 1) the batch axis drops out of the
+# kernel's ``einsum`` contractions, which then sum in another order than
+# for a stack of several, so a block's factor and inverse depend on N in
+# their last bits, from b = 4 up.  Over 300 random stacks of six blocks
+# each of the sizes below, the largest move of an inverse is 8.2e-16 of
+# the block's largest |entry| and of a log det 3.6e-15.
+ALONE_TOL = 1e-15
+ALONE_LOGDET_ATOL = 1e-14
+
+
+@pytest.mark.parametrize("b", [5, 8, 10, 25])
+def test_a_block_inverted_alone_and_in_a_stack_agree_to_rounding(b):
+    a = pd_stack(np.random.default_rng(b), b, 6)
+    stacked, logdet = inv_logdet_batch_last(batch_last(a))
+    for i in range(a.shape[0]):
+        alone, logdet_alone = inv_logdet_batch_last(batch_last(a[i:i + 1]))
+        scale = np.abs(stacked[..., i]).max()
+        assert np.all(np.abs(alone[..., 0] - stacked[..., i]) <= ALONE_TOL * scale)
+        assert abs(logdet_alone[0] - logdet[i]) <= ALONE_LOGDET_ATOL
 
 
 def test_batch_last_inverse_of_an_empty_stack_and_of_1x1_blocks():

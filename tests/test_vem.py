@@ -898,10 +898,10 @@ def gate_fit(case, every_row):
     rows = []
     original = vem.s_fixed_point_step
 
-    def counting(log_c, m, diag_s, sigma_inv):
+    def counting(log_c, m, diag_s, sigma_inv, *buffers):
         # one call steps the blocks of one size: count rows x blocks
         rows.append(m[..., 0].size)
-        return original(log_c, m, diag_s, sigma_inv)
+        return original(log_c, m, diag_s, sigma_inv, *buffers)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(vem, "s_fixed_point_step", counting)
