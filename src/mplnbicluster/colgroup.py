@@ -16,6 +16,7 @@ runs and platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +54,16 @@ class ColumnPartition:
 
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(int(np.sum(self.assign == lbl)) for lbl in range(1, self.k + 1))
+
+    @cached_property
+    def classes(self) -> tuple[np.ndarray, ...]:
+        """The column indices of the blocks of each size b as one (k, b)
+        stack: sizes in order of first appearance, blocks in label order.
+        The fit stores S and Sigma per class and sums over blocks in this
+        order."""
+        groups = self.groups()
+        return tuple(np.stack([idx for idx in groups if idx.size == b])
+                     for b in dict.fromkeys(idx.size for idx in groups))
 
 
 @dataclass(frozen=True)

@@ -92,12 +92,15 @@ def inv_logdet_batch_last(a: np.ndarray):
     > 0, wherever ``cholesky`` raises: a NaN entry of the lower triangle
     reaches a pivot and fails too.  Returns (inverse, logdet): the
     (b, b, N) inverse, exactly symmetric, in ``a``'s buffer and logdet of
-    shape (N,).  A matrix's results depend on N in their last bits: with
-    N = 1 the batch axis drops out of the ``einsum`` contractions, which
-    then sum in another order, and from b = 4 up a matrix inverted alone
-    and inside a stack can differ by up to about 1e-15 of its largest
-    entry.
+    shape (N,).  A stack of one matrix is inverted padded with a copy of
+    it: with N = 1 the batch axis would drop out of the ``einsum``
+    contractions, which would then sum in another order, so a matrix's
+    bits would depend on whether it is alone.
     """
+    if a.shape[-1] == 1:
+        inv, logdet = inv_logdet_batch_last(np.repeat(a, 2, axis=-1))
+        a[...] = inv[..., :1]
+        return a, logdet[:1]
     for j in range(a.shape[0]):
         if j:
             a[j:, j] -= np.einsum("ikN,kN->iN", a[j:, :j], a[j, :j])

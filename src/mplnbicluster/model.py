@@ -1,5 +1,8 @@
 """Mixture model parameters, variational state, a component's Sigma on its
 column blocks (``BlockSigma``), and the ELBO.
+S and Sigma are held per size class of the component's partition
+(``ColumnPartition.classes``), and every sum over its blocks runs in that
+class order (``sum_blocks``).
 
 Observation model: counts y_i | x_i are independent Poisson with rates
 C_i * exp(x_ij), and x_i is Gaussian with component-specific mean and
@@ -100,39 +103,38 @@ class VariationalState:
     """Per-observation, per-component variational parameters.
 
     m : (n, G, d) variational means; z : (n, G) responsibilities, rows on
-    the simplex.  S_ig is stored per column block: ``groups[g]`` holds index
-    arrays partitioning range(d) and ``s[g]`` the (n, b, b) blocks of S_ig
-    on them.  A fitted state's ``groups[g]`` are exactly the blocks of
-    component g's final partition.
+    the simplex.  S_ig is block-diagonal on the partition
+    ``partitions[g]`` and stored per size class of it: ``s[g]`` holds one
+    (k, n, b, b) array per class of ``partitions[g].classes``, whose
+    block t is S's block on the class's columns ``classes[c][t]``.  A
+    fitted state's ``partitions[g]`` is component g's final partition.
     """
 
     m: np.ndarray
     s: tuple
     z: np.ndarray
-    groups: tuple
+    partitions: tuple
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=float)
         z = np.asarray(self.z, dtype=float)
-        s = tuple(tuple(np.asarray(b, dtype=float) for b in blocks) for blocks in self.s)
-        groups = tuple(tuple(np.asarray(idx, dtype=np.intp) for idx in g) for g in self.groups)
+        s = tuple(tuple(np.asarray(c, dtype=float) for c in stacks) for stacks in self.s)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "partitions", tuple(self.partitions))
         if m.ndim != 3:
             raise LengthMismatch(f"m must be (n, G, d), got shape {m.shape}")
         n, G, d = m.shape
         if z.shape != (n, G):
             raise LengthMismatch(f"z shape {z.shape}, expected {(n, G)}")
-        if len(s) != G or len(groups) != G:
-            raise LengthMismatch(f"{len(s)} S and {len(groups)} group tuples for G={G}")
-        for g, (blocks, idxs) in enumerate(zip(s, groups)):
-            cols = np.concatenate((np.empty(0, dtype=np.intp),) + idxs)
-            if not np.array_equal(np.sort(cols), np.arange(d)):
-                raise LengthMismatch(f"groups[{g}] do not partition the {d} columns")
-            if [block.shape for block in blocks] != [(n, i.size, i.size) for i in idxs]:
-                raise LengthMismatch(f"S blocks of component {g} do not match its groups")
+        if len(s) != G or len(self.partitions) != G:
+            raise LengthMismatch(f"{len(s)} S and {len(self.partitions)} partitions for G={G}")
+        for g, (stacks, part) in enumerate(zip(s, self.partitions)):
+            if part.d != d:
+                raise LengthMismatch(f"partition {g} covers {part.d} variables, expected {d}")
+            if [c.shape for c in stacks] != [(k, n, b, b) for k, b in map(np.shape, part.classes)]:
+                raise LengthMismatch(f"S of component {g} does not match its partition")
         # written so that NaN fails, like the check on MixtureModel.pi
         if not (np.all(z >= 0.0) and np.max(np.abs(z.sum(axis=1) - 1.0)) <= 1e-8):
             raise ValueError("z rows must lie on the probability simplex")
@@ -154,87 +156,64 @@ def log_factorial(y) -> np.ndarray:
     return table[inverse.reshape(np.shape(y))].sum(axis=1)
 
 
+def sum_blocks(per_class):
+    """The sum over a component's blocks of one (k, ...) array per size
+    class, block by block in class order, the fit's one block order."""
+    return sum(value for values in per_class for value in values)
+
+
 def logdet_blocks(s) -> np.ndarray:
-    """log det S per observation for S stored as (n, b, b) blocks: the sum
-    of the blocks' log-determinants, each from its Cholesky factor, so an S
+    """log det S per observation for S stored per size class: the sum of
+    the blocks' log-determinants, each from its Cholesky factor, so an S
     that is not positive definite raises NotPositiveDefinite."""
-    return sum(logdet_from_cholesky(cholesky(block)) for block in s)
+    return sum_blocks(logdet_from_cholesky(cholesky(c)) for c in s)
 
 
-def size_classes(groups):
-    """The blocks of ``groups`` by size, sizes in order of first
-    appearance: per size, the blocks' positions in ``groups`` and their
-    (k, b) stacked column indices."""
-    sizes = [idx.size for idx in groups]
-    positions = [tuple(j for j, size in enumerate(sizes) if size == b)
-                 for b in dict.fromkeys(sizes)]
-    return [(pos, np.stack([groups[j] for j in pos])) for pos in positions]
+def block_index(columns):
+    """The index of the diagonal blocks on a (k, b) stack of columns: a
+    (d, d) array indexed by it is the (k, b, b) stack of its blocks."""
+    return columns[:, :, None], columns[:, None, :]
 
 
 @dataclass(frozen=True)
 class SizeClass:
-    """The blocks of one size of a ``BlockSigma``: their positions in its
-    ``groups``, their (k, b) column indices and their (k, b, b) inverses."""
+    """The blocks of one size of a ``BlockSigma``: their (k, b) column
+    indices, their (k, b, b) blocks of Sigma and the blocks' inverses."""
 
-    positions: tuple
     columns: np.ndarray
+    blocks: np.ndarray
     inverses: np.ndarray
-
-
-def in_block_order(classes, per_class):
-    """One list in block order from one length-k sequence per size class:
-    entry t of class c goes to block ``c.positions[t]``."""
-    out = [None] * sum(len(c.positions) for c in classes)
-    for c, values in zip(classes, per_class, strict=True):
-        for j, value in zip(c.positions, values, strict=True):
-            out[j] = value
-    return out
 
 
 @dataclass(frozen=True)
 class BlockSigma:
-    """A component's Sigma on its partition's blocks: the diagonal blocks
-    on ``groups`` (the partition's, in label order), the blocks of each
-    size with their inverses stacked (``classes``) and log det Sigma.  A
-    dense Sigma is the one-block partition."""
+    """A component's Sigma on its partition's blocks: one ``SizeClass`` per
+    class of ``partition.classes`` and log det Sigma.  A dense Sigma is the
+    one-block partition."""
 
     partition: ColumnPartition
-    groups: tuple
-    blocks: list
     classes: tuple
     logdet: float
 
     @classmethod
     def from_factors(cls, partition, factors):
-        """Sigma from one (blocks, lower) pair per size class of the
-        partition's groups, in ``size_classes`` order: the class's (k, b, b)
-        stack of blocks and their Cholesky factors.  Each class's inverses
-        and log-determinants come from one factor-based inversion of its
-        stack; log det Sigma is summed in block order."""
-        groups = partition.groups()
-        classes, logdets = [], []
-        for (pos, columns), (_, lower) in zip(size_classes(groups), factors, strict=True):
-            inverses, logdet = inv_logdet_from_cholesky(lower)
-            classes.append(SizeClass(pos, columns, inverses))
-            logdets.append(logdet)
-        classes = tuple(classes)
-        blocks = in_block_order(classes, [stack for stack, _ in factors])
-        return cls(partition, groups, blocks, classes, sum(in_block_order(classes, logdets)))
-
-    @property
-    def inverses(self):
-        """Sigma^-1's blocks in block order, views of the classes' stacks."""
-        return in_block_order(self.classes, [c.inverses for c in self.classes])
+        """Sigma from one (blocks, lower) pair per class of
+        ``partition.classes``: the class's (k, b, b) stack of blocks and
+        their Cholesky factors.  Each class's inverses and log-determinants
+        come from one factor-based inversion of its stack."""
+        pairs = [inv_logdet_from_cholesky(lower) for _, lower in factors]
+        classes = tuple(SizeClass(cols, stack, inverses) for cols, (stack, _), (inverses, _)
+                        in zip(partition.classes, factors, pairs, strict=True))
+        return cls(partition, classes, sum_blocks(logdet for _, logdet in pairs))
 
     def objective(self, w, mass):
         """-mass/2 * (tr(Sigma^-1 W) + log det Sigma), the component's
         weighted Gaussian objective against the scatter W; Sigma^-1 is
         block-diagonal, so only W's blocks on the partition enter, one
-        stack per size class.  The trace is summed in block order."""
-        traces = [np.einsum("kij,kji->k", c.inverses,
-                            w[c.columns[:, :, None], c.columns[:, None, :]])
+        stack per size class."""
+        traces = [np.einsum("kij,kji->k", c.inverses, w[block_index(c.columns)])
                   for c in self.classes]
-        return -0.5 * mass * (sum(in_block_order(self.classes, traces)) + self.logdet)
+        return -0.5 * mass * (sum_blocks(traces) + self.logdet)
 
     def no_worse_than(self, current, w, mass):
         """Ascent guard of the covariance refresh: whether this Sigma does
@@ -245,8 +224,8 @@ class BlockSigma:
     def dense(self):
         """Sigma as a d x d matrix, exactly zero outside the blocks."""
         out = np.zeros((self.partition.d, self.partition.d))
-        for idx, block in zip(self.groups, self.blocks):
-            out[np.ix_(idx, idx)] = block
+        for c in self.classes:
+            out[block_index(c.columns)] = c.blocks
         return out
 
 
@@ -262,13 +241,13 @@ def elbo_batch(
 ) -> np.ndarray:
     """F(q_ig, y_i) for all observations under one component, vectorized.
 
-    y, m: (n, d); mu: (d,).  S is stored on Sigma's column blocks: s holds
-    one (n, b, b) array per block of ``sigma.groups``, and the quadratic,
-    trace and log-det terms are summed over blocks, each block's quadratic
-    form and trace taken by BLAS products.  log_fact is
-    sum_j log(y_ij!) per row (computed if omitted); logdet_s may be passed
-    when the caller already has it from a factorization; otherwise it
-    comes from ``logdet_blocks``.
+    y, m: (n, d); mu: (d,).  S is stored per size class of Sigma's
+    partition: s holds one (k, n, b, b) stack per class of
+    ``sigma.classes``, and each class's quadratic forms and traces are
+    taken as one batch of BLAS products, then summed over the blocks
+    (``sum_blocks``).  log_fact is sum_j log(y_ij!) per row (computed if
+    omitted); logdet_s may be passed when the caller already has it from a
+    factorization; otherwise it comes from ``logdet_blocks``.
     """
     y = np.asarray(y, dtype=float)
     if log_fact is None:
@@ -277,20 +256,20 @@ def elbo_batch(
         logdet_s = logdet_blocks(s)
     n, d = m.shape
     dm = m - mu
-    quad = 0.0
-    trace = 0.0
+    quads, traces = [], []
     s_diag = np.empty_like(dm)
-    for idx, s_b, inv_b in zip(sigma.groups, s, sigma.inverses):
-        dm_b = dm[:, idx]
-        quad = quad + np.einsum("ni,ni->n", dm_b @ inv_b, dm_b)
-        # tr(Sigma_b^-1 S_b) as one matrix-vector product: Sigma_b^-1 is
-        # exactly symmetric; b * b, not -1, so that n = 0 rows reshape
-        trace = trace + s_b.reshape(n, idx.size ** 2) @ inv_b.ravel()
-        s_diag[:, idx] = np.einsum("njj->nj", s_b)
+    for c, s_c in zip(sigma.classes, s, strict=True):
+        k, b = c.columns.shape
+        dm_c = np.moveaxis(dm[:, c.columns], 1, 0)
+        quads.append(np.einsum("kni,kni->kn", dm_c @ c.inverses, dm_c))
+        # tr(Sigma_b^-1 S_b) as one matrix-vector product per block: Sigma_b^-1
+        # is exactly symmetric; b * b, not -1, so that n = 0 rows reshape
+        traces.append((s_c.reshape(k, n, b * b) @ c.inverses.reshape(k, b * b, 1))[..., 0])
+        s_diag[:, c.columns] = np.moveaxis(np.einsum("knjj->knj", s_c), 0, 1)
     rate = poisson_rate(log_c, m, s_diag)
     return (
-        -0.5 * quad
-        - 0.5 * trace
+        -0.5 * sum_blocks(quads)
+        - 0.5 * sum_blocks(traces)
         + 0.5 * logdet_s
         - 0.5 * sigma.logdet
         + 0.5 * d
@@ -318,7 +297,7 @@ def elbo_observation(
             np.asarray(y, dtype=float)[None, :],
             np.array([log_c], dtype=float),
             np.asarray(m, dtype=float)[None, :],
-            [np.asarray(s, dtype=float)[None, :, :]],
+            [np.asarray(s, dtype=float)[None, None]],
             np.asarray(mu, dtype=float),
             BlockSigma.from_factors(one_block, [(sigma, cholesky(sigma))]),
         )[0]

@@ -11,12 +11,12 @@ bound stabilises:
    sweeps take (a dense Sigma is built only for the fitted model),
 2. the per-component evidence bounds and the responsibilities,
 3. one guarded step per pass on the per-observation Gaussian
-   approximations, whose covariances S are stored, like Sigma, per column
-   block of the component's partition (Sigma is block-diagonal, so the
-   fixed point for S is too).  The blocks are independent problems, so a
-   sweep stacks the blocks of one size and takes one S-step and one Newton
-   step per block size, in buffers the fit owns, so that a pass reuses the
-   last pass's pages.  Sigma moves on every pass, so the step is not
+   approximations, whose covariances S are stored, like Sigma, as one
+   (k, n, b, b) stack per block size of the component's partition (Sigma
+   is block-diagonal, so the fixed point for S is too).  The blocks are
+   independent problems, so a sweep takes one S-step and one Newton step
+   per stack, in buffers the fit owns, so that a pass reuses the last
+   pass's pages.  Sigma moves on every pass, so the step is not
    iterated: any step that lowers no bound keeps each pass an ascent with
    the same stationary points (a partial E-step, Neal & Hinton 1998).  When
    a component's partition changes, its S moves onto the new blocks and
@@ -68,8 +68,8 @@ from .model import (
     MixtureModel,
     VariationalState,
     bic,
+    block_index,
     elbo_batch,
-    in_block_order,
     log_factorial,
     logdet_blocks,
     lower_bound,
@@ -77,7 +77,7 @@ from .model import (
     model_to_dict,
     poisson_rate,
     posterior,
-    size_classes,
+    sum_blocks,
 )
 from .seeding import TAG_INIT, derive_rng
 
@@ -168,7 +168,7 @@ KSpec = Union[EqualK, PerGroupK, SilhouetteK]
 @dataclass
 class FitResult:
     model: MixtureModel
-    state: Optional[VariationalState]  # S in column blocks; searches drop it
+    state: Optional[VariationalState]  # S per size class; searches drop it
     labels: np.ndarray  # (n,) int, 1-based component assignments
     elbo_trace: np.ndarray  # observed-data bound per iteration
     lower_bound: float  # responsibility-weighted bound at the final state
@@ -275,9 +275,9 @@ def initialize(
         raise ValueError(f"G must be between 1 and n={n}, got {G}")
     m0 = np.log((y + 0.5) / offsets.c[:, None])
     m = np.repeat(m0[:, None, :], G, axis=1)
-    # views into one (n, d, 1, 1) array: the first scatter sums them over the
+    # a view of an (n, d, 1, 1) array: the first scatter sums it over the
     # rows in the same order as a dense S, so G = 1 fits match it bit for bit
-    s = tuple(tuple(np.full((n, d, 1, 1), 0.1).transpose(1, 0, 2, 3)) for _ in range(G))
+    s = tuple((np.full((n, d, 1, 1), 0.1).transpose(1, 0, 2, 3),) for _ in range(G))
     if G == 1:
         z = np.ones((n, 1))
     else:
@@ -288,7 +288,8 @@ def initialize(
             z[np.arange(n), hard] = 1.0
         else:
             z = rng.dirichlet(np.ones(G), size=n)
-    return VariationalState(m=m, s=s, z=z, groups=(tuple(np.arange(d)[:, None]),) * G)
+    singletons = ColumnPartition(np.arange(1, d + 1), d)
+    return VariationalState(m=m, s=s, z=z, partitions=(singletons,) * G)
 
 
 # ---------------------------------------------------------------------------
@@ -358,26 +359,25 @@ def _sweep_batch(y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start, rows=No
     """One guarded coordinate step for the observations ``rows`` of one
     component (every observation when None); the others keep their pair.
 
-    S is stored on the column blocks of the component's ``sigma`` (a
-    ``BlockSigma``): ``s`` holds one (n, b, b) array per block of
-    ``sigma.groups``.  ``logdet_s`` and ``f_start`` are each observation's
+    S is stored per size class of the component's ``sigma`` (a
+    ``BlockSigma``): ``s`` holds one (k, n, b, b) stack per class of
+    ``sigma.classes``.  ``logdet_s`` and ``f_start`` are each observation's
     log det S and bound at the starting (m, S); the trial step is scored
     with the same ``elbo_batch``, taking log det S' from the S-step.  The
     step refreshes every block of S by its fixed-point map and takes the
     Newton step on that block's columns of m; the blocks are independent
-    b x b problems, so the blocks of one size are stepped together, one
-    S-step and one Newton step per size class of ``sigma``.
+    b x b problems, so each size class is stepped as one stack, one S-step
+    and one Newton step per class.
     If an observation's bound would drop, the m-step is halved once; if it
     still drops, that observation keeps its pair.  The kept observations'
-    m, S and log det S are written in place into ``m``, the blocks of ``s``
+    m, S and log det S are written in place into ``m``, the stacks of ``s``
     and ``logdet_s``, which the caller owns; returns (m, s, logdet_s).
     The S-step's arrays are carved from the workspace ``work``, a dict of
     flat buffers (``_carve``): ``work[0]`` holds the S'^-1 stack, which
-    each size class consumes in its own step, and ``work[1 + c]`` holds
-    class c's S', which the trial bounds read after every class has
-    stepped.  The fit passes one workspace to all its sweeps, so a pass
-    reuses the pages of the last; without one (None) the sweep starts an
-    empty one, which allocates each array afresh.
+    each class consumes in its own step, and ``work[1 + c]`` class c's S',
+    which the trial bounds read after every class has stepped.  The fit
+    passes one workspace to all its sweeps; without one (None) the sweep
+    allocates each array afresh.
     """
     y = np.asarray(y, dtype=float)
     rows = np.arange(m.shape[0]) if rows is None else rows
@@ -386,31 +386,29 @@ def _sweep_batch(y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start, rows=No
     m_new = np.empty_like(ma)
     step = np.empty_like(ma)
     s_new, logdet_new = [], []
-    for i, c in enumerate(sigma.classes):
+    for i, (c, s_c) in enumerate(zip(sigma.classes, s, strict=True)):
         idx = c.columns
         k, b = idx.shape
         # ma[:, idx] is (rows, k, b); the S-step stacks the k blocks first
         m_c = np.moveaxis(ma[:, idx], 1, 0)
-        diag_c = np.stack([np.einsum("njj->nj", s[j])[rows] for j in c.positions])
-        s_c, logdet_c = s_fixed_point_step(la, m_c, diag_c, c.inverses[:, None],
-                                           _carve(work, 0, (b, b, k * rows.size)),
-                                           _carve(work, 1 + i, (k, rows.size, b, b)))
-        m_c_new, step_c = newton_m_step(np.moveaxis(ya[:, idx], 1, 0), la, m_c, s_c,
+        diag_c = np.einsum("knjj->knj", s_c)[:, rows]
+        s_c_new, logdet_c = s_fixed_point_step(la, m_c, diag_c, c.inverses[:, None],
+                                               _carve(work, 0, (b, b, k * rows.size)),
+                                               _carve(work, 1 + i, (k, rows.size, b, b)))
+        m_c_new, step_c = newton_m_step(np.moveaxis(ya[:, idx], 1, 0), la, m_c, s_c_new,
                                         mu[idx][:, None], c.inverses)
         m_new[:, idx] = np.moveaxis(m_c_new, 0, 1)
         step[:, idx] = np.moveaxis(step_c, 0, 1)
-        s_new.append(s_c)
+        s_new.append(s_c_new)
         logdet_new.append(logdet_c)
-    s_new = in_block_order(sigma.classes, s_new)
-    # in block order, as the bound sums it, whatever the order of the sizes
-    logdet_s_new = sum(in_block_order(sigma.classes, logdet_new))
+    logdet_s_new = sum_blocks(logdet_new)
     f_new = elbo_batch(ya, la, m_new, s_new, mu, sigma, log_fact=fa, logdet_s=logdet_s_new)
     keep = np.ones(rows.size, dtype=bool)
     bad = np.flatnonzero(f_new < f_old)
     if bad.size:
         m_half = ma[bad] - 0.5 * step[bad]
         f_half = elbo_batch(
-            ya[bad], la[bad], m_half, [s_b[bad] for s_b in s_new], mu,
+            ya[bad], la[bad], m_half, [s_c[:, bad] for s_c in s_new], mu,
             sigma, log_fact=fa[bad], logdet_s=logdet_s_new[bad],
         )
         ok = f_half >= f_old[bad]
@@ -418,8 +416,8 @@ def _sweep_batch(y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start, rows=No
         keep[bad[~ok]] = False
     kept = rows[keep]
     m[kept] = m_new[keep]
-    for block, s_b_new in zip(s, s_new):
-        block[kept] = s_b_new[keep]
+    for s_c, s_c_new in zip(s, s_new):
+        s_c[:, kept] = s_c_new[:, keep]
     logdet_s[kept] = logdet_s_new[keep]
     return m, s, logdet_s
 
@@ -439,7 +437,7 @@ def update_variational(y, log_c, m, s, mu, sigma, inner_iter=10, inner_tol=1e-6)
     y = np.asarray(y, dtype=float)[None, :]
     log_c = np.atleast_1d(np.asarray(log_c, dtype=float))
     m = np.array(m, dtype=float)[None, :]
-    s = np.array(s, dtype=float)[None, :, :]
+    s = np.array(s, dtype=float)[None, None]
     mu = np.asarray(mu, dtype=float)
     log_fact = log_factorial(y)
     logdet_s = logdet_blocks([s])
@@ -450,14 +448,15 @@ def update_variational(y, log_c, m, s, mu, sigma, inner_iter=10, inner_tol=1e-6)
         _sweep_batch(y, log_c, m, [s], logdet_s, mu, sigma, log_fact, f)
         if max(np.abs(m - m_old).max(), np.abs(s - s_old).max()) < inner_tol:
             break
-    return m[0], s[0]
+    return m[0], s[0, 0]
 
 
-def reblock(s, old_groups, new_groups):
-    """Move (..., b, b) blocks on the column index arrays ``old_groups``
-    onto ``new_groups`` (a dense (..., d, d) array is the layout
-    ``(np.arange(d),)``), filling each new block from the old ones it
-    overlaps; the new blocks are C-contiguous, like the sweep's.
+def reblock(s, old, new):
+    """Move the (k, ..., b, b) stacks ``s`` from the size classes ``old``
+    onto the size classes ``new``, each a sequence of (k, b) column stacks
+    (a partition's ``classes``; a dense S is ``(np.arange(d)[None],)``),
+    filling each new block from the old blocks it overlaps; the new stacks
+    are C-contiguous, like the sweep's.
 
     Entries that cross the new blocks are dropped.  The ELBO's trace and
     rate terms see only in-block entries under a Sigma that is
@@ -465,18 +464,23 @@ def reblock(s, old_groups, new_groups):
     S_bb (Fischer's inequality), so no observation's bound goes down, and
     every new block is a principal submatrix of a positive-definite S.
     """
-    owner, position = np.empty((2, sum(idx.size for idx in old_groups)), dtype=np.intp)
-    for b, idx in enumerate(old_groups):
-        owner[idx] = b
-        position[idx] = np.arange(idx.size)
+    # each column's class, its block in the class and its place in the block
+    d = sum(cols.size for cols in old)
+    owner, block, position = np.empty((3, d), dtype=np.intp)
+    for c, cols in enumerate(old):
+        owner[cols] = c
+        block[cols] = np.arange(cols.shape[0])[:, None]
+        position[cols] = np.arange(cols.shape[1])
     out = []
-    for idx in new_groups:
-        block = np.zeros(s[0].shape[:-2] + (idx.size, idx.size))
-        for b in np.unique(owner[idx]):
-            here = np.flatnonzero(owner[idx] == b)
-            there = position[idx[here]]
-            block[..., here[:, None], here] = s[b][..., there[:, None], there]
-        out.append(block)
+    for cols in new:
+        c, j, p = owner[cols], block[cols], position[cols]
+        # same[t, u, v]: columns u and v of new block t share an old block
+        same = (c[:, :, None] == c[:, None, :]) & (j[:, :, None] == j[:, None, :])
+        stack = np.zeros(cols.shape[:1] + s[0].shape[1:-2] + cols.shape[1:] * 2)
+        for source in np.unique(c):
+            t, u, v = np.nonzero(same & (c == source)[:, :, None])
+            stack[t, ..., u, v] = s[source][j[t, u], ..., p[t, u], p[t, v]]
+        out.append(stack)
     return out
 
 
@@ -504,19 +508,20 @@ def m_step_mu(z: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.einsum("ng,ngd->gd", z, m) / mass[:, None]
 
 
-def compute_scatter(z_g, m_g, s_g, mu_g, groups):
+def compute_scatter(z_g, m_g, s_g, mu_g, classes):
     """Weighted second-moment matrix W_g around the component mean.
 
-    The mean part is one BLAS product.  ``s_g`` holds one (n, b, b) array
-    per column block in ``groups``, and each block's weighted mean lands on
-    that block of W; these sums stay in ``einsum``'s row order, which is
-    the same for 1 x 1 blocks as for one dense block.
+    The mean part is one BLAS product.  ``s_g`` holds one (k, n, b, b)
+    stack per class of ``classes`` (the (k, b) column stacks), and each
+    block's weighted mean lands on that block of W; these sums stay in
+    ``einsum``'s row order, which is the same for 1 x 1 blocks as for one
+    dense block.
     """
     mass = z_g.sum()
     dm = m_g - mu_g
     w = (dm * z_g[:, None]).T @ dm
-    for idx, s_b in zip(groups, s_g):
-        w[np.ix_(idx, idx)] += np.einsum("n,nij->ij", z_g, s_b)
+    for cols, s_c in zip(classes, s_g, strict=True):
+        w[block_index(cols)] += np.einsum("n,knij->kij", z_g, s_c)
     w = w / mass
     return 0.5 * (w + w.T)
 
@@ -560,9 +565,8 @@ def _covariance_candidate(w, k_spec, g, linkage):
             k, _ = select_k_silhouette(dendro, dist, min(k_spec.k_max, w.shape[0]))
         partition = cut(dendro, k)
     # W's diagonal blocks of each size as one (k, b, b) stack
-    stacks = [w[cols[:, :, None], cols[:, None, :]]
-              for _, cols in size_classes(partition.groups())]
-    return BlockSigma.from_factors(partition, [cholesky_with_jitter(stack) for stack in stacks])
+    return BlockSigma.from_factors(partition, [cholesky_with_jitter(w[block_index(cols)])
+                                               for cols in partition.classes])
 
 
 def _joins(incumbent, labels, partitions):
@@ -615,7 +619,7 @@ def fit_from_state(
     m = state.m.copy()
     z = state.z.copy()
     log_fact = log_factorial(y)
-    groups, s = list(state.groups), list(state.s)
+    partitions, s = list(state.partitions), list(state.s)
     covs = [None] * G  # each component's Sigma, a BlockSigma
     # log det S per row: factored whenever S moves onto a new partition,
     # and carried from the S-steps in between
@@ -634,15 +638,16 @@ def fit_from_state(
         mu = m_step_mu(z, m)
         f = np.empty((n, G))
         for g in range(G):
-            w = compute_scatter(z[:, g], m[:, g], s[g], mu[g], groups[g])
+            w = compute_scatter(z[:, g], m[:, g], s[g], mu[g], partitions[g].classes)
             cand = _covariance_candidate(w, k_spec, g, config.linkage)
             # the first pass has no covariance yet to guard
             if covs[g] is None or cand.no_worse_than(covs[g], w, z[:, g].sum()):
                 covs[g] = cand
-            blocks = covs[g].groups
-            if len(blocks) != len(groups[g]) or not all(map(np.array_equal, blocks, groups[g])):
+            new = covs[g].partition
+            if not np.array_equal(new.assign, partitions[g].assign):
                 # dropping S's entries across the new blocks never lowers a bound
-                s[g], groups[g], logdet_s[g] = reblock(s[g], groups[g], blocks), blocks, None
+                s[g] = reblock(s[g], partitions[g].classes, new.classes)
+                partitions[g], logdet_s[g] = new, None
             if logdet_s[g] is None:
                 logdet_s[g] = logdet_blocks(s[g])
             f[:, g] = elbo_batch(y, log_c, m[:, g], s[g], mu[g], covs[g],
@@ -655,26 +660,25 @@ def fit_from_state(
             converged = True
             break
         prev_bound = bound
-        partitions = [cov.partition for cov in covs]
         if incumbent is not None and _joins(incumbent, np.argmax(z, axis=1) + 1, partitions):
             joined = incumbent.restart
             break
         for g in range(G):
             if iteration == 0:
                 # the fit's own S, copied here rather than on entry: the
-                # first scatter sums the caller's blocks in an order that
+                # first scatter sums the caller's stacks in an order that
                 # depends on their memory layout
-                s[g] = [block.copy() for block in s[g]]
+                s[g] = [s_c.copy() for s_c in s[g]]
             # f[:, g] is the bound at this same (m, S, mu, Sigma); the step
             # writes into the fit's own m, S and log det S
             _sweep_batch(y, log_c, m[:, g], s[g], logdet_s[g], mu[g], covs[g], log_fact,
                          f[:, g], _rows_to_sweep(z[:, g]), work)
 
-    final_state = VariationalState(m=m, s=s, z=z, groups=groups)
+    final_state = VariationalState(m=m, s=s, z=z, partitions=partitions)
     # the one dense Sigma of the fit, for the model
     model = MixtureModel(
         pi=pi, mu=mu, sigma=np.stack([cov.dense() for cov in covs]),
-        groupings=tuple(cov.partition for cov in covs),
+        groupings=tuple(partitions),
     )
     labels = np.argmax(z, axis=1) + 1
     lb = lower_bound(f, z, pi)

@@ -4,13 +4,19 @@ reference for the block-stored ones.
 These are the sweep, the two coordinate updates and the ELBO as they were
 when every variational covariance S was stored, factored and inverted as a
 dense d x d matrix; the two conversions between dense stacks and column
-blocks that moved S between partitions by way of a dense (n, d, d) stack;
+blocks that moved S between partitions by way of a dense (n, d, d) stack
+(they now convert to and from the class stacks);
 and the covariance refresh as it was when the candidate Sigma was the
 scatter projected onto its partition as a d x d matrix, factored whole,
 sliced back into blocks and guarded by dense solves.  The package now
-stores S, Sigma and Sigma^-1 per column block, moves blocks with
+stores S, Sigma and Sigma^-1 per size class of the component's partition
+(``ColumnPartition.classes``: one (k, b, b) stack per block size, sizes
+in order of first appearance, blocks in label order), moves S with
 ``vem.reblock`` and factors each block of Sigma once;
-``tests/test_blocks.py`` checks it against this copy.
+``tests/test_blocks.py`` checks it against this copy.  The per-block
+references below read that layout: they iterate the blocks in class
+order, class by class and block by block, which is the order in which the
+package sums log det S, log det Sigma and the bound's block terms.
 
 ``sweep_per_block`` is the block-stored sweep as it was when each column
 block took its own S-step and Newton step, with the whole S block as the
@@ -49,7 +55,7 @@ one three-operand ``einsum``; ``vem.compute_scatter`` takes it as one BLAS
 product.  ``inverses_per_block`` is Sigma's inverse as it was when each
 block was factored and inverted on its own; ``model.BlockSigma`` now
 factors and inverts the blocks of each size as one stack, and
-``block_sigma`` builds one from a list of blocks.
+``block_sigma`` builds one from a dense Sigma's blocks.
 """
 
 import numpy as np
@@ -74,21 +80,24 @@ from mplnbicluster.linalg import (
     inv_logdet_from_cholesky,
     logdet_from_cholesky,
 )
-from mplnbicluster.model import EXP_CAP, BlockSigma, elbo_batch, size_classes
+from mplnbicluster.model import EXP_CAP, BlockSigma, block_index, elbo_batch
 from mplnbicluster.vem import EqualK, PerGroupK
 
 
-def blocks_from_dense(s, groups):
-    """The diagonal blocks s[..., idx, idx] of a (..., d, d) stack, one per
-    index array in ``groups``, C-contiguous; entries outside them are dropped."""
-    return [np.ascontiguousarray(s[..., idx[:, None], idx]) for idx in groups]
+def blocks_from_dense(s, classes):
+    """The diagonal blocks of a (..., d, d) stack on the size classes
+    ``classes`` ((k, b) stacks of column indices): one C-contiguous
+    (k, ..., b, b) stack per class; entries outside the blocks are dropped."""
+    return [np.ascontiguousarray(np.moveaxis(s[(...,) + block_index(cols)], -3, 0))
+            for cols in classes]
 
 
-def dense_from_blocks(blocks, groups, d):
-    """The (..., d, d) stack holding ``blocks`` on their columns, zero elsewhere."""
-    out = np.zeros(blocks[0].shape[:-2] + (d, d))
-    for idx, block in zip(groups, blocks):
-        out[..., idx[:, None], idx] = block
+def dense_from_blocks(stacks, classes, d):
+    """The (..., d, d) stack holding the class stacks ``stacks`` on their
+    columns, zero elsewhere."""
+    out = np.zeros(stacks[0].shape[1:-2] + (d, d))
+    for cols, stack in zip(classes, stacks):
+        out[(...,) + block_index(cols)] = np.moveaxis(stack, 0, -3)
     return out
 
 
@@ -233,10 +242,11 @@ def s_fixed_point_per_block(log_c, m, s, sigma_inv):
 
 def sweep_per_block(y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start,
                     inner_iter, inner_tol, rows=None):
-    """Guarded sweeps for one component with S on ``sigma``'s blocks, one
-    S-step and one Newton step per block; returns (m, s, logdet_s)."""
+    """Guarded sweeps for one component with S stored per size class of
+    ``sigma``, one S-step and one Newton step per block, the blocks taken
+    in class order; returns (m, s, logdet_s)."""
     m = m.copy()
-    s = [block.copy() for block in s]
+    s = [s_c.copy() for s_c in s]
     logdet_s = np.array(logdet_s, dtype=float)
     f_cur = np.array(f_start, dtype=float)
     active = np.arange(m.shape[0]) if rows is None else rows
@@ -244,19 +254,22 @@ def sweep_per_block(y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start,
         if active.size == 0:
             break
         ya, la, ma = y[active], log_c[active], m[active]
-        sa = [block[active] for block in s]
+        sa = [s_c[:, active] for s_c in s]
         fa = log_fact[active]
         m_full = np.empty_like(ma)
         step = np.empty_like(ma)
         s_new = []
         logdet_s_new = 0.0
-        for idx, s_b, inv_b in zip(sigma.groups, sa, sigma.inverses):
-            s_b_new, logdet_b = s_fixed_point_per_block(la, ma[:, idx], s_b, inv_b)
-            m_full[:, idx], step[:, idx] = newton_m_dense(
-                ya[:, idx], la, ma[:, idx], s_b_new, mu[idx], inv_b
-            )
-            s_new.append(s_b_new)
-            logdet_s_new = logdet_s_new + logdet_b
+        for c, s_c in zip(sigma.classes, sa):
+            blocks = []
+            for idx, s_b, inv_b in zip(c.columns, s_c, c.inverses):
+                s_b_new, logdet_b = s_fixed_point_per_block(la, ma[:, idx], s_b, inv_b)
+                m_full[:, idx], step[:, idx] = newton_m_dense(
+                    ya[:, idx], la, ma[:, idx], s_b_new, mu[idx], inv_b
+                )
+                blocks.append(s_b_new)
+                logdet_s_new = logdet_s_new + logdet_b
+            s_new.append(np.stack(blocks))
         f_new = elbo_batch(ya, la, m_full, s_new, mu, sigma, log_fact=fa,
                            logdet_s=logdet_s_new)
         m_new = m_full
@@ -265,7 +278,7 @@ def sweep_per_block(y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start,
         if bad.size:
             m_half = ma[bad] - 0.5 * step[bad]
             f_half = elbo_batch(
-                ya[bad], la[bad], m_half, [s_b[bad] for s_b in s_new], mu,
+                ya[bad], la[bad], m_half, [s_c[:, bad] for s_c in s_new], mu,
                 sigma, log_fact=fa[bad], logdet_s=logdet_s_new[bad],
             )
             ok = f_half >= f_cur[active[bad]]
@@ -273,13 +286,13 @@ def sweep_per_block(y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start,
             f_new[bad[ok]] = f_half[ok]
             rejected[bad[~ok]] = True
         delta = np.abs(m_new - ma).max(axis=1)
-        for s_b_new, s_b in zip(s_new, sa):
-            delta = np.maximum(delta, np.abs(s_b_new - s_b).max(axis=(1, 2)))
+        for s_c_new, s_c in zip(s_new, sa):
+            delta = np.maximum(delta, np.abs(s_c_new - s_c).max(axis=(0, 2, 3)))
         accepted = ~rejected
         kept = active[accepted]
         m[kept] = m_new[accepted]
-        for block, s_b_new in zip(s, s_new):
-            block[kept] = s_b_new[accepted]
+        for s_c, s_c_new in zip(s, s_new):
+            s_c[:, kept] = s_c_new[:, accepted]
         logdet_s[kept] = logdet_s_new[accepted]
         f_cur[kept] = f_new[accepted]
         active = active[accepted & (delta >= inner_tol)]
@@ -288,18 +301,20 @@ def sweep_per_block(y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start,
 
 def elbo_einsum(y, log_c, m, s, mu, sigma, log_fact, logdet_s):
     """``model.elbo_batch`` with each block's quadratic form and trace as
-    unoptimised ``einsum`` contractions; S on ``sigma``'s blocks."""
+    unoptimised ``einsum`` contractions, summed over the blocks in class
+    order; S stored per size class of ``sigma``."""
     y = np.asarray(y, dtype=float)
     d = m.shape[1]
     dm = m - mu
     quad = 0.0
     trace = 0.0
     s_diag = np.empty_like(dm)
-    for idx, s_b, inv_b in zip(sigma.groups, s, sigma.inverses):
-        dm_b = dm[:, idx]
-        quad = quad + np.einsum("ni,ij,nj->n", dm_b, inv_b, dm_b)
-        trace = trace + np.einsum("ij,nji->n", inv_b, s_b)
-        s_diag[:, idx] = np.einsum("njj->nj", s_b)
+    for c, s_c in zip(sigma.classes, s):
+        for idx, s_b, inv_b in zip(c.columns, s_c, c.inverses):
+            dm_b = dm[:, idx]
+            quad = quad + np.einsum("ni,ij,nj->n", dm_b, inv_b, dm_b)
+            trace = trace + np.einsum("ij,nji->n", inv_b, s_b)
+            s_diag[:, idx] = np.einsum("njj->nj", s_b)
     rate = np.exp(np.minimum(log_c[:, None] + m + 0.5 * s_diag, EXP_CAP))
     return (
         -0.5 * quad
@@ -314,28 +329,30 @@ def elbo_einsum(y, log_c, m, s, mu, sigma, log_fact, logdet_s):
     )
 
 
-def scatter_three_operand(z_g, m_g, s_g, mu_g, groups):
-    """W_g with its mean part as ``np.einsum("n,ni,nj->ij", z_g, dm, dm)``."""
+def scatter_three_operand(z_g, m_g, s_g, mu_g, classes):
+    """W_g with its mean part as ``np.einsum("n,ni,nj->ij", z_g, dm, dm)``
+    and S's part added block by block."""
     mass = z_g.sum()
     dm = m_g - mu_g
     w = np.einsum("n,ni,nj->ij", z_g, dm, dm)
-    for idx, s_b in zip(groups, s_g):
-        w[np.ix_(idx, idx)] += np.einsum("n,nij->ij", z_g, s_b)
+    for cols, s_c in zip(classes, s_g):
+        for idx, s_b in zip(cols, s_c):
+            w[np.ix_(idx, idx)] += np.einsum("n,nij->ij", z_g, s_b)
     w = w / mass
     return 0.5 * (w + w.T)
 
 
 def inverses_per_block(blocks):
     """Sigma^-1's blocks and log det Sigma, each block factored and inverted
-    on its own, the log-determinants summed in block order."""
+    on its own, the log-determinants summed in the order of ``blocks``."""
     pairs = [inv_logdet_from_cholesky(cholesky(block)) for block in blocks]
     return [inv for inv, _ in pairs], sum(logdet for _, logdet in pairs)
 
 
-def block_sigma(part, blocks):
-    """``BlockSigma`` on ``part`` from Sigma's diagonal blocks, one per group
-    in label order: the blocks of each size stacked and factored."""
-    stacks = [np.stack([blocks[j] for j in pos]) for pos, _ in size_classes(part.groups())]
+def block_sigma(part, sigma):
+    """``BlockSigma`` on ``part`` from the diagonal blocks of a d x d Sigma:
+    the blocks of each size stacked and factored."""
+    stacks = [sigma[block_index(cols)] for cols in part.classes]
     return BlockSigma.from_factors(part, [(stack, cholesky(stack)) for stack in stacks])
 
 
@@ -369,9 +386,8 @@ def covariance_candidate_by_cut(w, k_spec, g, linkage):
     included, cut from the agglomeration of W's distances (as the dense
     refresh cuts it)."""
     _, _, partition = covariance_candidate_dense(w, k_spec, g, linkage)
-    stacks = [w[cols[:, :, None], cols[:, None, :]]
-              for _, cols in size_classes(partition.groups())]
-    return BlockSigma.from_factors(partition, [cholesky_with_jitter(stack) for stack in stacks])
+    return BlockSigma.from_factors(partition, [cholesky_with_jitter(w[block_index(cols)])
+                                               for cols in partition.classes])
 
 
 def block_inverses_dense(lower, groups):

@@ -1,15 +1,15 @@
 """Block-stored covariances against the dense reference sweep and refresh.
 
-The fit stores each component's S, Sigma and Sigma^-1 per column block of
-the component's partition; when the partition changes, S moves onto the
-new blocks.  These tests draw random partitions (one block, all
-singletons, and mixed, d = 1 included) and check the block sweep, ELBO and
-scatter against the dense copies in ``dense_reference``; that the
-per-block covariance refresh gives the dense refresh's partition, Sigma,
-inverse, log-determinant and guard objective, and jitters only a block
-that does not factor; that ``vem.reblock``, which moves blocks from one
-column layout to another without a dense stack, matches the dense round
-trip exactly; that moving S never builds a dense (n, d, d) stack; and that
+The fit stores each component's S, Sigma and Sigma^-1 per size class of
+the component's partition (one (k, b, b) stack per block size); when the
+partition changes, S moves onto the new classes.  These tests draw random
+partitions (one block, all singletons, and mixed, d = 1 included) and
+check the block sweep, ELBO and scatter against the dense copies in
+``dense_reference``; that the per-block covariance refresh gives the
+dense refresh's partition, Sigma, inverse, log-determinant and guard
+objective, and jitters only a block that does not factor; that
+``vem.reblock``, which moves S from one set of size classes to another
+without a dense stack, matches the dense round trip exactly; that moving S never builds a dense (n, d, d) stack; and that
 moving S onto any new partition never lowers a bound.  The sweep is one
 step that steps the blocks of one size together; the first iteration of
 ``dense_reference.sweep_per_block``, one step per block, is its exact
@@ -60,9 +60,9 @@ from mplnbicluster.model import (
     BlockSigma,
     SizeClass,
     VariationalState,
+    block_index,
     elbo_batch,
     logdet_blocks,
-    size_classes,
 )
 from mplnbicluster.simulate import preset, sample_dataset, spec_offsets
 from mplnbicluster.vem import (
@@ -84,10 +84,11 @@ SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 @st.composite
-def partitions(draw, d=None):
-    """A partition of d columns: one block, all singletons, or mixed."""
+def partitions(draw, d=None, d_max=6):
+    """A partition of d columns (1..d_max when not given): one block, all
+    singletons, or mixed."""
     if d is None:
-        d = draw(st.integers(1, 6))
+        d = draw(st.integers(1, d_max))
     kind = draw(st.sampled_from(["one", "singletons", "mixed"]))
     if kind == "one":
         labels = [0] * d
@@ -102,9 +103,12 @@ def partitions(draw, d=None):
 
 @st.composite
 def layouts(draw, d):
-    """A partition of d columns as index arrays, blocks and columns shuffled."""
+    """A partition of d columns as size classes, (k, b) stacks of column
+    indices, with the columns, the blocks and so the classes shuffled."""
     blocks = [draw(st.permutations(idx.tolist())) for idx in draw(partitions(d=d)).groups()]
-    return [np.array(idx, dtype=np.intp) for idx in draw(st.permutations(blocks))]
+    blocks = draw(st.permutations(blocks))
+    return [np.array([idx for idx in blocks if len(idx) == b], dtype=np.intp)
+            for b in dict.fromkeys(map(len, blocks))]
 
 
 def random_pd(rng, d, lead=()):
@@ -114,7 +118,7 @@ def random_pd(rng, d, lead=()):
 
 def projected(x, part):
     """``x`` (..., d, d) with the entries across ``part``'s blocks zeroed."""
-    return dense_from_blocks(blocks_from_dense(x, part.groups()), part.groups(), part.d)
+    return dense_from_blocks(blocks_from_dense(x, part.classes), part.classes, part.d)
 
 
 def problem(seed, part, n, s_part=None):
@@ -139,10 +143,9 @@ def dense_inverse(sigma):
 
 def sliced_sigma(part, sigma, sigma_inv, logdet_sigma):
     """A BlockSigma on ``part`` whose inverses are the dense inverse's blocks."""
-    groups = part.groups()
-    classes = tuple(SizeClass(pos, cols, sigma_inv[cols[:, :, None], cols[:, None, :]])
-                    for pos, cols in size_classes(groups))
-    return BlockSigma(part, groups, blocks_from_dense(sigma, groups), classes, logdet_sigma)
+    classes = tuple(SizeClass(cols, sigma[block_index(cols)], sigma_inv[block_index(cols)])
+                    for cols in part.classes)
+    return BlockSigma(part, classes, logdet_sigma)
 
 
 @SETTINGS
@@ -157,13 +160,14 @@ def test_block_sweep_matches_dense_reference(data, n, seed):
     log_fact = gammaln(y + 1.0).sum(axis=1)
 
     # the fit moves S onto Sigma's blocks, and the dense sweep gets the same S
-    groups = part.groups()
-    s_blocks = reblock(blocks_from_dense(s, s_part.groups()), s_part.groups(), groups)
-    s = dense_from_blocks(s_blocks, groups, part.d)
+    classes = part.classes
+    s_blocks = reblock(blocks_from_dense(s, s_part.classes), s_part.classes, classes)
+    s = dense_from_blocks(s_blocks, classes, part.d)
     # one factor per block of Sigma, as the covariance refresh makes them
-    block_sigma = dense_reference.block_sigma(part, blocks_from_dense(sigma, groups))
-    np.testing.assert_allclose(dense_from_blocks(block_sigma.inverses, groups, part.d),
-                               sigma_inv, **TOL)
+    block_sigma = dense_reference.block_sigma(part, sigma)
+    np.testing.assert_allclose(
+        dense_from_blocks([c.inverses for c in block_sigma.classes], classes, part.d),
+        sigma_inv, **TOL)
     assert block_sigma.logdet == pytest.approx(logdet_sigma, rel=1e-9, abs=1e-9)
 
     f_dense = elbo_dense(y, log_c, m, s, mu, sigma_inv, logdet_sigma, log_fact)
@@ -178,15 +182,15 @@ def test_block_sweep_matches_dense_reference(data, n, seed):
         f_block,
     )
     np.testing.assert_allclose(m_out, m_ref, **TOL)
-    s_dense = dense_from_blocks(s_out, groups, part.d)
+    s_dense = dense_from_blocks(s_out, classes, part.d)
     np.testing.assert_allclose(s_dense, s_ref, **TOL)
     # the carried log det S is that of the returned S
     np.testing.assert_allclose(logdet_out, np.linalg.slogdet(s_dense)[1], **TOL)
 
     z = np.random.default_rng(seed).uniform(0.1, 1.0, size=n)
     np.testing.assert_allclose(
-        compute_scatter(z, m_out, s_out, mu, groups),
-        compute_scatter(z, m_ref, [s_ref], mu, (np.arange(part.d),)), **TOL,
+        compute_scatter(z, m_out, s_out, mu, classes),
+        compute_scatter(z, m_ref, [s_ref[None]], mu, (np.arange(part.d)[None],)), **TOL,
     )
 
 
@@ -208,20 +212,19 @@ def test_s_fixed_point_step_matches_dense_reference(b):
 
 
 def own_copies(args):
-    """``_sweep_batch``'s arguments with copies of the m, S blocks and log
+    """``_sweep_batch``'s arguments with copies of the m, S stacks and log
     det S it writes in place, so that a reference can take the originals."""
     y, log_c, m, s, logdet_s, *rest = args
-    return (y, log_c, m.copy(), [block.copy() for block in s], logdet_s.copy(), *rest)
+    return (y, log_c, m.copy(), [s_c.copy() for s_c in s], logdet_s.copy(), *rest)
 
 
 def check_sweep_against_per_block(part, n, seed, gated):
     """Run ``vem._sweep_batch`` and one iteration of the per-block reference
-    on one problem and require the same m, S blocks and log det S, bit for
+    on one problem and require the same m, S stacks and log det S, bit for
     bit."""
     y, log_c, m, s, mu, sigma = problem(seed, part, n)
-    groups = part.groups()
-    s_blocks = blocks_from_dense(s, groups)
-    block_sigma = dense_reference.block_sigma(part, blocks_from_dense(sigma, groups))
+    s_blocks = blocks_from_dense(s, part.classes)
+    block_sigma = dense_reference.block_sigma(part, sigma)
     log_fact = gammaln(y + 1.0).sum(axis=1)
     logdet_s = logdet_blocks(s_blocks)
     f_start = elbo_batch(y, log_c, m, s_blocks, mu, block_sigma, log_fact=log_fact,
@@ -245,8 +248,19 @@ def check_sweep_against_per_block(part, n, seed, gated):
 def test_size_class_sweep_matches_per_block_reference(data, n, seed, gated):
     # exact differential test: stepping the blocks of one size together does
     # each block's arithmetic on the same numbers, and log det S' is summed
-    # over the blocks in block order, so nothing may differ in any bit
-    check_sweep_against_per_block(data.draw(partitions()), n, seed, gated)
+    # over the blocks in class order, so nothing may differ in any bit.  Up
+    # to d = 12, so that classes of blocks of 8 and more columns are stepped
+    # with a single row, as a gate that keeps one row steps them
+    check_sweep_against_per_block(data.draw(partitions(d_max=12)), n, seed, gated)
+
+
+@pytest.mark.parametrize("b", [4, 5, 8, 10])
+def test_size_class_sweep_matches_per_block_reference_on_one_row(b):
+    # one row and a class of three b x b blocks: the S-step inverts one
+    # stack of three where the reference inverts three stacks of one, as
+    # when the row gate leaves one row, and no bit may differ
+    part = ColumnPartition(np.repeat(np.arange(1, 4), b), 3)
+    check_sweep_against_per_block(part, 1, b, False)
 
 
 @pytest.mark.parametrize("gated", [False, True])
@@ -294,11 +308,11 @@ def test_preset4_sweep_steps_its_ten_blocks_in_one_call(monkeypatch):
     y, log_c, m = counts.counts.astype(float), offsets.log, state.m[:, 0]
     z = state.z[:, 0]
     mu = vem.m_step_mu(state.z, state.m)[0]
-    w = compute_scatter(z, m, state.s[0], mu, state.groups[0])
+    w = compute_scatter(z, m, state.s[0], mu, state.partitions[0].classes)
     # Sigma on preset 4's partition, from the first scatter's blocks
     part = ColumnPartition(np.repeat(np.arange(1, 11), 5), 10)
-    sigma = dense_reference.block_sigma(part, [w[np.ix_(idx, idx)] for idx in part.groups()])
-    s = reblock(state.s[0], state.groups[0], sigma.groups)
+    sigma = dense_reference.block_sigma(part, w)
+    s = reblock(state.s[0], state.partitions[0].classes, part.classes)
     log_fact = gammaln(y + 1.0).sum(axis=1)
     logdet_s = logdet_blocks(s)
     f_start = elbo_batch(y, log_c, m, s, mu, sigma, log_fact=log_fact, logdet_s=logdet_s)
@@ -379,10 +393,11 @@ def test_block_refresh_matches_dense_reference(data, seed):
     sigma, lower, part = covariance_candidate_dense(w, k_spec, 0, "average")
     assert cand.partition.k == part.k
     assert np.array_equal(cand.partition.assign, part.assign)
-    assert [idx.tolist() for idx in cand.groups] == [idx.tolist() for idx in part.groups()]
+    assert [cols.tolist() for cols in cand.partition.classes] == [
+        cols.tolist() for cols in part.classes]
     assert np.array_equal(cand.dense(), sigma)
-    inverses, logdet = block_inverses_dense(lower, part.groups())
-    for inv, ref in zip(cand.inverses, inverses, strict=True):
+    inverses, logdet = block_inverses_dense(lower, [idx for cols in part.classes for idx in cols])
+    for inv, ref in zip((inv for c in cand.classes for inv in c.inverses), inverses, strict=True):
         np.testing.assert_allclose(inv, ref, **TOL)
     np.testing.assert_allclose(cand.logdet, logdet, **TOL)
     np.testing.assert_allclose(cand.objective(w, mass), objective_dense(w, mass, lower), **TOL)
@@ -408,8 +423,9 @@ def test_refresh_jitters_only_the_block_that_does_not_factor(monkeypatch):
     assert cand.partition.assign.tolist() == [1, 1, 2, 2]
     # the singular block is bumped by JITTER_REL times the mean of its own
     # diagonal, and the other block keeps W's entries exactly
-    assert np.array_equal(cand.blocks[0], w[:2, :2] + JITTER_REL * 4.0 * np.eye(2))
-    assert np.array_equal(cand.blocks[1], w[2:, 2:])
+    (c,) = cand.classes
+    assert np.array_equal(c.blocks[0], w[:2, :2] + JITTER_REL * 4.0 * np.eye(2))
+    assert np.array_equal(c.blocks[1], w[2:, 2:])
 
     # a fit whose every scatter is this W ends on the same Sigma, with exact
     # zeros across the blocks
@@ -433,9 +449,9 @@ def test_reblock_never_lowers_a_bound_and_keeps_blocks_pd(data, n, seed):
     sigma_inv, logdet_sigma = dense_inverse(sigma)
     before = elbo_dense(y, log_c, m, s, mu, sigma_inv, logdet_sigma)
 
-    moved = reblock(blocks_from_dense(s, old.groups()), old.groups(), new.groups())
-    for block in moved:
-        np.linalg.cholesky(block)  # raises unless positive definite
+    moved = reblock(blocks_from_dense(s, old.classes), old.classes, new.classes)
+    for stack in moved:
+        np.linalg.cholesky(stack)  # raises unless every block is positive definite
     after = elbo_batch(y, log_c, m, moved, mu,
                        sliced_sigma(new, sigma, sigma_inv, logdet_sigma))
     assert np.all(after >= before - 1e-9 * (1.0 + np.abs(before)))
@@ -446,9 +462,9 @@ def test_reblock_keeps_in_block_entries_and_drops_the_rest():
     old = ColumnPartition(np.array([1, 1, 2, 2]), 2)
     new = ColumnPartition(np.array([1, 2, 1, 2]), 2)
     s = np.stack([projected(random_pd(rng, 4), old) for _ in range(3)])
-    moved = reblock(blocks_from_dense(s, old.groups()), old.groups(), new.groups())
+    moved = reblock(blocks_from_dense(s, old.classes), old.classes, new.classes)
     expected = projected(np.ones((4, 4)), old) * projected(np.ones((4, 4)), new)
-    assert np.array_equal(dense_from_blocks(moved, new.groups(), 4), s * expected)
+    assert np.array_equal(dense_from_blocks(moved, new.classes, 4), s * expected)
 
 
 @SETTINGS
@@ -456,14 +472,15 @@ def test_reblock_keeps_in_block_entries_and_drops_the_rest():
        seed=st.integers(0, 2**32 - 1))
 def test_reblock_matches_the_dense_round_trip(data, n, seed):
     # differential test, exact: reblock copies the same entries into zeros
-    # that the dense round trip does, for S blocks (n, b, b) and for a
-    # Sigma^-1 without leading axes (n None), with index arrays in any order
+    # that the dense round trip does, for S stacks (k, n, b, b) and for a
+    # Sigma^-1 without the row axis (n None), with classes, blocks and
+    # index arrays in any order
     d = data.draw(st.integers(1, 6))
     old = data.draw(layouts(d))
     new = data.draw(layouts(d))
     lead = () if n is None else (n,)
     rng = np.random.default_rng(seed)
-    s = [rng.normal(size=lead + (idx.size, idx.size)) for idx in old]
+    s = [rng.normal(size=cols.shape[:1] + lead + cols.shape[1:] * 2) for cols in old]
     moved = reblock(s, old, new)
     expected = blocks_from_dense(dense_from_blocks(s, old, d), new)
     assert len(moved) == len(expected)
@@ -473,8 +490,9 @@ def test_reblock_matches_the_dense_round_trip(data, n, seed):
         assert block.flags.c_contiguous
     # a dense array is the one-block layout
     dense = dense_from_blocks(s, old, d)
-    assert np.array_equal(reblock(s, old, (np.arange(d),))[0], dense)
-    for block, ref in zip(reblock([dense], (np.arange(d),), new), expected):
+    one_block = (np.arange(d)[None],)
+    assert np.array_equal(reblock(s, old, one_block)[0][0], dense)
+    for block, ref in zip(reblock([dense[None]], one_block, new), expected):
         assert np.array_equal(block, ref)
 
 
@@ -483,8 +501,8 @@ def test_reblock_returns_c_contiguous_blocks():
     old = ColumnPartition(np.array([1, 1, 2, 2, 2]), 2)
     new = ColumnPartition(np.array([1, 2, 1, 2, 2]), 2)
     s = np.stack([projected(random_pd(rng, 5), old) for _ in range(6)])
-    for block in reblock(blocks_from_dense(s, old.groups()), old.groups(), new.groups()):
-        assert block.flags.c_contiguous
+    for stack in reblock(blocks_from_dense(s, old.classes), old.classes, new.classes):
+        assert stack.flags.c_contiguous
 
 
 def test_fit_trace_does_not_depend_on_the_block_layout(monkeypatch):
@@ -503,9 +521,9 @@ def test_fit_trace_does_not_depend_on_the_block_layout(monkeypatch):
     calls = []
     original = vem.reblock
 
-    def contiguous(s, old_groups, new_groups):
-        calls.append(len(new_groups))
-        return [np.ascontiguousarray(b) for b in original(s, old_groups, new_groups)]
+    def contiguous(s, old, new):
+        calls.append(len(new))
+        return [np.ascontiguousarray(c) for c in original(s, old, new)]
 
     monkeypatch.setattr(vem, "reblock", contiguous)
     copied = run()
@@ -516,12 +534,13 @@ def test_fit_trace_does_not_depend_on_the_block_layout(monkeypatch):
 @pytest.mark.parametrize("G", [1, 2])
 def test_fit_from_singleton_blocks_matches_the_dense_start(G):
     # differential test against the dense start: S = 0.1 * I stored as one
-    # d x d block per component instead of d blocks of 1 x 1.  The first
-    # pass moves both onto the partition's blocks with the same entries, so
-    # the two fits must agree exactly (no tolerance), through the partition
-    # changes of this silhouette fit (restart 2, as above).  With G = 1 the
-    # responsibilities are one contiguous column, which the first scatter
-    # sums in another order over a contiguous 1 x 1 block.
+    # d x d block per component instead of one class of d blocks of 1 x 1.
+    # The first pass moves both onto the partition's blocks with the same
+    # entries, so the two fits must agree exactly (no tolerance), through
+    # the partition changes of this silhouette fit (restart 2, as above).
+    # With G = 1 the responsibilities are one contiguous column, which the
+    # first scatter would sum in another order over a contiguous class of
+    # 1 x 1 blocks.
     spec = replace(preset(11), n=200)
     counts, _ = sample_dataset(spec)
     offsets = spec_offsets(spec)
@@ -529,9 +548,9 @@ def test_fit_from_singleton_blocks_matches_the_dense_start(G):
     start = vem.initialize(counts, offsets, G, 0, 2)
     dense_start = VariationalState(
         m=start.m,
-        s=tuple((np.broadcast_to(0.1 * np.eye(d), (n, d, d)).copy(),) for _ in range(G)),
+        s=tuple((np.broadcast_to(0.1 * np.eye(d), (1, n, d, d)).copy(),) for _ in range(G)),
         z=start.z,
-        groups=((np.arange(d),),) * G,
+        partitions=(ColumnPartition(np.ones(d, dtype=np.int64), 1),) * G,
     )
     config = FitConfig(n_starts=1, seed=0)
     blocks = vem.fit_from_state(counts, offsets, start, SilhouetteK(5), config, restart=2)
@@ -543,8 +562,8 @@ def test_fit_from_singleton_blocks_matches_the_dense_start(G):
     assert np.array_equal(blocks.state.m, dense.state.m)
     for g in range(G):
         assert np.array_equal(
-            dense_from_blocks(blocks.state.s[g], blocks.state.groups[g], d),
-            dense_from_blocks(dense.state.s[g], dense.state.groups[g], d),
+            dense_from_blocks(blocks.state.s[g], blocks.state.partitions[g].classes, d),
+            dense_from_blocks(dense.state.s[g], dense.state.partitions[g].classes, d),
         )
 
 
@@ -696,14 +715,14 @@ def test_store_blocks_moves_s_without_a_dense_stack():
     counts = CountMatrix(np.ones((n, d), dtype=np.int64), tuple(f"s{i}" for i in range(n)),
                          tuple(f"v{j}" for j in range(d)))
     state = vem.initialize(counts, OffsetVector(np.ones(n)), 1, 0, 0)
-    groups = ColumnPartition(np.repeat(np.arange(1, 11), 5), 10).groups()
+    classes = ColumnPartition(np.repeat(np.arange(1, 11), 5), 10).classes
     tracemalloc.start()
     try:
-        s = reblock(state.s[0], state.groups[0], groups)
+        s = reblock(state.s[0], state.partitions[0].classes, classes)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.array_equal(dense_from_blocks(s, groups, d),
+    assert np.array_equal(dense_from_blocks(s, classes, d),
                           np.broadcast_to(0.1 * np.eye(d), (n, d, d)))
     assert peak < 0.25 * n * d * d * 8
 
@@ -724,9 +743,9 @@ def test_fit_state_blocks_sit_on_the_final_partitions():
     # S moves onto every partition the fit adopts, so it ends on the final
     # blocks
     for g, part in enumerate(result.model.groupings):
-        groups = result.state.groups[g]
-        assert [idx.tolist() for idx in groups] == [idx.tolist() for idx in part.groups()]
-        assert [b.shape for b in result.state.s[g]] == [(40, i.size, i.size) for i in groups]
+        assert np.array_equal(result.state.partitions[g].assign, part.assign)
+        assert [c.shape for c in result.state.s[g]] == [(k, 40, b, b) for k, b in
+                                                        (cols.shape for cols in part.classes)]
 
 
 def test_fit_single_component_runs_one_start(monkeypatch):
@@ -757,13 +776,12 @@ def test_dense_and_one_block_forms_agree(d):
     part = ColumnPartition(np.ones(d, dtype=np.int64), 1)
     y, log_c, m, s, mu, sigma = problem(7, part, 5)
     sigma_inv, logdet_sigma = dense_inverse(sigma)
-    groups = part.groups()
     # with log det S and log y! given, both do the same arithmetic on the
     # same numbers
     logdet_s = np.linalg.slogdet(s)[1]
     log_fact = gammaln(y + 1.0).sum(axis=1)
     assert np.array_equal(
-        elbo_batch(y, log_c, m, [s], mu, sliced_sigma(part, sigma, sigma_inv, logdet_sigma),
+        elbo_batch(y, log_c, m, [s[None]], mu, sliced_sigma(part, sigma, sigma_inv, logdet_sigma),
                    log_fact=log_fact, logdet_s=logdet_s),
         elbo_dense(y, log_c, m, s, mu, sigma_inv, logdet_sigma, log_fact=log_fact,
                    logdet_s=logdet_s),
@@ -771,7 +789,7 @@ def test_dense_and_one_block_forms_agree(d):
     z = rng.uniform(size=5)
     dm = m - mu
     w = ((dm * z[:, None]).T @ dm + np.einsum("n,nij->ij", z, s)) / z.sum()
-    assert np.array_equal(compute_scatter(z, m, [s], mu, groups), 0.5 * (w + w.T))
+    assert np.array_equal(compute_scatter(z, m, [s[None]], mu, part.classes), 0.5 * (w + w.T))
 
 
 # The bound's quadratic forms and traces as BLAS products sum each block's
@@ -786,14 +804,13 @@ ELBO_TOL = 4e-15
 def test_bound_matches_the_einsum_reference(data, n, seed):
     part = data.draw(partitions())
     y, log_c, m, s, mu, sigma = problem(seed, part, n)
-    groups = part.groups()
-    s_blocks = blocks_from_dense(s, groups)
-    block_sigma = dense_reference.block_sigma(part, blocks_from_dense(sigma, groups))
+    s_blocks = blocks_from_dense(s, part.classes)
+    block_sigma = dense_reference.block_sigma(part, sigma)
     log_fact = gammaln(y + 1.0).sum(axis=1)
     logdet_s = logdet_blocks(s_blocks)
     # every row, then none, as a gated sweep that keeps no row scores them
     for rows in (slice(None), slice(0)):
-        args = (y[rows], log_c[rows], m[rows], [b[rows] for b in s_blocks], mu, block_sigma)
+        args = (y[rows], log_c[rows], m[rows], [c[:, rows] for c in s_blocks], mu, block_sigma)
         f = elbo_batch(*args, log_fact=log_fact[rows], logdet_s=logdet_s[rows])
         ref = elbo_einsum(*args, log_fact[rows], logdet_s[rows])
         assert f.shape == ref.shape
@@ -807,9 +824,9 @@ def test_bound_matches_the_einsum_reference(data, n, seed):
 SCATTER_TOL = 1e-14
 
 
-def check_scatter_against_three_operand(z, m, s, mu, groups):
-    w = compute_scatter(z, m, s, mu, groups)
-    ref = scatter_three_operand(z, m, s, mu, groups)
+def check_scatter_against_three_operand(z, m, s, mu, classes):
+    w = compute_scatter(z, m, s, mu, classes)
+    ref = scatter_three_operand(z, m, s, mu, classes)
     scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
     assert np.all(np.abs(w - ref) <= SCATTER_TOL * scale)
     assert np.array_equal(w, w.T)
@@ -821,8 +838,8 @@ def test_scatter_matches_the_three_operand_reference(data, n, seed):
     part = data.draw(partitions())
     _, _, m, s, mu, _ = problem(seed, part, n)
     z = np.random.default_rng(seed).uniform(0.01, 1.0, size=n)
-    check_scatter_against_three_operand(z, m, blocks_from_dense(s, part.groups()), mu,
-                                        part.groups())
+    check_scatter_against_three_operand(z, m, blocks_from_dense(s, part.classes), mu,
+                                        part.classes)
 
 
 @pytest.mark.parametrize("restart", [0, 1])
@@ -833,7 +850,7 @@ def test_preset4_scatter_matches_the_three_operand_reference(restart):
     mu = vem.m_step_mu(state.z, state.m)
     for g in range(2):
         check_scatter_against_three_operand(state.z[:, g], state.m[:, g], state.s[g], mu[g],
-                                            state.groups[g])
+                                            state.partitions[g].classes)
 
 
 @st.composite
@@ -851,25 +868,25 @@ def mixed_partitions(draw):
 def test_block_sigma_is_exactly_per_block_factoring(part, seed):
     # exact differential test: factoring and inverting the blocks of one
     # size as one stack does each block's arithmetic on the same numbers,
-    # and log det Sigma and the guard's trace are summed in block order
+    # and log det Sigma and the guard's trace are summed in class order
     rng = np.random.default_rng(seed)
     w = random_pd(rng, part.d)
-    groups = part.groups()
+    sigma = dense_reference.block_sigma(part, w)
+    # the blocks in class order
+    groups = [idx for cols in part.classes for idx in cols]
     blocks = [w[np.ix_(idx, idx)] for idx in groups]
-    sigma = dense_reference.block_sigma(part, blocks)
     inverses, logdet = inverses_per_block(blocks)
-    assert len(sigma.inverses) == len(inverses)
-    assert all(np.array_equal(a, b) for a, b in zip(sigma.inverses, inverses))
+    assert sum(len(c.inverses) for c in sigma.classes) == len(inverses)
+    assert all(np.array_equal(a, b) for a, b in
+               zip((inv for c in sigma.classes for inv in c.inverses), inverses))
     assert sigma.logdet == logdet
-    assert all(np.array_equal(a, b) for a, b in zip(sigma.blocks, blocks))
-    # each size class holds its blocks' columns and inverses, sizes in
-    # order of first appearance
+    assert all(np.array_equal(a, b) for a, b in
+               zip((block for c in sigma.classes for block in c.blocks), blocks))
+    # each size class holds its blocks' columns, sizes in order of first
+    # appearance
     sizes = [c.columns.shape[1] for c in sigma.classes]
-    assert sizes == list(dict.fromkeys(idx.size for idx in groups))
-    for c in sigma.classes:
-        for t, j in enumerate(c.positions):
-            assert np.array_equal(c.columns[t], groups[j])
-            assert np.array_equal(c.inverses[t], inverses[j])
+    assert sizes == list(dict.fromkeys(idx.size for idx in part.groups()))
+    assert all(c.columns is cols for c, cols in zip(sigma.classes, part.classes, strict=True))
     mass = rng.uniform(0.5, 500.0)
     w_new = random_pd(rng, part.d)
     trace = sum(np.einsum("ij,ji->", inv, w_new[np.ix_(idx, idx)])
@@ -926,9 +943,12 @@ def test_refresh_factors_each_block_size_once(monkeypatch):
 
     monkeypatch.setattr(vem, "cholesky_with_jitter", spy)
     cand = vem._covariance_candidate(w, EqualK(6), 0, "average")
-    assert [idx.size for idx in cand.groups] == [3, 2, 2, 1, 3, 1]
+    assert [idx.size for idx in cand.partition.groups()] == [3, 2, 2, 1, 3, 1]
     assert calls == [(2, 3, 3), (2, 2, 2), (2, 1, 1)]
-    assert [c.positions for c in cand.classes] == [(0, 4), (1, 2), (3, 5)]
-    inverses, logdet = inverses_per_block(cand.blocks)
-    assert all(np.array_equal(a, b) for a, b in zip(cand.inverses, inverses, strict=True))
+    groups = cand.partition.groups()
+    assert [[idx.tolist() for idx in c.columns] for c in cand.classes] == [
+        [groups[j].tolist() for j in pos] for pos in ((0, 4), (1, 2), (3, 5))]
+    inverses, logdet = inverses_per_block([block for c in cand.classes for block in c.blocks])
+    assert all(np.array_equal(a, b) for a, b in
+               zip((inv for c in cand.classes for inv in c.inverses), inverses, strict=True))
     assert cand.logdet == logdet

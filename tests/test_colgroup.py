@@ -388,3 +388,20 @@ def test_partition_validation():
     part = ColumnPartition(np.array([2, 1, 1]), 2)
     assert part.block_sizes() == (2, 1)
     np.testing.assert_array_equal(part.groups()[0], [1, 2])
+
+
+def test_partition_classes_stack_the_blocks_of_each_size():
+    # the mixed partition of tests/test_blocks.py: blocks of sizes 2, 3, 1,
+    # 2, 3, 1 on interleaved columns
+    part = ColumnPartition(np.array([1, 2, 3, 2, 4, 5, 1, 2, 5, 4, 6, 5]), 6)
+    classes = part.classes
+    # the classes' columns are a permutation of range(d)
+    columns = np.concatenate([cols.ravel() for cols in classes])
+    assert sorted(columns.tolist()) == list(range(part.d))
+    # sizes in order of first appearance, each class's blocks in label order
+    groups = part.groups()
+    assert [cols.shape for cols in classes] == [(2, 2), (2, 3), (2, 1)]
+    assert [[idx.tolist() for idx in cols] for cols in classes] == [
+        [groups[j].tolist() for j in labels] for labels in ((0, 3), (1, 4), (2, 5))]
+    # computed once: every call returns the same object
+    assert part.classes is classes

@@ -219,14 +219,30 @@ def test_jitter_does_not_adopt_a_nan_scatter():
         cholesky_with_jitter(np.stack([random_pd(np.random.default_rng(50), 4), w]))
 
 
-# With one matrix in the stack (N = 1) the batch axis drops out of the
-# kernel's ``einsum`` contractions, which then sum in another order than
-# for a stack of several, so a block's factor and inverse depend on N in
-# their last bits, from b = 4 up.  Over 300 random stacks of six blocks
-# each of the sizes below, the largest move of an inverse is 8.2e-16 of
-# the block's largest |entry| and of a log det 3.6e-15.
+# A stack of one matrix (N = 1) is inverted padded to two, so that the
+# batch axis stays in the kernel's ``einsum`` contractions and a block gets
+# the same bits alone as in a stack, which the hypothesis test below checks
+# up to b = 12.  Without the padding a block moved, from b = 4 up, by up to
+# 8.2e-16 of its largest |entry| and its log det by 3.6e-15 (300 random
+# stacks of six blocks of each size below); these bounds still hold at
+# b = 25.
 ALONE_TOL = 1e-15
 ALONE_LOGDET_ATOL = 1e-14
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(b=st.integers(1, 12), count=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_a_matrix_inverted_alone_equals_its_column_of_a_stack(b, count, seed):
+    # a row gate that leaves one row of a class of one block hands the
+    # kernel a stack of one; that must not change its result in any bit
+    a = pd_stack(np.random.default_rng(seed), b, count)
+    stacked, logdet = inv_logdet_batch_last(batch_last(a))
+    for i in range(count):
+        buffer = batch_last(a[i:i + 1])
+        alone, logdet_alone = inv_logdet_batch_last(buffer)
+        assert alone is buffer  # built in the input's buffer
+        assert np.array_equal(alone[..., 0], stacked[..., i])
+        assert logdet_alone.shape == (1,) and logdet_alone[0] == logdet[i]
 
 
 @pytest.mark.parametrize("b", [5, 8, 10, 25])

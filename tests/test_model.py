@@ -359,36 +359,34 @@ def test_model_json_blocks_are_variable_indices():
 def test_variational_state_validation():
     n, G, d = 4, 2, 3
     m = np.zeros((n, G, d))
-    groups = ((np.array([0, 2]), np.array([1])),) * G
-    s = ((np.broadcast_to(np.eye(2), (n, 2, 2)), np.ones((n, 1, 1))),) * G
+    partitions = (ColumnPartition(np.array([1, 2, 1]), 2),) * G
+    s = ((np.broadcast_to(np.eye(2), (1, n, 2, 2)), np.ones((1, n, 1, 1))),) * G
     z = np.full((n, G), 0.5)
-    state = VariationalState(m, s, z, groups)
+    state = VariationalState(m, s, z, partitions)
     assert state.n == n and state.G == G
     with pytest.raises(ValueError):
-        VariationalState(m, s, np.full((n, G), 0.4), groups)
-    # one component's S or groups missing
+        VariationalState(m, s, np.full((n, G), 0.4), partitions)
+    # one component's S or partition missing
     with pytest.raises(LengthMismatch):
-        VariationalState(m, s[:1], z, groups)
+        VariationalState(m, s[:1], z, partitions)
     with pytest.raises(LengthMismatch):
-        VariationalState(m, s, z, groups[:1])
-    # groups that miss, repeat or overrun a column
-    for bad in ((np.array([0, 2]),), (np.array([0, 2]), np.array([2])),
-                (np.array([0, 3]), np.array([1]))):
+        VariationalState(m, s, z, partitions[:1])
+    # a partition of another number of columns
+    with pytest.raises(LengthMismatch):
+        VariationalState(m, s, z, (ColumnPartition(np.array([1, 2]), 2), partitions[1]))
+    # a class stack of the wrong block size, block count or number of rows
+    for stack in (np.ones((1, n, 2, 2)), np.ones((2, n, 1, 1)), np.ones((1, n + 1, 1, 1))):
         with pytest.raises(LengthMismatch):
-            VariationalState(m, s, z, (bad, groups[1]))
-    # a block of the wrong size, or with the wrong number of rows
-    for block in (np.ones((n, 2, 2)), np.ones((n + 1, 1, 1))):
-        with pytest.raises(LengthMismatch):
-            VariationalState(m, (s[0], (s[1][0], block)), z, groups)
+            VariationalState(m, (s[0], (s[1][0], stack)), z, partitions)
     with pytest.raises(LengthMismatch):
-        VariationalState(m, (s[0], s[1][:1]), z, groups)
+        VariationalState(m, (s[0], s[1][:1]), z, partitions)
 
 
 def test_variational_state_rejects_a_nan_z_row():
     n, G, d = 3, 2, 2
     z = np.full((n, G), 0.5)
     z[1] = np.nan
-    groups = ((np.arange(d),),) * G
-    s = ((np.broadcast_to(np.eye(d), (n, d, d)),),) * G
+    partitions = (ColumnPartition(np.ones(d, dtype=np.int64), 1),) * G
+    s = ((np.broadcast_to(np.eye(d), (1, n, d, d)),),) * G
     with pytest.raises(ValueError, match="z rows"):
-        VariationalState(np.zeros((n, G, d)), s, z, groups)
+        VariationalState(np.zeros((n, G, d)), s, z, partitions)

@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.sparse.csgraph import connected_components
 
-from dense_reference import block_sigma, blocks_from_dense, dense_from_blocks
+from dense_reference import block_sigma, dense_from_blocks
 from restart_reference import fit_every_start
 from mplnbicluster.data import CountMatrix, OffsetVector, write_json
 from mplnbicluster.errors import (
@@ -277,7 +277,7 @@ def test_indefinite_s_with_positive_determinant_is_rejected():
     y, m, mu = np.array([1.0, 2.0, 0.0]), np.zeros(3), np.zeros(3)
     one_block = ColumnPartition(np.ones(3, dtype=np.int64), 1)
     with pytest.raises(NotPositiveDefinite):
-        elbo_batch(y[None], np.zeros(1), m[None], [s[None]], mu,
+        elbo_batch(y[None], np.zeros(1), m[None], [s[None, None]], mu,
                    BlockSigma.from_factors(one_block, [(np.eye(3)[None], np.eye(3)[None])]))
     with pytest.raises(NotPositiveDefinite):
         update_variational(y, 0.0, m, s, mu, np.eye(3))
@@ -364,7 +364,7 @@ def test_compute_scatter_hand_example():
     z = np.array([1.0, 1.0])
     m = np.array([[1.0, 0.0], [-1.0, 0.0]])
     s = np.array([np.eye(2) * 0.2, np.eye(2) * 0.4])
-    w = compute_scatter(z, m, [s], np.zeros(2), (np.arange(2),))
+    w = compute_scatter(z, m, [s[None]], np.zeros(2), (np.arange(2)[None],))
     # mean of outer products diag (1, 0) plus mean S diag (0.3, 0.3)
     assert np.allclose(w, np.diag([1.3, 0.3]), atol=1e-12)
 
@@ -374,7 +374,7 @@ def test_compute_scatter_symmetric_psd():
     z = rng.uniform(0.1, 1.0, size=8)
     m = rng.normal(size=(8, 3))
     s = np.broadcast_to(np.eye(3) * 0.1, (8, 3, 3)).copy()
-    w = compute_scatter(z, m, [s], rng.normal(size=3), (np.arange(3),))
+    w = compute_scatter(z, m, [s[None]], rng.normal(size=3), (np.arange(3)[None],))
     assert np.allclose(w, w.T, atol=1e-15)
     assert np.linalg.eigvalsh(w).min() > 0
 
@@ -390,11 +390,12 @@ def test_initialize_values_and_shapes():
     state = initialize(counts, offsets, G=2, seed=0, restart=0)
     assert state.m.shape == (4, 2, 2)
     assert state.z.shape == (4, 2)
-    # S is 0.1 * I, stored as one 1 x 1 block per column and component
+    # S is 0.1 * I, stored as one class of 1 x 1 blocks, one per column, per
+    # component
     for g in range(2):
-        assert [idx.tolist() for idx in state.groups[g]] == [[0], [1]]
-        assert [b.shape for b in state.s[g]] == [(4, 1, 1), (4, 1, 1)]
-        assert np.array_equal(dense_from_blocks(state.s[g], state.groups[g], 2),
+        assert [cols.tolist() for cols in state.partitions[g].classes] == [[[0], [1]]]
+        assert [c.shape for c in state.s[g]] == [(2, 4, 1, 1)]
+        assert np.array_equal(dense_from_blocks(state.s[g], state.partitions[g].classes, 2),
                               np.broadcast_to(0.1 * np.eye(2), (4, 2, 2)))
     # m starts at log((y + 0.5) / C) for every component
     assert state.m[0, 0, 0] == pytest.approx(np.log(0.5), abs=1e-12)
@@ -532,16 +533,16 @@ def test_fit_leaves_the_callers_state_unchanged(blocks):
         k_spec = EqualK(d)
     else:
         k_spec = EqualK(1)
-        state = replace(state, s=tuple((np.broadcast_to(0.1 * np.eye(d), (n, d, d)).copy(),)
+        state = replace(state, s=tuple((np.broadcast_to(0.1 * np.eye(d), (1, n, d, d)).copy(),)
                                        for _ in range(2)),
-                        groups=((np.arange(d),),) * 2)
+                        partitions=(ColumnPartition(np.ones(d, dtype=np.int64), 1),) * 2)
     before = (state.m.copy(), state.z.copy(),
-              [[block.copy() for block in s_g] for s_g in state.s])
+              [[s_c.copy() for s_c in s_g] for s_g in state.s])
     result = fit_from_state(counts, offsets, state, k_spec, FitConfig(max_em_iter=5))
     assert result.iterations == 5
     assert np.array_equal(state.m, before[0]) and np.array_equal(state.z, before[1])
     for s_g, ref_g in zip(state.s, before[2], strict=True):
-        assert all(np.array_equal(block, ref) for block, ref in zip(s_g, ref_g, strict=True))
+        assert all(np.array_equal(s_c, ref) for s_c, ref in zip(s_g, ref_g, strict=True))
     # and the fit moved its own copies
     assert not np.array_equal(result.state.m, state.m)
     assert not np.shares_memory(result.state.s[0][0], state.s[0][0])
@@ -591,7 +592,7 @@ def test_fit_trace_final_consistency():
     log_fact = log_factorial(y)
     f = np.empty((50, 2))
     for g, part in enumerate(result.model.groupings):
-        sigma = block_sigma(part, blocks_from_dense(result.model.sigma[g], part.groups()))
+        sigma = block_sigma(part, result.model.sigma[g])
         f[:, g] = elbo_batch(
             y, offsets.log, result.state.m[:, g], result.state.s[g],
             result.model.mu[g], sigma, log_fact=log_fact,
@@ -612,7 +613,7 @@ def test_fit_permutation_equivariance():
 
     swapped = VariationalState(
         m=state.m[:, ::-1].copy(), s=state.s[::-1], z=state.z[:, ::-1].copy(),
-        groups=state.groups[::-1],
+        partitions=state.partitions[::-1],
     )
     rev = fit_from_state(counts, offsets, swapped, EqualK(2), config)
     assert np.array_equal(rev.model.mu, fwd.model.mu[::-1])
@@ -752,8 +753,9 @@ def assert_same_fit(a, b):
     )
     assert np.array_equal(a.state.m, b.state.m)
     assert np.array_equal(a.state.z, b.state.z)
-    for groups_a, groups_b, s_a, s_b in zip(a.state.groups, b.state.groups, a.state.s, b.state.s):
-        assert [idx.tolist() for idx in groups_a] == [idx.tolist() for idx in groups_b]
+    for part_a, part_b, s_a, s_b in zip(a.state.partitions, b.state.partitions,
+                                        a.state.s, b.state.s):
+        assert np.array_equal(part_a.assign, part_b.assign)
         assert all(np.array_equal(x, y) for x, y in zip(s_a, s_b))
 
 
@@ -855,7 +857,7 @@ def test_fit_g1_matches_single_component_math():
         counts, unit_offsets(40), G=1, k_spec=EqualK(3),
         config=FitConfig(n_starts=1, max_em_iter=40, seed=0),
     )
-    s = dense_from_blocks(result.state.s[0], result.state.groups[0], 3)
+    s = dense_from_blocks(result.state.s[0], result.state.partitions[0].classes, 3)
     total = sum(
         elbo_observation(
             y[i].astype(float), 0.0,
@@ -969,8 +971,10 @@ def test_every_sweep_holds_s_on_its_components_partition(monkeypatch):
         return out
 
     def sweeping(y, log_c, m, s, logdet_s, mu, sigma, *rest):
-        swept.append(([idx.tolist() for idx in sigma.groups],
-                      [block.shape[1:] for block in s], sigma_blocks[id(sigma)]))
+        swept.append((sorted(idx.tolist() for c in sigma.classes for idx in c.columns),
+                      [s_c.shape[:1] + s_c.shape[2:] for s_c in s],
+                      [c.columns.shape + c.columns.shape[1:] for c in sigma.classes],
+                      sigma_blocks[id(sigma)]))
         return sweep(y, log_c, m, s, logdet_s, mu, sigma, *rest)
 
     monkeypatch.setattr(vem, "_covariance_candidate", refreshing)
@@ -978,13 +982,12 @@ def test_every_sweep_holds_s_on_its_components_partition(monkeypatch):
     result = fit_from_state(counts, offsets, state, k_spec, FitConfig(n_starts=1, seed=0),
                             restart=restart)
     # more layouts than components: some component changed its partition
-    assert len({str(groups) for groups, _, _ in swept}) > state.G
-    for groups, shapes, blocks in swept:
+    assert len({str(groups) for groups, _, _, _ in swept}) > state.G
+    for groups, shapes, class_shapes, blocks in swept:
         assert groups == blocks
-        assert shapes == [(len(idx), len(idx)) for idx in groups]
+        assert shapes == class_shapes
     for g, part in enumerate(result.model.groupings):
-        assert ([idx.tolist() for idx in result.state.groups[g]]
-                == [idx.tolist() for idx in part.groups()])
+        assert np.array_equal(result.state.partitions[g].assign, part.assign)
 
 
 # ---------------------------------------------------------------------------
