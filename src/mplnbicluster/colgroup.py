@@ -44,6 +44,15 @@ class ColumnPartition:
         if present[0] < 1 or present[-1] > self.k or len(present) != self.k:
             raise ValueError(f"labels must cover 1..{self.k}, got {present.tolist()}")
 
+    # by value: the generated methods would compare the arrays elementwise
+    def __eq__(self, other):
+        if not isinstance(other, ColumnPartition):
+            return NotImplemented
+        return self.k == other.k and np.array_equal(self.assign, other.assign)
+
+    def __hash__(self):
+        return hash((self.k, self.assign.tobytes()))
+
     @property
     def d(self) -> int:
         return self.assign.shape[0]

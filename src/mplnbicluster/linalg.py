@@ -2,14 +2,15 @@
 
 Thin wrappers around LAPACK (via numpy) that turn factorization failures
 into package-level errors and centralize the jitter policy used by the EM
-loop, plus the routines that turn a stack of positive-definite matrices
-into inverses and log-determinants.  Those hold the stack with the batch
-axis last, as a (b, b, N) array, so that each step of the factorization
-and of the one backward pass that writes the inverse is a single
-contiguous vector op over all N matrices, with no L^-1 and no Gram
-product.  Everything here works on dense float64 arrays; ``cholesky``,
-``cholesky_with_jitter`` and the factor-based routines also take stacks of
-matrices.
+loop, plus two ways to invert a stack of positive-definite matrices, one
+per caller.  ``inverse`` is one LAPACK call over a (..., b, b) stack, for
+Sigma's few blocks of each size.  ``inv_logdet_batch_last`` is the
+S-step's kernel: it holds the stack with the batch axis last, as a
+(b, b, N) array, so that each step of the factorization and of the one
+backward pass that writes the inverse is a single contiguous vector op
+over all N matrices, with no L^-1 and no Gram product.  Everything here
+works on dense float64 arrays; ``cholesky``, ``cholesky_with_jitter`` and
+``inverse`` also take stacks of matrices.
 """
 
 from __future__ import annotations
@@ -116,24 +117,20 @@ def inv_logdet_batch_last(a: np.ndarray):
     return a, logdet
 
 
-def inv_logdet_from_cholesky(lower: np.ndarray):
-    """Inverse and log-determinant of a = L L' from its factor L.
+def inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of every matrix of a (..., b, b) stack of symmetric
+    positive-definite matrices, by one LAPACK call over the whole stack.
 
-    ``lower`` is (..., b, b), lower triangular with a positive diagonal (as
-    ``cholesky`` returns it), and is consumed: Z = a^-1 is written into its
-    buffer, so callers pass a factor they no longer need.  The stack is
-    moved to the batch-last layout, inverted by the backward pass of
-    ``_inverse_from_factor`` (the same code ``inv_logdet_batch_last``
-    runs) and moved back.  Returns (inverse, logdet) with logdet of shape
-    (...); a single (b, b) factor gives a scalar.
+    LAPACK inverts each matrix of the stack on its own, so a matrix gets
+    the same bits alone as in a stack.  The result is symmetrized, so it is
+    exactly symmetric.  Raises NotPositiveDefinite if a matrix is singular.
     """
-    lower = np.asarray(lower, dtype=float)
-    logdet = logdet_from_cholesky(lower)
-    b = lower.shape[-1]
-    z = np.moveaxis(lower.reshape(-1, b, b), 0, -1).copy()
-    _inverse_from_factor(z)
-    lower[...] = np.moveaxis(z, -1, 0).reshape(lower.shape)
-    return lower, logdet
+    a = np.asarray(a, dtype=float)
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"a matrix of a stack of shape {a.shape} is singular") from exc
+    return 0.5 * (inv + np.swapaxes(inv, -1, -2))
 
 
 def corr_from_cov(cov: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 from .colgroup import ColumnPartition
 from .data import read_json, write_json
 from .errors import LengthMismatch
-from .linalg import cholesky, inv_logdet_from_cholesky, logdet_from_cholesky
+from .linalg import cholesky, inverse, logdet_from_cholesky
 
 # Cap on exponents fed to np.exp: keeps the ELBO and its updates finite
 # (-inf ELBO instead of NaN) if an iterate ever runs away.
@@ -199,12 +199,13 @@ class BlockSigma:
     def from_factors(cls, partition, factors):
         """Sigma from one (blocks, lower) pair per class of
         ``partition.classes``: the class's (k, b, b) stack of blocks and
-        their Cholesky factors.  Each class's inverses and log-determinants
-        come from one factor-based inversion of its stack."""
-        pairs = [inv_logdet_from_cholesky(lower) for _, lower in factors]
-        classes = tuple(SizeClass(cols, stack, inverses) for cols, (stack, _), (inverses, _)
-                        in zip(partition.classes, factors, pairs, strict=True))
-        return cls(partition, classes, sum_blocks(logdet for _, logdet in pairs))
+        their Cholesky factors.  Each class's stack is inverted by one
+        ``inverse`` call, and log det Sigma is summed from the factors'
+        diagonals."""
+        classes = tuple(SizeClass(cols, stack, inverse(stack)) for cols, (stack, _)
+                        in zip(partition.classes, factors, strict=True))
+        return cls(partition, classes,
+                   sum_blocks(logdet_from_cholesky(lower) for _, lower in factors))
 
     def objective(self, w, mass):
         """-mass/2 * (tr(Sigma^-1 W) + log det Sigma), the component's
@@ -277,30 +278,6 @@ def elbo_batch(
         + log_c * y.sum(axis=1)
         - rate.sum(axis=1)
         - log_fact
-    )
-
-
-def elbo_observation(
-    y: np.ndarray,
-    log_c: float,
-    m: np.ndarray,
-    s: np.ndarray,
-    mu: np.ndarray,
-    sigma: np.ndarray,
-) -> float:
-    """Single-observation ELBO F(q, y) under one component; S and Sigma
-    are one block each."""
-    sigma = np.asarray(sigma, dtype=float)[None]
-    one_block = ColumnPartition(np.ones(sigma.shape[-1], dtype=np.int64), 1)
-    return float(
-        elbo_batch(
-            np.asarray(y, dtype=float)[None, :],
-            np.array([log_c], dtype=float),
-            np.asarray(m, dtype=float)[None, :],
-            [np.asarray(s, dtype=float)[None, None]],
-            np.asarray(mu, dtype=float),
-            BlockSigma.from_factors(one_block, [(sigma, cholesky(sigma))]),
-        )[0]
     )
 
 

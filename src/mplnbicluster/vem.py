@@ -5,9 +5,9 @@ bound stabilises:
 
 1. closed-form mixture weights and means, then a covariance refresh in
    which each component's scatter is grouped into variable blocks and its
-   diagonal blocks become Sigma's: one ``model.BlockSigma``, which factors
-   the blocks of each size as one stack for their inverses and
-   log-determinants and is what the refresh's guard, the bounds and the
+   diagonal blocks become Sigma's: one ``model.BlockSigma``, whose blocks
+   of each size are factored as one stack for log det Sigma and inverted
+   as one stack, and which is what the refresh's guard, the bounds and the
    sweeps take (a dense Sigma is built only for the fitted model),
 2. the per-component evidence bounds and the responsibilities,
 3. one guarded step per pass on the per-observation Gaussian
@@ -88,7 +88,6 @@ __all__ = [
     "SilhouetteK",
     "FitResult",
     "initialize",
-    "update_variational",
     "newton_m_step",
     "s_fixed_point_step",
     "m_step_pi",
@@ -354,10 +353,9 @@ def _carve(work, key, shape):
     return work[key][:size].reshape(shape)
 
 
-def _sweep_batch(y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start, rows=None,
-                 work=None):
+def _sweep_batch(y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start, rows, work):
     """One guarded coordinate step for the observations ``rows`` of one
-    component (every observation when None); the others keep their pair.
+    component; the others keep their pair.
 
     S is stored per size class of the component's ``sigma`` (a
     ``BlockSigma``): ``s`` holds one (k, n, b, b) stack per class of
@@ -376,12 +374,9 @@ def _sweep_batch(y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start, rows=No
     flat buffers (``_carve``): ``work[0]`` holds the S'^-1 stack, which
     each class consumes in its own step, and ``work[1 + c]`` class c's S',
     which the trial bounds read after every class has stepped.  The fit
-    passes one workspace to all its sweeps; without one (None) the sweep
-    allocates each array afresh.
+    passes one workspace to all its sweeps.
     """
     y = np.asarray(y, dtype=float)
-    rows = np.arange(m.shape[0]) if rows is None else rows
-    work = {} if work is None else work
     ya, la, ma, fa, f_old = y[rows], log_c[rows], m[rows], log_fact[rows], f_start[rows]
     m_new = np.empty_like(ma)
     step = np.empty_like(ma)
@@ -420,35 +415,6 @@ def _sweep_batch(y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start, rows=No
         s_c[:, kept] = s_c_new[:, keep]
     logdet_s[kept] = logdet_s_new[keep]
     return m, s, logdet_s
-
-
-def update_variational(y, log_c, m, s, mu, sigma, inner_iter=10, inner_tol=1e-6):
-    """Refresh one observation's Gaussian approximation under one component.
-
-    ``y``, ``m`` are length-d vectors, ``s`` is (d, d); with S and Sigma
-    treated as one dense block, repeats the fit's guarded step until a step
-    moves no entry of m or S by ``inner_tol`` (a rejected step moves
-    nothing), at most ``inner_iter`` times, and returns the (m, s) pair.
-    Raises NotPositiveDefinite if ``s`` is not positive definite.
-    """
-    sigma = np.asarray(sigma, dtype=float)[None]
-    one_block = ColumnPartition(np.ones(sigma.shape[-1], dtype=np.int64), 1)
-    sigma = BlockSigma.from_factors(one_block, [cholesky_with_jitter(sigma)])
-    y = np.asarray(y, dtype=float)[None, :]
-    log_c = np.atleast_1d(np.asarray(log_c, dtype=float))
-    m = np.array(m, dtype=float)[None, :]
-    s = np.array(s, dtype=float)[None, None]
-    mu = np.asarray(mu, dtype=float)
-    log_fact = log_factorial(y)
-    logdet_s = logdet_blocks([s])
-    for _ in range(inner_iter):
-        f = elbo_batch(y, log_c, m, [s], mu, sigma, log_fact=log_fact, logdet_s=logdet_s)
-        # the step writes in place; the copies are the moved-check's reference
-        m_old, s_old = m.copy(), s.copy()
-        _sweep_batch(y, log_c, m, [s], logdet_s, mu, sigma, log_fact, f)
-        if max(np.abs(m - m_old).max(), np.abs(s - s_old).max()) < inner_tol:
-            break
-    return m[0], s[0, 0]
 
 
 def reblock(s, old, new):
@@ -545,10 +511,11 @@ def _covariance_candidate(w, k_spec, g, linkage):
     a requested single block is the one partition any cut gives, so it is
     built without the distances and the tree.  Sigma's blocks are W's
     diagonal blocks on it; the blocks of each size are stacked and factored
-    by one ``cholesky_with_jitter`` call, and their inverses and
-    log-determinants come from those factors.  The jitter is per block: a
-    block that does not factor is bumped by JITTER_REL times the mean of
-    its own diagonal, and every other block keeps W's entries exactly.
+    by one ``cholesky_with_jitter`` call; ``BlockSigma.from_factors``
+    inverts the blocks it returns and takes log det Sigma from its
+    factors.  The jitter is per block: a block that does not factor is
+    bumped by JITTER_REL times the mean of its own diagonal, and every
+    other block keeps W's entries exactly.
     """
     if isinstance(k_spec, EqualK):
         k = k_spec.k
@@ -615,11 +582,14 @@ def fit_from_state(
     check_offsets(counts, offsets)
     k_spec = _normalize_k_spec(k_spec, G, d)
 
-    # the sweeps write m and S in place, into the fit's own copies
+    # the sweeps write m and S in place, into the fit's own copies; order
+    # "K" keeps the caller's strides, so the first scatter sums the rows in
+    # the same order as it would sum the caller's S
     m = state.m.copy()
     z = state.z.copy()
     log_fact = log_factorial(y)
-    partitions, s = list(state.partitions), list(state.s)
+    partitions = list(state.partitions)
+    s = [[np.copy(s_c, order="K") for s_c in stacks] for stacks in state.s]
     covs = [None] * G  # each component's Sigma, a BlockSigma
     # log det S per row: factored whenever S moves onto a new partition,
     # and carried from the S-steps in between
@@ -644,7 +614,7 @@ def fit_from_state(
             if covs[g] is None or cand.no_worse_than(covs[g], w, z[:, g].sum()):
                 covs[g] = cand
             new = covs[g].partition
-            if not np.array_equal(new.assign, partitions[g].assign):
+            if new != partitions[g]:
                 # dropping S's entries across the new blocks never lowers a bound
                 s[g] = reblock(s[g], partitions[g].classes, new.classes)
                 partitions[g], logdet_s[g] = new, None
@@ -664,11 +634,6 @@ def fit_from_state(
             joined = incumbent.restart
             break
         for g in range(G):
-            if iteration == 0:
-                # the fit's own S, copied here rather than on entry: the
-                # first scatter sums the caller's stacks in an order that
-                # depends on their memory layout
-                s[g] = [s_c.copy() for s_c in s[g]]
             # f[:, g] is the bound at this same (m, S, mu, Sigma); the step
             # writes into the fit's own m, S and log det S
             _sweep_batch(y, log_c, m[:, g], s[g], logdet_s[g], mu[g], covs[g], log_fact,

@@ -30,14 +30,14 @@ LAPACK's batched Cholesky, one factorization per matrix, then the backward
 pass in the (..., b, b) layout.  ``tests/test_linalg.py`` checks the
 batch-last kernel against it within written tolerances.
 
-``inv_logdet_forward_gram`` is the inverse from a Cholesky factor as it was
-when L^-1 was built by forward substitution and a^-1 taken as the Gram
-product L^-T L^-1; ``linalg.inv_logdet_from_cholesky`` now writes a^-1
-straight from L in one backward pass.  ``elbo_einsum`` is the block-stored
+``inv_logdet_forward_gram`` is Sigma's inverse as it was when it came from
+the Cholesky factor, L^-1 by forward substitution and a^-1 as the Gram
+product L^-T L^-1; ``linalg.inverse`` now inverts each stack of Sigma's
+blocks by one LAPACK call.  ``elbo_einsum`` is the block-stored
 bound as it was when each block's quadratic form and trace were
 unoptimised ``einsum`` contractions; ``model.elbo_batch`` takes them as
 BLAS products, and so does ``elbo_dense``.  ``tests/test_blocks.py``
-checks both new forms against these within written tolerances.
+checks the new forms against these within written tolerances.
 
 ``covariance_candidate_by_cut`` is the covariance refresh's candidate as it
 was when a single requested block was also found by agglomerating the
@@ -54,8 +54,8 @@ by merge in a Python loop, against ``colgroup.cut``.
 one three-operand ``einsum``; ``vem.compute_scatter`` takes it as one BLAS
 product.  ``inverses_per_block`` is Sigma's inverse as it was when each
 block was factored and inverted on its own; ``model.BlockSigma`` now
-factors and inverts the blocks of each size as one stack, and
-``block_sigma`` builds one from a dense Sigma's blocks.
+inverts the blocks of each size as one stack, and ``block_sigma`` builds
+one from a dense Sigma's blocks.
 """
 
 import numpy as np
@@ -77,7 +77,7 @@ from mplnbicluster.linalg import (
     cholesky,
     cholesky_with_jitter,
     inv_logdet_batch_last,
-    inv_logdet_from_cholesky,
+    inverse,
     logdet_from_cholesky,
 )
 from mplnbicluster.model import EXP_CAP, BlockSigma, block_index, elbo_batch
@@ -345,8 +345,8 @@ def scatter_three_operand(z_g, m_g, s_g, mu_g, classes):
 def inverses_per_block(blocks):
     """Sigma^-1's blocks and log det Sigma, each block factored and inverted
     on its own, the log-determinants summed in the order of ``blocks``."""
-    pairs = [inv_logdet_from_cholesky(cholesky(block)) for block in blocks]
-    return [inv for inv, _ in pairs], sum(logdet for _, logdet in pairs)
+    return ([inverse(block) for block in blocks],
+            sum(logdet_from_cholesky(cholesky(block)) for block in blocks))
 
 
 def block_sigma(part, sigma):
@@ -391,9 +391,9 @@ def covariance_candidate_by_cut(w, k_spec, g, linkage):
 
 
 def block_inverses_dense(lower, groups):
-    """Inverses of the blocks of Sigma = L L' on its own groups, sliced from
-    the dense factor, and log det Sigma."""
-    pairs = [inv_logdet_from_cholesky(lower[np.ix_(idx, idx)]) for idx in groups]
+    """Inverses of the blocks of Sigma = L L' on its own groups, each from
+    its factor sliced from the dense one, and log det Sigma."""
+    pairs = [inv_logdet_forward_gram(lower[np.ix_(idx, idx)]) for idx in groups]
     return [inv for inv, _ in pairs], sum(logdet for _, logdet in pairs)
 
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp
 
+from single_observation import elbo_observation, update_variational
 from mplnbicluster.cli import main as cli_main
 from mplnbicluster.colgroup import ColumnPartition, silhouette
 from mplnbicluster.data import CountMatrix, OffsetVector, load_counts
@@ -26,11 +27,11 @@ from mplnbicluster.evaluate import (
     evaluate_fit,
     support_count_heatmap,
 )
-from mplnbicluster.model import elbo_observation, load_model
+from mplnbicluster.model import load_model
 from mplnbicluster.seeding import TAG_REPLICATE, derive_seed
 from mplnbicluster.select import GRID_COLUMNS, fit_varying_k, grid_search_equal_k
 from mplnbicluster.simulate import preset, sample_dataset, spec_offsets
-from mplnbicluster.vem import EqualK, FitConfig, fit, update_variational
+from mplnbicluster.vem import EqualK, FitConfig, fit
 
 REPLICATES = 10
 JOBS = 4

@@ -14,13 +14,14 @@ moving S onto any new partition never lowers a bound.  The sweep is one
 step that steps the blocks of one size together; the first iteration of
 ``dense_reference.sweep_per_block``, one step per block, is its exact
 reference.  Sigma's blocks of one size are factored and inverted as one
-stack, which must equal factoring each block alone bit for bit.  The
-scatter's mean part and the bound's quadratic forms and traces are BLAS
-products, and the inverse from a factor is one backward pass; each must stay
-within a written tolerance of its earlier form (the three-operand
-``einsum``, the ``einsum`` contractions, forward substitution with a Gram
-product).  A requested single block is built without the column tree, and
-the fit must equal the one that cuts the tree, bit for bit.  The fit owns
+stack, which must equal factoring and inverting each block alone bit for
+bit.  The scatter's mean part and the bound's quadratic forms and traces
+are BLAS products, and Sigma's inverse is one LAPACK call per size class;
+each must stay within a written tolerance of its earlier form (the
+three-operand ``einsum``, the ``einsum`` contractions, the inverse from
+the factor by forward substitution with a Gram product).  A requested
+single block is built without the column tree, and the fit must equal
+the one that cuts the tree, bit for bit.  The fit owns
 the S-step's buffers: every pass after the first reuses them, they lower a
 sweep's transient peak and die with the fit, and a dirty, larger workspace
 changes no bit of a fit.
@@ -55,7 +56,7 @@ from dense_reference import (
 from mplnbicluster import vem
 from mplnbicluster.colgroup import ColumnPartition
 from mplnbicluster.data import CountMatrix, OffsetVector
-from mplnbicluster.linalg import JITTER_REL, cholesky, inv_logdet_from_cholesky
+from mplnbicluster.linalg import JITTER_REL, cholesky
 from mplnbicluster.model import (
     BlockSigma,
     SizeClass,
@@ -179,7 +180,7 @@ def test_block_sweep_matches_dense_reference(data, n, seed):
                                log_fact, f_dense, 1, 1e-6)
     m_out, s_out, logdet_out = vem._sweep_batch(
         y, log_c, m, s_blocks, logdet_blocks(s_blocks), mu, block_sigma, log_fact,
-        f_block,
+        f_block, np.arange(n), {},
     )
     np.testing.assert_allclose(m_out, m_ref, **TOL)
     s_dense = dense_from_blocks(s_out, classes, part.d)
@@ -229,11 +230,11 @@ def check_sweep_against_per_block(part, n, seed, gated):
     logdet_s = logdet_blocks(s_blocks)
     f_start = elbo_batch(y, log_c, m, s_blocks, mu, block_sigma, log_fact=log_fact,
                          logdet_s=logdet_s)
-    rows = None
+    rows = np.arange(n)
     if gated:
         rows = np.flatnonzero(np.random.default_rng(seed).uniform(size=n) < 0.6)
     args = (y, log_c, m, s_blocks, logdet_s, mu, block_sigma, log_fact, f_start)
-    m_out, s_out, logdet_out = vem._sweep_batch(*own_copies(args), rows)
+    m_out, s_out, logdet_out = vem._sweep_batch(*own_copies(args), rows, {})
     m_ref, s_ref, logdet_ref = sweep_per_block(*args, 1, 1e-6, rows)
     assert np.array_equal(m_out, m_ref)
     assert len(s_out) == len(s_ref)
@@ -272,29 +273,29 @@ def test_size_class_sweep_matches_per_block_reference_on_mixed_sizes(gated):
     check_sweep_against_per_block(part, 12, 5, gated)
 
 
-# The backward pass and the forward substitution with its Gram product
+# LAPACK's LU inverse and the forward substitution with its Gram product
 # sum the same inverse in another order.  Each matrix's entries move by at
 # most 2e-15 of its largest |entry|; the largest move measured over 3000
-# random stacks of these matrices (b = 1..12) is 6.1e-16 of it.
+# random stacks of these matrices (b = 1..12, one to four blocks) is
+# 1.1e-15 of it.
 INVERSE_TOL = 2e-15
 
 
 @SETTINGS
-@given(b=st.integers(1, 12), lead=st.lists(st.integers(1, 4), max_size=2),
-       seed=st.integers(0, 2**32 - 1))
-def test_inverse_in_the_factor_buffer_matches_out_of_place(b, lead, seed):
-    # lead = [] is a single factor, whose log det is a scalar
-    lower = cholesky(random_pd(np.random.default_rng(seed), b, tuple(lead)))
+@given(b=st.integers(1, 12), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_block_sigma_inverse_matches_forward_substitution(b, k, seed):
+    # one size class of k blocks of b columns
+    part = ColumnPartition(np.repeat(np.arange(1, k + 1), b), k)
+    blocks = random_pd(np.random.default_rng(seed), b, (k,))
+    lower = cholesky(blocks)
     inv_ref, logdet_ref = inv_logdet_forward_gram(lower)
-    factor = lower.copy()
-    inv, logdet = inv_logdet_from_cholesky(factor)
-    assert np.shares_memory(inv, factor)  # built in the factor's buffer
-    assert np.array_equal(inv, np.swapaxes(inv, -1, -2))  # exactly symmetric
+    sigma = BlockSigma.from_factors(part, [(blocks, lower)])
+    (c,) = sigma.classes
+    assert np.array_equal(c.inverses, np.swapaxes(c.inverses, -1, -2))  # exactly symmetric
     scale = np.abs(inv_ref).max(axis=(-1, -2), keepdims=True)
-    assert np.all(np.abs(inv - inv_ref) <= INVERSE_TOL * scale)
-    # both take log det from the factor's diagonal, before it is overwritten
-    assert np.array_equal(logdet, logdet_ref)
-    assert np.shape(logdet) == tuple(lead)
+    assert np.all(np.abs(c.inverses - inv_ref) <= INVERSE_TOL * scale)
+    # log det Sigma is summed, block by block, from the factors it is handed
+    assert sigma.logdet == sum(logdet_ref)
 
 
 def test_preset4_sweep_steps_its_ten_blocks_in_one_call(monkeypatch):
@@ -337,7 +338,7 @@ def test_preset4_sweep_steps_its_ten_blocks_in_one_call(monkeypatch):
     monkeypatch.setattr(vem, "newton_m_step", counting_newton)
     monkeypatch.setattr(dense_reference, "s_fixed_point_per_block", counting_ref)
     args = (y, log_c, m, s, logdet_s, mu, sigma, log_fact, f_start)
-    m_out, s_out, _ = vem._sweep_batch(*own_copies(args))
+    m_out, s_out, _ = vem._sweep_batch(*own_copies(args), np.arange(200), {})
     m_ref, s_ref, _ = sweep_per_block(*args, 1, 1e-6)
     assert len(shapes) == 1
     assert newton_calls == shapes
@@ -690,7 +691,7 @@ def test_a_dirty_larger_workspace_gives_the_same_fit(monkeypatch):
 
     plain = vem.fit_from_state(counts, offsets, vem.initialize(counts, offsets, 2, 0, 2),
                                SilhouetteK(5), FitConfig(n_starts=1, seed=0), restart=2)
-    fresh = run(lambda: None)
+    fresh = run(dict)
     assert max(classes) > 1
     dirty = {key: np.full(n * d * d, np.nan) for key in range(d + 1)}
     held = dict(dirty)

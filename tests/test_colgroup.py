@@ -390,6 +390,22 @@ def test_partition_validation():
     np.testing.assert_array_equal(part.groups()[0], [1, 2])
 
 
+def test_partitions_compare_and_hash_by_value():
+    part = ColumnPartition(np.array([1, 2, 1]), 2)
+    same = ColumnPartition([1, 2, 1], 2)
+    assert part == same and not part != same
+    assert hash(part) == hash(same)
+    assert {part: "kept"}[same] == "kept"
+    assert part != ColumnPartition(np.array([2, 1, 2]), 2)  # another assign
+    assert part != ColumnPartition(np.array([1, 2, 3]), 3)  # another k
+    assert part != ColumnPartition(np.array([1, 2, 1, 1]), 2)  # another d
+    assert part != (part.assign, part.k)
+    # still frozen, and ``classes`` still computed once
+    with pytest.raises(AttributeError):
+        part.k = 3
+    assert part.classes is part.classes
+
+
 def test_partition_classes_stack_the_blocks_of_each_size():
     # the mixed partition of tests/test_blocks.py: blocks of sizes 2, 3, 1,
     # 2, 3, 1 on interleaved columns

@@ -16,7 +16,8 @@ from mplnbicluster.linalg import (
     cholesky_with_jitter,
     corr_from_cov,
     inv_logdet_batch_last,
-    inv_logdet_from_cholesky,
+    inverse,
+    logdet_from_cholesky,
 )
 from mplnbicluster.model import logdet_blocks
 
@@ -26,12 +27,8 @@ def random_pd(rng, d, scale=1.0):
     return scale * (a @ a.T) + 0.5 * np.eye(d)
 
 
-def inverse(a):
-    return inv_logdet_from_cholesky(cholesky(a))[0]
-
-
 def logdet(a):
-    return inv_logdet_from_cholesky(cholesky(a))[1]
+    return logdet_from_cholesky(cholesky(a))
 
 
 def test_cholesky_known_factor():
@@ -106,29 +103,20 @@ def test_batched_inverse_and_logdet_match_oracles(batch, b):
     rng = np.random.default_rng(100 * b + len(batch))
     x = rng.standard_normal(batch + (b, b))
     a = x @ np.swapaxes(x, -1, -2) / b + 0.5 * np.eye(b)
-    inv, logdet = inv_logdet_from_cholesky(cholesky(a))
-    # LU inverse and eigenvalue log-det: independent algorithms, so the
-    # tolerances are a few hundred ulps of these well-conditioned matrices
-    np.testing.assert_allclose(inv, np.linalg.inv(a), rtol=1e-12, atol=1e-13)
-    oracle = np.log(np.linalg.eigvalsh(a)).sum(axis=-1)
+    inv, logdet = inverse(a), logdet_from_cholesky(cholesky(a))
+    # inverse and log-det from the eigendecomposition: independent of LU
+    # and Cholesky, so the tolerances are a few hundred ulps of these
+    # well-conditioned matrices
+    eigenvalues, vectors = np.linalg.eigh(a)
+    oracle = (vectors / eigenvalues[..., None, :]) @ np.swapaxes(vectors, -1, -2)
+    np.testing.assert_allclose(inv, oracle, rtol=1e-12, atol=1e-13)
+    oracle = np.log(eigenvalues).sum(axis=-1)
     np.testing.assert_allclose(logdet, oracle, rtol=1e-12, atol=1e-12)
     assert np.array_equal(inv, np.swapaxes(inv, -1, -2))  # exactly symmetric
     if batch:
         assert logdet.shape == batch
     else:
         assert isinstance(logdet, float)
-
-
-def test_batched_inverse_keeps_exact_zeros_across_blocks():
-    # a factor that is block-diagonal on interleaved columns gives an
-    # inverse with exact zeros across the blocks
-    rng = np.random.default_rng(37)
-    a = np.zeros((5, 4, 4))
-    for idx in (np.array([0, 2]), np.array([1, 3])):
-        x = rng.standard_normal((5, 2, 2))
-        a[:, idx[:, None], idx] = x @ np.swapaxes(x, -1, -2) + np.eye(2)
-    inv, _ = inv_logdet_from_cholesky(cholesky(a))
-    assert np.all(inv[:, [0, 0, 2, 2], [1, 3, 1, 3]] == 0.0)
 
 
 def batch_last(a):
@@ -234,15 +222,19 @@ ALONE_LOGDET_ATOL = 1e-14
 @given(b=st.integers(1, 12), count=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
 def test_a_matrix_inverted_alone_equals_its_column_of_a_stack(b, count, seed):
     # a row gate that leaves one row of a class of one block hands the
-    # kernel a stack of one; that must not change its result in any bit
+    # kernel a stack of one; that must not change its result in any bit.
+    # Nor may a block of Sigma alone in its size class: LAPACK inverts
+    # each matrix of a stack on its own
     a = pd_stack(np.random.default_rng(seed), b, count)
     stacked, logdet = inv_logdet_batch_last(batch_last(a))
+    lapack = inverse(a)
     for i in range(count):
         buffer = batch_last(a[i:i + 1])
         alone, logdet_alone = inv_logdet_batch_last(buffer)
         assert alone is buffer  # built in the input's buffer
         assert np.array_equal(alone[..., 0], stacked[..., i])
         assert logdet_alone.shape == (1,) and logdet_alone[0] == logdet[i]
+        assert np.array_equal(inverse(a[i]), lapack[i])
 
 
 @pytest.mark.parametrize("b", [5, 8, 10, 25])
@@ -371,17 +363,18 @@ def h():
 
 def test_only_block_sigma_and_the_s_step_invert_from_a_factor():
     # Sigma's block inverses and log det have one constructor,
-    # BlockSigma.from_factors, which inverts LAPACK's factors; the S-step
-    # factors and inverts S'^-1 with the batch-last kernel
+    # BlockSigma.from_factors, which inverts each size class's stack with
+    # one LAPACK call and takes log det Sigma from the factors it is
+    # handed; the S-step factors and inverts S'^-1 with the batch-last kernel
     src = Path(__file__).resolve().parents[1] / "src" / "mplnbicluster"
-    callers = {"inv_logdet_from_cholesky": set(), "inv_logdet_batch_last": set()}
+    callers = {"inverse": set(), "inv_logdet_batch_last": set()}
     for path in sorted(src.glob("*.py")):
         if path.name == "linalg.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         for name, found in callers.items():
             found.update(f"{path.stem}.{scope}" for scope in _callers(tree, name))
-    assert callers == {"inv_logdet_from_cholesky": {"model.BlockSigma.from_factors"},
+    assert callers == {"inverse": {"model.BlockSigma.from_factors"},
                        "inv_logdet_batch_last": {"vem.s_fixed_point_step"}}
 
 

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp
 
+from single_observation import elbo_observation
 from mplnbicluster.colgroup import ColumnPartition
 from mplnbicluster.errors import LengthMismatch, NotPositiveDefinite
 from mplnbicluster.model import (
     MixtureModel,
     VariationalState,
     count_free_parameters,
-    elbo_observation,
     load_model,
     log_factorial,
     lower_bound,

@@ -11,6 +11,7 @@ from scipy.sparse.csgraph import connected_components
 
 from dense_reference import block_sigma, dense_from_blocks
 from restart_reference import fit_every_start
+from single_observation import elbo_observation, update_variational
 from mplnbicluster.data import CountMatrix, OffsetVector, write_json
 from mplnbicluster.errors import (
     AllRestartsFailed,
@@ -22,7 +23,6 @@ from mplnbicluster.colgroup import ColumnPartition
 from mplnbicluster.model import (
     BlockSigma,
     elbo_batch,
-    elbo_observation,
     log_factorial,
     posterior,
 )
@@ -44,7 +44,6 @@ from mplnbicluster.vem import (
     s_fixed_point_step,
     save_labels,
     save_result,
-    update_variational,
 )
 
 
@@ -908,7 +907,7 @@ def gate_fit(case, every_row):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(vem, "s_fixed_point_step", counting)
         if every_row:
-            patch.setattr(vem, "_rows_to_sweep", lambda z_g: None)
+            patch.setattr(vem, "_rows_to_sweep", lambda z_g: np.arange(z_g.size))
         result = fit_from_state(counts, offsets, state, k_spec,
                                 FitConfig(n_starts=1, seed=0), restart=restart)
     return result, sum(rows)
