@@ -10,8 +10,8 @@ keys, and exits 2 on them as unknown: the one-step sweep cannot replay it.
 
 Exit codes are a stable contract for scripting: 0 on success, 1 on a
 runtime failure (e.g. every grid cell failed), 2 on a usage or
-configuration error (unknown flags or config keys, missing input files,
-invalid parameter values).
+configuration error (unknown flags or config keys, missing or malformed
+input files, invalid parameter values).
 
 All outputs are byte-identical across reruns with the same inputs and
 seed, except the timestamp recorded in ``run_config.json`` and the
@@ -185,13 +185,7 @@ def _resolve(command, args):
     options = _OPTIONS[command]
     effective = {key: default for key, (_, default, _) in options.items()}
     if args.config is not None:
-        path = Path(args.config)
-        if not path.is_file():
-            raise UsageError(f"config file not found: {args.config}")
-        try:
-            cfg = read_json(path)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{args.config}: invalid JSON ({exc})") from None
+        cfg = _load(read_json, args.config, "config")
         if not isinstance(cfg, dict):
             raise UsageError(f"{args.config}: config must be a JSON object")
         cfg = dict(cfg)
@@ -227,23 +221,21 @@ def _out_dir(effective) -> Path:
     return Path(_require(effective, "out", "-o/--out"))
 
 
-def _require_file(path, kind) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"{kind} file not found: {path}")
-    return p
-
-
 def _load(loader, path, kind, **kwargs):
-    """Read an input file; every error names the path once (the loaders'
-    own errors start with it, a decoding error does not)."""
-    _require_file(path, kind)
+    """``loader(path, **kwargs)``, the one way a command reads an input
+    file.  A missing file or any error of the loader is a UsageError that
+    names the path once: a message that already starts with it is kept,
+    any other is wrapped."""
+    if not Path(path).is_file():
+        raise UsageError(f"{kind} file not found: {path}")
     try:
         return loader(path, **kwargs)
-    except MplnError as exc:
-        raise UsageError(str(exc)) from None
-    except ValueError as exc:
-        raise UsageError(f"{path}: {exc}") from None
+    # ValueError covers json.JSONDecodeError and UnicodeDecodeError
+    except (MplnError, ValueError, KeyError, TypeError) as exc:
+        message = str(exc)
+        if not message.startswith(f"{path}: "):
+            message = f"{path}: not a valid {kind} file ({message})"
+        raise UsageError(message) from None
 
 
 def _write_run_config(command, effective, out: Path) -> None:
@@ -273,13 +265,7 @@ def _cmd_simulate(effective) -> int:
         except ValueError:
             raise UsageError(f"unknown preset {preset_id}") from None
     else:
-        _require_file(spec_path, "spec")
-        try:
-            spec = load_spec(spec_path)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"{spec_path}: invalid JSON ({exc})") from None
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"{spec_path}: {exc}") from None
+        spec = _load(load_spec, spec_path, "spec")
     if effective["seed"] is not None:
         spec = dc_replace(spec, seed=effective["seed"])
     counts, truth = sample_dataset(spec)
@@ -382,25 +368,12 @@ def _cmd_evaluate(effective) -> int:
 
     reports = []
     for truth_path, result_path in zip(truth_paths, result_paths):
+        truth = _load(load_truth, truth_path, "truth")
+        result = _load(load_result, result_path, "result")
         try:
-            truth = load_truth(truth_path)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, MplnError) as exc:
-            raise UsageError(f"{truth_path}: not a valid truth file ({exc})") from None
-        try:
-            result = load_result(result_path)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, MplnError) as exc:
-            raise UsageError(f"{result_path}: not a valid result file ({exc})") from None
-        if result.model.d != truth.model.d:
-            raise UsageError(
-                f"{result_path}: model has d={result.model.d} variables but "
-                f"{truth_path} has d={truth.model.d}"
-            )
-        if result.labels.shape[0] != truth.row_labels.shape[0]:
-            raise UsageError(
-                f"{result_path}: {result.labels.shape[0]} row labels but "
-                f"{truth_path} has {truth.row_labels.shape[0]}"
-            )
-        reports.append(evaluate_fit(truth, result.model, result.labels))
+            reports.append(evaluate_fit(truth, result.model, result.labels))
+        except MplnError as exc:
+            raise UsageError(f"{result_path} against {truth_path}: {exc}") from None
 
     try:
         final = aggregate_reports(reports)
@@ -437,16 +410,13 @@ def _summary_row(path: Path) -> tuple:
     """(label, replicates, [(mean, sd) of each _SUMMARY metric]); None
     stands for an undefined mean or sd."""
     label = path.parent.name if path.stem == "report" and path.parent.name else path.stem
-    try:
-        report = load_report(path)
-        sd = report.sd or {}
-        metrics = [
-            (none_if_nan(getattr(report, attr)), none_if_nan(sd.get(attr)))
-            for attr in _SUMMARY.values()
-        ]
-        return label, int(report.n_replicates), metrics
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"{path}: not a valid report file ({exc})") from None
+    report = _load(load_report, path, "report")
+    sd = report.sd or {}
+    metrics = [
+        (none_if_nan(getattr(report, attr)), none_if_nan(sd.get(attr)))
+        for attr in _SUMMARY.values()
+    ]
+    return label, report.n_replicates, metrics
 
 
 def _cmd_report(effective) -> int:

@@ -29,6 +29,10 @@ from .errors import (
     ZeroLibrarySize,
 )
 
+# the largest count the fit, which takes counts as float64, holds exactly
+MAX_COUNT = 2**53
+
+
 def integer(name, value, low):
     """``value`` as an int; ValueError naming ``name`` unless it is an
     integer of at least ``low``."""
@@ -71,6 +75,10 @@ def read_json(path: str | Path):
 class CountMatrix:
     """A samples-by-variables matrix of nonnegative integer counts.
 
+    The ids are checked first, then the counts: each must be a whole
+    number from 0 to ``MAX_COUNT``, or NegativeCount or NonIntegerCount
+    names the first bad cell's row id and column.
+
     Attributes
     ----------
     counts : ndarray of int64, shape (n, d)
@@ -88,16 +96,6 @@ class CountMatrix:
         counts = np.asarray(self.counts)
         if counts.ndim != 2:
             raise LengthMismatch(f"counts must be 2-D, got shape {counts.shape}")
-        if counts.dtype.kind == "f":
-            if not np.all(counts == np.floor(counts)):
-                raise NonIntegerCount("counts contain non-integer values")
-            counts = counts.astype(np.int64)
-        elif counts.dtype != np.int64:
-            counts = counts.astype(np.int64)
-        if np.any(counts < 0):
-            i, j = np.argwhere(counts < 0)[0]
-            raise NegativeCount(f"negative count at row {i}, column {j}")
-        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "sample_ids", tuple(str(s) for s in self.sample_ids))
         object.__setattr__(self, "var_names", tuple(str(v) for v in self.var_names))
         n, d = counts.shape
@@ -109,6 +107,20 @@ class CountMatrix:
             raise LengthMismatch("sample ids are not unique")
         if len(set(self.var_names)) != d:
             raise LengthMismatch("variable names are not unique")
+        if counts.dtype.kind not in "biu":
+            counts = counts.astype(float)
+        # written so that NaN is bad: every comparison with it is False
+        good = (counts >= 0) & (counts <= MAX_COUNT)
+        if counts.dtype.kind == "f":
+            good &= counts == np.floor(counts)
+        if not np.all(good):
+            i, j = np.argwhere(~good)[0]
+            value = repr(counts[i, j].item()).removesuffix(".0")  # -2.0 reads as -2
+            where = f"at row {self.sample_ids[i]!r}, column {self.var_names[j]!r}"
+            if counts[i, j] < 0:
+                raise NegativeCount(f"negative count {value} {where}")
+            raise NonIntegerCount(f"count {value} {where} is not a whole number up to 2**53")
+        object.__setattr__(self, "counts", counts.astype(np.int64, copy=False))
 
     @property
     def n(self) -> int:
@@ -186,12 +198,15 @@ def load_counts(path: str | Path) -> CountMatrix:
 
     Raises
     ------
-    NegativeCount, NonIntegerCount
-        With the offending row id and column name in the message.
+    NonIntegerCount
+        On a cell that does not parse as a number, with its row id and
+        column name in the message.
     LengthMismatch
         On ragged rows, an empty file, or duplicate identifiers.
 
-    Every message starts with the path.
+    Each cell is read as a float64, the type the fit takes counts as;
+    ``CountMatrix`` checks the values.  Every message starts with the
+    path.
     """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh, delimiter=_delimiter(path)))
@@ -203,7 +218,7 @@ def load_counts(path: str | Path) -> CountMatrix:
         raise LengthMismatch(f"{path}: header has no variable columns")
     var_names = tuple(name.strip() for name in header[1:])
     sample_ids: list[str] = []
-    data = np.empty((len(rows) - 1, len(var_names)), dtype=np.int64)
+    data = np.empty((len(rows) - 1, len(var_names)))
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise LengthMismatch(
@@ -212,32 +227,16 @@ def load_counts(path: str | Path) -> CountMatrix:
         sid = row[0].strip()
         sample_ids.append(sid)
         for j, cell in enumerate(row[1:]):
-            text = cell.strip()
             try:
-                value = int(text)
+                data[r - 2, j] = float(cell)
             except ValueError:
-                # Distinguish "2.5" (a number, just not integral) from junk.
-                try:
-                    as_float = float(text)
-                except ValueError:
-                    raise NonIntegerCount(
-                        f"{path}: unparseable count {text!r} at row {sid!r}, "
-                        f"column {var_names[j]!r}"
-                    ) from None
-                if as_float != math.floor(as_float):
-                    raise NonIntegerCount(
-                        f"{path}: non-integer count {text!r} at row {sid!r}, "
-                        f"column {var_names[j]!r}"
-                    ) from None
-                value = int(as_float)
-            if value < 0:
-                raise NegativeCount(
-                    f"{path}: negative count {value} at row {sid!r}, column {var_names[j]!r}"
-                )
-            data[r - 2, j] = value
+                raise NonIntegerCount(
+                    f"{path}: unparseable count {cell.strip()!r} at row {sid!r}, "
+                    f"column {var_names[j]!r}"
+                ) from None
     try:
         return CountMatrix(data, tuple(sample_ids), var_names)
-    except MplnError as exc:  # e.g. duplicate sample ids
+    except MplnError as exc:  # bad ids or counts
         raise type(exc)(f"{path}: {exc}") from None
 
 

@@ -10,6 +10,7 @@ after that alignment.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import comb
 from typing import Optional
@@ -17,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .colgroup import ColumnPartition
-from .data import labels_in_range, read_json, write_csv, write_json
+from .data import integer, labels_in_range, read_json, write_csv, write_json
 from .errors import LengthMismatch
 
 __all__ = [
@@ -210,11 +211,17 @@ def _nanmean(values, axis=None):
 def evaluate_fit(truth, model, labels) -> EvalReport:
     """Score one fitted model against the ground truth that generated it.
 
-    ``truth`` is a GroundTruth; ``model``/``labels`` come from the fit, and
-    ValueError is raised unless every label is a whole number in 1..G.
+    ``truth`` is a GroundTruth; ``model``/``labels`` come from the fit.
+    ValueError is raised unless every label is a whole number in 1..G, and
+    LengthMismatch unless the fit has the truth's rows and variables.
     """
     labels = labels_in_range("labels", labels, model.G)
     truth_model = truth.model
+    if model.d != truth_model.d or labels.size != truth.row_labels.size:
+        raise LengthMismatch(
+            f"the fit has d={model.d} and {labels.size} rows, "
+            f"the truth d={truth_model.d} and {truth.row_labels.size} rows"
+        )
     g_true = truth_model.G
     row_ari = ari(truth.row_labels, labels)
     if model.G == g_true:
@@ -326,25 +333,35 @@ def save_report(report: EvalReport, path) -> None:
 
 
 def load_report(path) -> EvalReport:
+    """The report ``save_report`` wrote at ``path``, its fields typed;
+    KeyError, TypeError or ValueError on a malformed file."""
     payload = read_json(path)
 
-    def back(values):
-        return tuple(float("nan") if v is None else float(v) for v in values)
+    def number(value):
+        # null, an undefined metric, reads as NaN
+        if value is not None and (type(value) not in (int, float)
+                                  or abs(value) > sys.float_info.max):
+            raise ValueError(f"expected a number or null, got {value!r}")
+        return float("nan") if value is None else float(value)
 
+    def back(values):
+        return tuple(number(v) for v in values)
+
+    sd = payload["sd"] if "sd" in payload else None
+    if sd is not None:  # an undefined sd stays None
+        sd = {key: [none_if_nan(number(v)) for v in value] if isinstance(value, list)
+              else none_if_nan(number(value)) for key, value in dict(sd).items()}
     return EvalReport(
-        row_ari=payload["row_ari"],
+        row_ari=number(payload["row_ari"]),
         col_misclass=back(payload["col_misclass"]),
-        col_misclass_mean=(
-            float("nan") if payload["col_misclass_mean"] is None
-            else payload["col_misclass_mean"]
-        ),
+        col_misclass_mean=number(payload["col_misclass_mean"]),
         mu_mse=back(payload["mu_mse"]),
         pi_mse=back(payload["pi_mse"]),
         support_counts=tuple(
             np.asarray(m, dtype=np.int64) for m in payload["support_counts"]
         ),
-        n_replicates=payload["n_replicates"],
-        sd=payload.get("sd"),
+        n_replicates=integer("n_replicates", payload["n_replicates"], 1),
+        sd=sd,
     )
 
 

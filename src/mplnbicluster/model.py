@@ -237,8 +237,8 @@ def elbo_batch(
     s,
     mu: np.ndarray,
     sigma: BlockSigma,
-    log_fact: np.ndarray | None = None,
-    logdet_s: np.ndarray | None = None,
+    log_fact: np.ndarray,
+    logdet_s: np.ndarray,
 ) -> np.ndarray:
     """F(q_ig, y_i) for all observations under one component, vectorized.
 
@@ -246,15 +246,11 @@ def elbo_batch(
     partition: s holds one (k, n, b, b) stack per class of
     ``sigma.classes``, and each class's quadratic forms and traces are
     taken as one batch of BLAS products, then summed over the blocks
-    (``sum_blocks``).  log_fact is sum_j log(y_ij!) per row (computed if
-    omitted); logdet_s may be passed when the caller already has it from a
-    factorization; otherwise it comes from ``logdet_blocks``.
+    (``sum_blocks``).  log_fact is sum_j log(y_ij!) per row
+    (``log_factorial``) and logdet_s log det S per row (``logdet_blocks``,
+    or carried from the S-step).
     """
     y = np.asarray(y, dtype=float)
-    if log_fact is None:
-        log_fact = log_factorial(y)
-    if logdet_s is None:
-        logdet_s = logdet_blocks(s)
     n, d = m.shape
     dm = m - mu
     quads, traces = [], []
@@ -365,10 +361,18 @@ def model_to_dict(model: MixtureModel) -> dict:
 
 
 def model_from_dict(payload: dict) -> MixtureModel:
+    """ValueError unless each component's blocks list every column 0..d-1
+    once, as whole numbers."""
     G = int(payload["G"])
     d = int(payload["d"])
     groupings = []
-    for blocks in payload["blocks"]:
+    for g, blocks in enumerate(payload["blocks"], start=1):
+        columns = np.asarray([c for members in blocks for c in members])
+        if columns.dtype.kind not in "iuf" or not np.array_equal(np.sort(columns), np.arange(d)):
+            raise ValueError(
+                f"blocks of component {g} must list each column 0..{d - 1} once, "
+                "as whole numbers"
+            )
         assign = np.zeros(d, dtype=np.int64)
         for label, members in enumerate(blocks, start=1):
             assign[np.asarray(members, dtype=int)] = label

@@ -295,7 +295,7 @@ def initialize(
 # variational sweeps
 
 
-def s_fixed_point_step(log_c, m, diag_s, sigma_inv, a=None, s_new=None):
+def s_fixed_point_step(log_c, m, diag_s, sigma_inv, a, s_new):
     """One fixed-point refresh of the approximation covariances.
 
     S' = (Sigma^-1 + diag(exp(log C + m + diag(S)/2)))^-1, batched over
@@ -309,15 +309,12 @@ def s_fixed_point_step(log_c, m, diag_s, sigma_inv, a=None, s_new=None):
     inverts that stack in ``a``, each step one vector op over all k * rows
     blocks, and one transpose writes S' into ``s_new``, a C-contiguous
     (k, rows, b, b) array.  So the step holds two such arrays at a time;
-    the sweep hands it both from the fit's workspace, and either is
-    allocated here when not given.  S' is exactly symmetric.  Raises
-    NotPositiveDefinite if S'^-1 does not factor.
+    the sweep hands it both from the fit's workspace.  S' is exactly
+    symmetric.  Raises NotPositiveDefinite if S'^-1 does not factor.
     """
     m = np.asarray(m, dtype=float)
     lead, d = m.shape[:-1], m.shape[-1]
     count = math.prod(lead)
-    a = np.empty((d, d, count)) if a is None else a
-    s_new = np.empty(lead + (d, d)) if s_new is None else s_new
     lam = poisson_rate(log_c, m, diag_s)
     a.reshape((d, d) + lead)[...] = np.moveaxis(
         np.broadcast_to(sigma_inv, lead + (d, d)), (-2, -1), (0, 1))

@@ -56,7 +56,12 @@ product.  ``inverses_per_block`` is Sigma's inverse as it was when each
 block was factored and inverted on its own; ``model.BlockSigma`` now
 inverts the blocks of each size as one stack, and ``block_sigma`` builds
 one from a dense Sigma's blocks.
+
+``s_step_buffers`` allocates the two arrays the S-step writes, which the
+fit hands it from its workspace, for tests that call the S-step directly.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -82,6 +87,14 @@ from mplnbicluster.linalg import (
 )
 from mplnbicluster.model import EXP_CAP, BlockSigma, block_index, elbo_batch
 from mplnbicluster.vem import EqualK, PerGroupK
+
+
+def s_step_buffers(m):
+    """The two arrays ``vem.s_fixed_point_step`` writes, for an m of shape
+    (..., b), shaped as the sweep carves them from the fit's workspace:
+    the (b, b, rows) stack of S'^-1 and the (..., b, b) stack of S'."""
+    lead, b = m.shape[:-1], m.shape[-1]
+    return np.empty((b, b, math.prod(lead))), np.empty(lead + (b, b))
 
 
 def blocks_from_dense(s, classes):

@@ -28,14 +28,18 @@ def elbo_observation(
     are one block each."""
     sigma = np.asarray(sigma, dtype=float)[None]
     one_block = ColumnPartition(np.ones(sigma.shape[-1], dtype=np.int64), 1)
+    y = np.asarray(y, dtype=float)[None, :]
+    s = np.asarray(s, dtype=float)[None, None]
     return float(
         elbo_batch(
-            np.asarray(y, dtype=float)[None, :],
+            y,
             np.array([log_c], dtype=float),
             np.asarray(m, dtype=float)[None, :],
-            [np.asarray(s, dtype=float)[None, None]],
+            [s],
             np.asarray(mu, dtype=float),
             BlockSigma.from_factors(one_block, [(sigma, cholesky(sigma))]),
+            log_factorial(y),
+            logdet_blocks([s]),
         )[0]
     )
 

@@ -49,6 +49,7 @@ from dense_reference import (
     inverses_per_block,
     objective_dense,
     s_fixed_point_dense,
+    s_step_buffers,
     scatter_three_operand,
     sweep_dense,
     sweep_per_block,
@@ -63,6 +64,7 @@ from mplnbicluster.model import (
     VariationalState,
     block_index,
     elbo_batch,
+    log_factorial,
     logdet_blocks,
 )
 from mplnbicluster.simulate import preset, sample_dataset, spec_offsets
@@ -172,7 +174,8 @@ def test_block_sweep_matches_dense_reference(data, n, seed):
     assert block_sigma.logdet == pytest.approx(logdet_sigma, rel=1e-9, abs=1e-9)
 
     f_dense = elbo_dense(y, log_c, m, s, mu, sigma_inv, logdet_sigma, log_fact)
-    f_block = elbo_batch(y, log_c, m, s_blocks, mu, block_sigma, log_fact=log_fact)
+    f_block = elbo_batch(y, log_c, m, s_blocks, mu, block_sigma, log_fact=log_fact,
+                         logdet_s=logdet_blocks(s_blocks))
     np.testing.assert_allclose(f_block, f_dense, **TOL)
 
     # the sweep is one step: the reference's first iteration
@@ -205,7 +208,8 @@ def test_s_fixed_point_step_matches_dense_reference(b):
     m = rng.normal(0.5, 0.5, size=(n, b))
     log_c = rng.normal(0.0, 0.3, size=n)
     s = np.stack([0.2 * random_pd(rng, b) for _ in range(n)])
-    s_new, logdet = vem.s_fixed_point_step(log_c, m, np.einsum("...jj->...j", s), sigma_inv)
+    s_new, logdet = vem.s_fixed_point_step(log_c, m, np.einsum("...jj->...j", s), sigma_inv,
+                                           *s_step_buffers(m))
     s_ref, logdet_ref = s_fixed_point_dense(log_c, m, s, sigma_inv)
     np.testing.assert_allclose(s_new, s_ref, rtol=1e-11, atol=1e-14)
     np.testing.assert_allclose(logdet, logdet_ref, rtol=1e-13, atol=1e-12)
@@ -454,7 +458,8 @@ def test_reblock_never_lowers_a_bound_and_keeps_blocks_pd(data, n, seed):
     for stack in moved:
         np.linalg.cholesky(stack)  # raises unless every block is positive definite
     after = elbo_batch(y, log_c, m, moved, mu,
-                       sliced_sigma(new, sigma, sigma_inv, logdet_sigma))
+                       sliced_sigma(new, sigma, sigma_inv, logdet_sigma),
+                       log_factorial(y), logdet_blocks(moved))
     assert np.all(after >= before - 1e-9 * (1.0 + np.abs(before)))
 
 

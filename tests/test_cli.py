@@ -292,6 +292,12 @@ def test_fit_missing_counts_is_usage_error(tmp_path, capsys):
     ("dup.csv", "sample_id,a\ns0,1\ns0,2\n", "sample ids are not unique"),
     # a file that is not text
     ("bin.csv", b"\xff\xfe\x00", "codec can't decode"),
+    # cells read as float64 that are no count, errors of CountMatrix
+    ("inf.csv", "sample_id,a,b\ns0,1,inf\n", "count inf at row 's0', column 'b' is not"),
+    ("huge.csv", "sample_id,a,b\ns0,1,1e400\n", "count inf at row 's0', column 'b' is not"),
+    ("digits.csv", "sample_id,a,b\ns0,1,99999999999999999999\n",
+     "count 1e+20 at row 's0', column 'b' is not a whole number up to 2**53"),
+    ("nan.csv", "sample_id,a,b\ns0,1,nan\n", "count nan at row 's0', column 'b' is not"),
 ])
 def test_fit_load_errors_name_the_path_once(tmp_path, capsys, name, text, message):
     path = tmp_path / name
@@ -599,6 +605,30 @@ def test_evaluate_rejects_labels_outside_1_to_g(sim_dir, tmp_path, capsys, kind,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("blocks", [[[0, 1, 2], [3, 4, 6]], [[0, 1, 2], [3, 4, -1]],
+                                    [[0, 1, 2], [2, 4, 5]], [[0, 1, 2], [3, 4.7, 5]]],
+                         ids=["past-d", "negative", "repeated", "fractional"])
+def test_evaluate_rejects_result_blocks_that_miss_a_column(sim_dir, tmp_path, capsys, blocks):
+    truth = load_truth(sim_dir / "truth.json")
+    path = tmp_path / "result.json"
+    save_result(
+        FitResult(model=truth.model, state=None, labels=truth.row_labels,
+                  elbo_trace=np.array([-1.0]), lower_bound=-1.0, bic=-2.0,
+                  converged=True, iterations=0, restart=0),
+        path,
+    )
+    payload = json.loads(path.read_text())
+    payload["model"]["blocks"][0] = blocks
+    path.write_text(json.dumps(payload))
+    rc = main(["evaluate", "--truth", str(sim_dir / "truth.json"),
+               "--result", str(path), "-o", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not a valid result file (blocks of component 1")
+    assert err.count(str(path)) == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_evaluate_mismatched_d_is_usage_error(fit_dir, tmp_path, capsys):
     other = small_spec(
         d=4,
@@ -726,6 +756,21 @@ def test_report_invalid_report_leaves_no_output(tmp_path, capsys):
     path.write_text("{}")
     assert main(["report", "--report", str(path), "-o", str(tmp_path / "o")]) == 2
     assert "not a valid report file" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", [2.5, "two"])
+def test_report_rejects_a_replicate_count_that_is_no_integer(tmp_path, capsys, value):
+    # int() would print 2.5 as 2 replicates
+    payload = {"row_ari": 0.4, "col_misclass": [None], "col_misclass_mean": None,
+               "mu_mse": [None], "pi_mse": [None], "support_counts": [[[0]]],
+               "n_replicates": value}
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(payload))
+    assert main(["report", "--report", str(path), "-o", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"n_replicates must be an integer, got {value!r}" in err
+    assert err.count(str(path)) == 1
     assert not (tmp_path / "o").exists()
 
 

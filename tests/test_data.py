@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,33 @@ def test_load_counts_junk_cell(tmp_path):
     p = write(tmp_path, "c.csv", "id,g1\na,xyz\n")
     with pytest.raises(NonIntegerCount):
         load_counts(p)
+
+
+@pytest.mark.parametrize("value, error, message", [
+    (np.inf, NonIntegerCount, "count inf at row 'b', column 'g2' is not a whole number"),
+    (np.nan, NonIntegerCount, "count nan at row 'b', column 'g2' is not a whole number"),
+    (1e30, NonIntegerCount, "count 1e+30 at row 'b', column 'g2' is not a whole number"),
+    (2.5, NonIntegerCount, "count 2.5 at row 'b', column 'g2' is not a whole number"),
+    (-0.5, NegativeCount, "negative count -0.5 at row 'b', column 'g2'"),
+    (-2.0, NegativeCount, "negative count -2 at row 'b', column 'g2'"),
+])
+def test_count_matrix_names_the_first_bad_cell(value, error, message):
+    # a cast to int64 would warn on inf and NaN, and warnings fail the tests
+    counts = np.array([[1.0, 2.0], [3.0, value]])
+    with pytest.raises(error, match=re.escape(message)):
+        CountMatrix(counts, ("a", "b"), ("g1", "g2"))
+
+
+def test_count_matrix_holds_counts_float64_holds_exactly():
+    ids = ("a",), ("g1", "g2")
+    assert CountMatrix(np.array([[0, 2**53]]), *ids).counts[0, 1] == 2**53
+    with pytest.raises(NonIntegerCount, match=r"9007199254740993 .* up to 2\*\*53"):
+        CountMatrix(np.array([[0, 2**53 + 1]]), *ids)
+
+
+def test_count_matrix_checks_its_ids_before_its_counts():
+    with pytest.raises(LengthMismatch, match="unique"):
+        CountMatrix(np.array([[1, -1], [1, 1]]), ("a", "a"), ("g1", "g2"))
 
 
 def test_load_counts_ragged_row(tmp_path):

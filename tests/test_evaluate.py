@@ -377,6 +377,19 @@ def test_evaluate_fit_component_count_mismatch():
     assert all(m.sum() == 0 for m in report.support_counts)
 
 
+def test_evaluate_fit_rejects_a_fit_of_other_shape():
+    # with G different the scores skip every per-variable comparison, so
+    # nothing else stops a d=2 fit from scoring against d=4 truth
+    truth_model = block_model([0.5, 0.5], [[0.0] * 4, [1.0] * 4], [(2, 2), (2, 2)])
+    truth = GroundTruth(row_labels=np.array([1, 1, 2, 2]), model=truth_model)
+    narrow = block_model([1.0], [[0.5] * 2], [(2,)])
+    with pytest.raises(LengthMismatch, match="the fit has d=2 and 4 rows, the truth d=4 and 4"):
+        evaluate_fit(truth, narrow, np.array([1, 1, 1, 1]))
+    short = block_model([1.0], [[0.5] * 4], [(2, 2)])
+    with pytest.raises(LengthMismatch, match="the fit has d=4 and 3 rows, the truth d=4 and 4"):
+        evaluate_fit(truth, short, np.array([1, 1, 1]))
+
+
 def test_aggregate_reports():
     d = 3
     ones = np.ones((d, d), dtype=np.int64)

@@ -326,6 +326,20 @@ def test_model_rejects_non_finite_mu(tmp_path, bad):
         load_model(path)
 
 
+@pytest.mark.parametrize("blocks", [[[0], [1, 3]], [[0], [1, -1]], [[0, 1], [1, 2]], [[0], [1, 2.7]]],
+                         ids=["past-d", "negative", "repeated", "fractional"])
+def test_load_model_rejects_blocks_that_miss_a_column(tmp_path, blocks):
+    # used as indices unchecked, 3 would raise IndexError, and silently -1
+    # would name column 2, the repeated 1 would move to the later block
+    # and 2.7 would be cut to 2
+    payload = model_to_dict(toy_model())
+    payload["blocks"][1] = blocks
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=r"blocks of component 2 must list each column 0\.\.2 once"):
+        load_model(path)
+
+
 def test_model_free_parameter_property():
     assert toy_model().n_free_parameters == 1 + 6 + (3 + 1) + (1 + 3)
 

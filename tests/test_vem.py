@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.sparse.csgraph import connected_components
 
-from dense_reference import block_sigma, dense_from_blocks
+from dense_reference import block_sigma, dense_from_blocks, s_step_buffers
 from restart_reference import fit_every_start
 from single_observation import elbo_observation, update_variational
 from mplnbicluster.data import CountMatrix, OffsetVector, write_json
@@ -24,6 +24,7 @@ from mplnbicluster.model import (
     BlockSigma,
     elbo_batch,
     log_factorial,
+    logdet_blocks,
     posterior,
 )
 from mplnbicluster.simulate import preset, sample_dataset, spec_offsets
@@ -153,9 +154,10 @@ def test_k_spec_validation():
 
 def test_s_fixed_point_worked_example():
     # standard cell: C=1, m=0, S=1, Sigma=1 -> S' = 1 / (1 + e^0.5)
+    m = np.zeros((1, 1))
     s_new, logdet = s_fixed_point_step(
-        np.zeros(1), np.zeros((1, 1)), np.einsum("...jj->...j", np.ones((1, 1, 1))),
-        np.ones((1, 1)),
+        np.zeros(1), m, np.einsum("...jj->...j", np.ones((1, 1, 1))), np.ones((1, 1)),
+        *s_step_buffers(m),
     )
     expected = 1.0 / (1.0 + np.exp(0.5))
     assert s_new[0, 0, 0] == pytest.approx(expected, abs=1e-12)
@@ -166,10 +168,11 @@ def test_s_fixed_point_worked_example():
 def test_s_fixed_point_rejects_indefinite_precision():
     # a failed factorization of Sigma^-1 + diag(lambda) is a typed package
     # error, so callers need no numpy exception of their own
+    m = np.zeros((1, 2))
     with pytest.raises(NotPositiveDefinite):
         s_fixed_point_step(
-            np.zeros(1), np.zeros((1, 2)), np.einsum("...jj->...j", np.eye(2)[None]),
-            -10.0 * np.eye(2),
+            np.zeros(1), m, np.einsum("...jj->...j", np.eye(2)[None]), -10.0 * np.eye(2),
+            *s_step_buffers(m),
         )
 
 
@@ -183,7 +186,7 @@ def test_s_fixed_point_step_shapes_on_a_stack(shape):
     diag_s = rng.uniform(0.1, 0.5, size=shape)
     log_c = rng.normal(size=rows)
     sigma_inv = np.broadcast_to(2.0 * np.eye(b), (k, 1, b, b))
-    s_new, logdet = s_fixed_point_step(log_c, m, diag_s, sigma_inv)
+    s_new, logdet = s_fixed_point_step(log_c, m, diag_s, sigma_inv, *s_step_buffers(m))
     assert s_new.shape == (k, rows, b, b) and logdet.shape == (k, rows)
     if b == 1:
         expected = 1.0 / (2.0 + np.exp(log_c + m[..., 0] + 0.5 * diag_s[..., 0]))
@@ -217,7 +220,7 @@ def test_s_fixed_point_diagonal_structure():
         s = np.diag(rng.uniform(0.1, 0.5, size=d))[None]
         log_c = rng.normal(size=1)
         s_new, _ = s_fixed_point_step(log_c, m, np.einsum("...jj->...j", s),
-                                      np.diag(1.0 / diag))
+                                      np.diag(1.0 / diag), *s_step_buffers(m))
         lam = np.exp(log_c[0] + m[0] + 0.5 * np.diag(s[0]))
         expected = 1.0 / (1.0 / diag + lam)
         assert np.allclose(np.diag(s_new[0]), expected, atol=1e-12)
@@ -277,7 +280,8 @@ def test_indefinite_s_with_positive_determinant_is_rejected():
     one_block = ColumnPartition(np.ones(3, dtype=np.int64), 1)
     with pytest.raises(NotPositiveDefinite):
         elbo_batch(y[None], np.zeros(1), m[None], [s[None, None]], mu,
-                   BlockSigma.from_factors(one_block, [(np.eye(3)[None], np.eye(3)[None])]))
+                   BlockSigma.from_factors(one_block, [(np.eye(3)[None], np.eye(3)[None])]),
+                   log_factorial(y[None]), logdet_blocks([s[None, None]]))
     with pytest.raises(NotPositiveDefinite):
         update_variational(y, 0.0, m, s, mu, np.eye(3))
 
@@ -595,6 +599,7 @@ def test_fit_trace_final_consistency():
         f[:, g] = elbo_batch(
             y, offsets.log, result.state.m[:, g], result.state.s[g],
             result.model.mu[g], sigma, log_fact=log_fact,
+            logdet_s=logdet_blocks(result.state.s[g]),
         )
     assert posterior(f, result.model.pi)[0] == pytest.approx(
         result.elbo_trace[-1], rel=1e-12
